@@ -38,7 +38,7 @@ from .histories import (
     two_state_probability,
     two_state_probability_table,
 )
-from .linalg import adjoint, exp_generator, herm_eig, kron, matmul, trace
+from .linalg import exp_generator, herm_eig, kron, trace
 from .model import (
     ProjectorFamily,
     QuantumModel,

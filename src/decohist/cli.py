@@ -214,6 +214,14 @@ def _cmd_probs(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     return body, EXIT_DECOHERENT
 
 
+def _rank_one_vector(rho_final: np.ndarray, command: str) -> np.ndarray:
+    """The state vector of a rank-one rho_final; other ranks exit 65."""
+    w, v = np.linalg.eigh(rho_final)
+    if np.sum(w > 1e-10) != 1:
+        raise _CliError(f"{command} needs rho_final of rank one", EXIT_INVARIANT)
+    return v[:, -1]
+
+
 def _cmd_abl(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     psi_i = extras.get("psi_initial")
     psi_f = extras.get("psi_final")
@@ -228,10 +236,7 @@ def _cmd_abl(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
                 "abl needs a final state: use --scenario spin-post or a model file "
                 "with a rank-one rho_final", EXIT_USAGE,
             )
-        w, v = np.linalg.eigh(rho_final)
-        if np.sum(w > 1e-10) != 1:
-            raise _CliError("abl needs rho_final of rank one", EXIT_INVARIANT)
-        psi_f = v[:, -1]
+        psi_f = _rank_one_vector(rho_final, "abl")
     table = scenarios.abl_table(psi_i, psi_f, model)
     body = {
         "table": _sorted_table(table),
@@ -268,10 +273,7 @@ def _cmd_records(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
 def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     rho_final = extras.get("rho_final")
     if rho_final is not None:
-        w, v = np.linalg.eigh(rho_final)
-        if np.sum(w > 1e-10) != 1:
-            raise _CliError("reverse needs rho_final of rank one", EXIT_INVARIANT)
-        final = v[:, -1]
+        final = _rank_one_vector(rho_final, "reverse")
     else:
         psi = _pure_state_vector(model)
         final = model.grid.cumulative(model.grid.n_times - 1) @ psi

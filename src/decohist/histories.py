@@ -17,7 +17,11 @@ judged by the absolute floor.
 
 Evaluation factorizes the state through its spectral columns: with
 rho = C C^dagger, D(h, h') is the Hilbert-Schmidt inner product of L_h C and
-L_h' C, so the cost is one chain product per history rather than per pair.
+L_h' C.  A Schrodinger-picture prefix walk builds these for all histories at
+once, applying each step segment and then each member projector to every
+node of a level, so shared prefixes are computed once (one O(d^2 r) product
+per node).  Every functional is then one Gram product of the resulting
+branch table, and the walk's levels are the truncated history sets.
 All functions here are pure; histories may be evaluated concurrently and the
 reports assemble in a fixed lexicographic order regardless of evaluation
 order.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +46,6 @@ from .model import (
     ProjectorFamily,
     QuantumModel,
     StateOperator,
-    heisenberg_projector,
     time_reverse_operator,
 )
 
@@ -134,20 +138,59 @@ class DecoherenceReport:
         return max((p.measure for p in self.pairs), default=0.0)
 
 
-def _chain_operators(model: QuantumModel) -> tuple[list[History], list[np.ndarray]]:
-    """All histories with their chain operators L_h (latest projector leftmost)."""
-    heis = [
-        [heisenberg_projector(model, k, j) for j in range(len(fam))]
-        for k, fam in enumerate(model.families)
-    ]
-    histories = model.history_labels()
-    chains = []
-    for idx in itertools.product(*[range(len(f)) for f in model.families]):
-        chain = np.eye(model.dim, dtype=complex)
-        for k, j in enumerate(idx):
-            chain = heis[k][j] @ chain
-        chains.append(chain)
-    return histories, chains
+def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False, members=None):
+    """Schrodinger-picture prefix walk over the families, one level per family.
+
+    Each level has shape (nodes, r, d): one node per history prefix, in
+    lexicographic order, holding the transposed columns P_k U_k ... P_1 U_1 C
+    at the family's time.  Backwards walks the families latest first, from
+    W(t_n) C through the adjoint segments.  ``members`` lists the member
+    indices to expand per family, all by default.
+    """
+    order = range(model.n_families)
+    nodes, prev = cols.T[None], None
+    for k in (reversed(order) if backwards else order):
+        fam = model.families[k]
+        w = model.grid.cumulative(fam.time_index)
+        segment = w if prev is None else w @ prev.conj().T
+        flat = nodes.reshape(-1, nodes.shape[-1]) @ segment.T
+        picks = range(len(fam)) if members is None else members[k]
+        # the family met last varies fastest forwards and slowest backwards
+        nodes = np.stack([(flat @ fam.projectors[j].T).reshape(nodes.shape) for j in picks],
+                         axis=0 if backwards else 1)
+        nodes, prev = nodes.reshape(-1, *nodes.shape[2:]), w
+        yield nodes
+
+
+def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False,
+                  members=None) -> np.ndarray:
+    """Rows of L_h C (L_h^dagger C backwards), one (r, d) block per history.
+
+    The last level of the walk pulled back to the initial time, by W(t_n)^dagger
+    (W(t_1)^dagger backwards).
+    """
+    table = cols.T[None]
+    for table in _walk(model, cols, backwards, members):
+        pass
+    if model.families:
+        w = model.grid.cumulative(model.families[0 if backwards else -1].time_index)
+        table = (table.reshape(-1, model.dim) @ w.conj()).reshape(table.shape)
+    return table
+
+
+def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """D[i, j] = <a_j, b_i> from one product B A^dagger of the flattened rows.
+
+    ``b`` defaults to ``a``.  The upper triangle is mirrored and the diagonal
+    made real, so the result is exactly Hermitian.
+    """
+    a = a.reshape(a.shape[0], -1)
+    b = a if b is None else b.reshape(a.shape)
+    g = b @ a.conj().T
+    d = np.triu(g, 1)
+    d += d.conj().T
+    d[np.diag_indices_from(d)] = g.diagonal().real
+    return d
 
 
 def _state_columns(state: StateOperator) -> np.ndarray:
@@ -172,52 +215,40 @@ def _functional_matrix(model: QuantumModel, direction: str,
                        rho_i: StateOperator | None = None,
                        rho_f: np.ndarray | None = None):
     """Histories and the full matrix D[i, j] = functional(h_i, h_j)."""
-    state = rho_i if rho_i is not None else model.initial_state
-    histories, chains = _chain_operators(model)
-    cols = _state_columns(state)
-    if direction == "forwards":
-        applied = [c @ cols for c in chains]
-        weighted = applied
-    elif direction == "backwards":
-        applied = [c.conj().T @ cols for c in chains]
-        weighted = applied
-    elif direction == "two_state":
-        applied = [c @ cols for c in chains]
-        weighted = [rho_f @ a for a in applied]
-    else:
+    if direction not in ("forwards", "backwards", "two_state"):
         raise ValueError(f"unknown direction {direction!r}")
-    m = len(histories)
-    d = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            val = np.vdot(applied[j], weighted[i])
-            d[i, j] = val
-            d[j, i] = val.conjugate()
-    return histories, d
+    state = rho_i if rho_i is not None else model.initial_state
+    a = _branch_table(model, _state_columns(state), direction == "backwards")
+    b = a.reshape(-1, model.dim) @ rho_f.T if direction == "two_state" else None
+    return model.history_labels(), _gram(a, b)
+
+
+def _path_table(model: QuantumModel, history, cols: np.ndarray,
+                backwards: bool = False) -> np.ndarray:
+    """The branch-table row of one history, from a walk down its single path."""
+    path = [[j] for j in model.history_indices(tuple(history))]
+    return _branch_table(model, cols, backwards, path)
+
+
+def _candidate_table(model: QuantumModel, backwards: bool) -> dict[History, float]:
+    """Candidate probabilities of every history: squared norms of the table rows."""
+    a = _branch_table(model, _state_columns(model.initial_state), backwards)
+    norms = np.einsum("hij,hij->h", a.conj(), a)
+    what = "backwards" if backwards else "forwards"
+    return {h: _clamp_probability(v, f"{what} probability of {h}")
+            for h, v in zip(model.history_labels(), norms.tolist())}
 
 
 def candidate_probability_forwards(model: QuantumModel, history) -> float:
     """Diagonal of the forwards functional: Tr(L_h rho L_h^dagger), in [0, 1]."""
-    chain = _single_chain(model, history)
-    cols = _state_columns(model.initial_state)
-    applied = chain @ cols
-    return _clamp_probability(np.vdot(applied, applied), f"forwards probability of {tuple(history)}")
+    a = _path_table(model, history, _state_columns(model.initial_state))
+    return _clamp_probability(np.vdot(a, a), f"forwards probability of {tuple(history)}")
 
 
 def candidate_probability_backwards(model: QuantumModel, history) -> float:
     """Diagonal of the backwards functional: Tr(L_h^dagger rho L_h), in [0, 1]."""
-    chain = _single_chain(model, history)
-    cols = _state_columns(model.initial_state)
-    applied = chain.conj().T @ cols
-    return _clamp_probability(np.vdot(applied, applied), f"backwards probability of {tuple(history)}")
-
-
-def _single_chain(model: QuantumModel, history) -> np.ndarray:
-    idx = model.history_indices(tuple(history))
-    chain = np.eye(model.dim, dtype=complex)
-    for k, j in enumerate(idx):
-        chain = heisenberg_projector(model, k, j) @ chain
-    return chain
+    a = _path_table(model, history, _state_columns(model.initial_state), backwards=True)
+    return _clamp_probability(np.vdot(a, a), f"backwards probability of {tuple(history)}")
 
 
 def decoherence_functional(model: QuantumModel, h, h_prime, direction: str = "forwards") -> complex:
@@ -228,53 +259,70 @@ def decoherence_functional(model: QuantumModel, h, h_prime, direction: str = "fo
     """
     if direction not in ("forwards", "backwards"):
         raise ValueError(f"direction must be 'forwards' or 'backwards', got {direction!r}")
-    a = _single_chain(model, h)
-    b = _single_chain(model, h_prime)
+    backwards = direction == "backwards"
     cols = _state_columns(model.initial_state)
-    if direction == "backwards":
-        a, b = a.conj().T, b.conj().T
-    return complex(np.vdot(b @ cols, a @ cols))
+    a = _path_table(model, h, cols, backwards)
+    b = _path_table(model, h_prime, cols, backwards)
+    return complex(np.vdot(b, a))
+
+
+class _PairArrays(NamedTuple):
+    """Upper-triangle pairs of a functional matrix, one array entry per pair."""
+
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
+    measure: np.ndarray
+    threshold: np.ndarray
+    passed: np.ndarray
+    ratio: np.ndarray
+
+    def verdict(self) -> str:
+        if self.passed.all():
+            return "decoherent"
+        return "marginal" if self.ratio.max() <= MARGINAL_FACTOR else "not_decoherent"
+
+
+def _pair_arrays(d: np.ndarray, scale: float, strength: str,
+                 tolerance: TolerancePolicy) -> _PairArrays:
+    """Measure every pair i < j of D against its threshold.
+
+    Measures and thresholds are on the normalized scale (D / scale), with the
+    threshold of :meth:`TolerancePolicy.pair_threshold` and ratio inf where
+    the threshold is zero.
+    """
+    i, j = np.triu_indices(d.shape[0], 1)
+    value = d[i, j]
+    measure = (np.abs(value.real) if strength == "weak" else np.abs(value)) / scale
+    p = np.maximum(d.diagonal().real / scale, 0.0)
+    threshold = np.maximum(tolerance.abs, tolerance.rel * np.sqrt(p[i] * p[j]))
+    ratio = np.divide(measure, threshold, out=np.full_like(measure, np.inf),
+                      where=threshold > 0)
+    return _PairArrays(i, j, value, measure, threshold, measure <= threshold, ratio)
 
 
 def _classify(histories, d, probabilities_scale, strength, tolerance,
               direction, normalization=1.0) -> DecoherenceReport:
     tolerance = tolerance or TolerancePolicy()
-    m = len(histories)
-    diag = {h: float(d[i, i].real) for i, h in enumerate(histories)}
-    scaled = {h: diag[h] / probabilities_scale for h in histories}
-    pairs = []
-    all_passed = True
-    max_ratio = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            value = complex(d[i, j])
-            measure = abs(value.real) if strength == "weak" else abs(value)
-            thr = tolerance.pair_threshold(scaled[histories[i]], scaled[histories[j]])
-            # thresholds are expressed on the normalized scale
-            measure_scaled = measure / probabilities_scale
-            passed = measure_scaled <= thr
-            ratio = measure_scaled / thr if thr > 0 else float("inf")
-            all_passed &= passed
-            max_ratio = max(max_ratio, ratio)
-            pairs.append(PairCheck(histories[i], histories[j], value,
-                                   measure_scaled, thr, passed, ratio))
-    if all_passed:
-        classification = "decoherent"
-    elif max_ratio <= MARGINAL_FACTOR:
-        classification = "marginal"
-    else:
-        classification = "not_decoherent"
+    arrays = _pair_arrays(d, probabilities_scale, strength, tolerance)
+    classification = arrays.verdict()
+    pairs = [
+        PairCheck(histories[i], histories[j], value, measure, threshold, passed, ratio)
+        for i, j, value, measure, threshold, passed, ratio in zip(*(a.tolist() for a in arrays))
+    ]
+    diagonals = d.diagonal().real
     probabilities = None
     if classification == "decoherent":
         probabilities = {
-            h: _clamp_probability(scaled[h], f"probability of {h}") for h in histories
+            h: _clamp_probability(p, f"probability of {h}")
+            for h, p in zip(histories, (diagonals / probabilities_scale).tolist())
         }
     return DecoherenceReport(
         direction=direction,
         strength=strength,
         classification=classification,
         histories=list(histories),
-        diagonals=diag,
+        diagonals=dict(zip(histories, diagonals.tolist())),
         pairs=pairs,
         probabilities=probabilities,
         tolerance=tolerance,
@@ -352,10 +400,10 @@ def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> compl
         rho_i = StateOperator(rho_i)
     rho_f = _coerce_final_operator(rho_f, model.dim)
     _two_state_normalization(rho_i, rho_f)
-    a = _single_chain(model, h)
-    b = _single_chain(model, h_prime)
     cols = _state_columns(rho_i)
-    return complex(np.vdot(b @ cols, rho_f @ (a @ cols)))
+    a = _path_table(model, h, cols)
+    b = _path_table(model, h_prime, cols)
+    return complex(np.vdot(b, a @ rho_f.T))
 
 
 def two_state_probability_table(rho_i, rho_f, model: QuantumModel,
@@ -446,16 +494,11 @@ def coarse_grain_check(model: QuantumModel, graining: CoarseGraining,
     """
     graining.validate(model)
     coarse = graining.coarse_model(model)
-    fine_table = {
-        h: (candidate_probability_forwards(model, h) if direction == "forwards"
-            else candidate_probability_backwards(model, h))
-        for h in model.history_labels()
-    }
+    backwards = direction != "forwards"
+    fine_table = _candidate_table(model, backwards)
     per_history = {}
     max_violation = 0.0
-    for ch in coarse.history_labels():
-        direct = (candidate_probability_forwards(coarse, ch) if direction == "forwards"
-                  else candidate_probability_backwards(coarse, ch))
+    for ch, direct in _candidate_table(coarse, backwards).items():
         summed = sum(fine_table[h] for h in graining.fine_histories_of(ch))
         per_history[ch] = (direct, summed)
         max_violation = max(max_violation, abs(direct - summed))
@@ -496,10 +539,11 @@ def both_conditions_theorem_check(model: QuantumModel,
             failed.append("backwards")
         return BothConditionsReport(False, f"not applicable: {' and '.join(failed)} "
                                            "weak decoherence fails", fwd, bwd)
-    rho = model.initial_state.rho
-    chain_vals = {}
-    for h in model.history_labels():
-        chain_vals[h] = float(np.trace(_single_chain(model, h) @ rho).real)
+    # Tr(L_h rho) = <C, L_h C> for rho = C C^dagger
+    cols = _state_columns(model.initial_state)
+    table = _branch_table(model, cols)
+    chain = table.reshape(len(table), -1) @ cols.T.conj().reshape(-1)
+    chain_vals = dict(zip(model.history_labels(), chain.real.tolist()))
     table_diff = max(abs(fwd.probabilities[h] - bwd.probabilities[h]) for h in fwd.probabilities)
     chain_diff = max(
         max(abs(fwd.probabilities[h] - chain_vals[h]), abs(bwd.probabilities[h] - chain_vals[h]))
@@ -540,12 +584,9 @@ def pure_two_state_triviality_check(model: QuantumModel, psi,
     psi = linalg.as_vector(psi, "psi")
     state = StateOperator.from_vector(psi)
     report = check_two_state_decoherence(state, state.rho, model, "weak", tolerance)
-    amplitudes = {}
-    probabilities = {}
-    for h in model.history_labels():
-        amp = complex(psi.conj() @ (_single_chain(model, h) @ psi))
-        amplitudes[h] = amp
-        probabilities[h] = abs(amp) ** 2
+    amps = _branch_table(model, psi[:, None])[:, 0] @ psi.conj()
+    amplitudes = dict(zip(model.history_labels(), amps.tolist()))
+    probabilities = {h: abs(amp) ** 2 for h, amp in amplitudes.items()}
     if not report.decoherent:
         return TrivialityReport(False, report.classification, probabilities, amplitudes)
     defect = max(

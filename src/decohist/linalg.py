@@ -13,15 +13,12 @@ import numpy as np
 __all__ = [
     "ATOL_HERMITIAN",
     "ATOL_UNITARY",
-    "adjoint",
     "as_matrix",
     "as_vector",
     "exp_generator",
     "herm_eig",
-    "is_hermitian",
     "is_unitary",
     "kron",
-    "matmul",
     "max_abs",
     "trace",
 ]
@@ -58,20 +55,6 @@ def max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch in matmul: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
 def trace(a: np.ndarray) -> complex:
     """Trace of a square matrix."""
     a = np.asarray(a)
@@ -83,13 +66,6 @@ def trace(a: np.ndarray) -> complex:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, (a ⊗ b)[i*rb+k, j*cb+l] = a[i,j] b[k,l]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def is_hermitian(a: np.ndarray, atol: float = ATOL_HERMITIAN) -> bool:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return max_abs(a - a.conj().T) <= atol
 
 
 def is_unitary(a: np.ndarray, atol: float = ATOL_UNITARY) -> bool:

@@ -259,8 +259,10 @@ class QuantumModel:
 
     ``families`` sit at strictly increasing interior grid times.  The
     ``conjugation_basis`` declares the basis in which time reversal conjugates
-    (defaults to the computational basis, i.e. the identity).  ``factors``
-    optionally records a tensor-factor structure of the Hilbert space.
+    (defaults to the computational basis, i.e. the identity); it must be a
+    symmetric or antisymmetric unitary, so that time reversal is an
+    involution.  ``factors`` optionally records a tensor-factor structure of
+    the Hilbert space.
     """
 
     def __init__(self, initial_state: StateOperator, grid: TimeGrid, families,
@@ -293,6 +295,9 @@ class QuantumModel:
             basis = linalg.as_matrix(conjugation_basis, "conjugation basis")
             if not linalg.is_unitary(basis):
                 raise ModelValidationError("conjugation basis must be unitary")
+            # Time reversal is an involution only when B B^* = +-1.
+            _check(min(linalg.max_abs(basis - basis.T), linalg.max_abs(basis + basis.T)),
+                   "conjugation basis symmetry (B = B^T or B = -B^T)")
         if factors is not None:
             factors = tuple(int(d) for d in factors)
             if int(np.prod(factors)) != grid.dim:
@@ -394,9 +399,11 @@ def time_reverse_operator(op: np.ndarray, conjugation_basis=None) -> np.ndarray:
     """Antiunitary image B op^* B^dagger of an operator.
 
     ``conjugation_basis`` B fixes the basis in which entrywise conjugation is
-    taken; identity (the default) conjugates in the computational basis.  The
-    map is involutive whenever B is symmetric (B B^* = 1), which holds for the
-    default.
+    taken; identity (the default) conjugates in the computational basis.
+    Applied twice the map gives (B B^*) op (B B^*)^dagger, so it is involutive
+    exactly when B B^* = +-1, i.e. when the unitary B is symmetric (T^2 = 1,
+    as for the default) or antisymmetric (T^2 = -1, e.g. i sigma_y).
+    ``QuantumModel`` accepts only such bases.
     """
     op = np.asarray(op, dtype=complex)
     if conjugation_basis is None:

@@ -23,7 +23,11 @@ from .exceptions import ConditionNotSatisfiedError, MixedStateError
 from .histories import (
     DecoherenceReport,
     TolerancePolicy,
-    _single_chain,
+    _branch_table,
+    _gram,
+    _pair_arrays,
+    _state_columns,
+    _walk,
     check_decoherence,
 )
 from .model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
@@ -71,10 +75,8 @@ def branch_vectors(model: QuantumModel, psi) -> list[BranchVector]:
     The squared norms are the forwards candidate probabilities and sum to 1.
     """
     psi = _require_pure(model, psi)
-    return [
-        BranchVector(h, _single_chain(model, h) @ psi)
-        for h in model.history_labels()
-    ]
+    table = _branch_table(model, psi[:, None])
+    return [BranchVector(h, row) for h, row in zip(model.history_labels(), table[:, 0])]
 
 
 @dataclass
@@ -92,46 +94,34 @@ class OrthogonalityEquivalenceReport:
     full_report: DecoherenceReport
 
 
-def _truncated_model(model: QuantumModel, depth: int) -> QuantumModel:
-    return QuantumModel(model.initial_state, model.grid, model.families[:depth],
-                        model.conjugation_basis, model.factors)
-
-
 def strong_decoherence_iff_orthogonality(
         model: QuantumModel, psi,
         tolerance: TolerancePolicy | None = None) -> OrthogonalityEquivalenceReport:
     """Check that branch orthogonality and strong decoherence agree.
 
     Both sides are evaluated at every truncation depth k <= n, the strongest
-    finite version of the equivalence.
+    finite version of the equivalence.  Depth k is level k of the prefix
+    walk: orthogonality is read from the Gram matrix of the branches of
+    ``psi``, strong decoherence from the functional of the model's state.
     """
     psi = _require_pure(model, psi)
     tolerance = tolerance or TolerancePolicy()
+    cols = _state_columns(model.initial_state)
     per_depth = []
     agrees = True
-    for depth in range(1, model.n_families + 1):
-        sub = _truncated_model(model, depth)
-        branches = branch_vectors(sub, psi)
-        norms = [b.norm_squared() for b in branches]
-        max_overlap = 0.0
-        orthogonal = True
-        for i in range(len(branches)):
-            for j in range(i + 1, len(branches)):
-                overlap = abs(complex(np.vdot(branches[i].vector, branches[j].vector)))
-                max_overlap = max(max_overlap, overlap)
-                if overlap > tolerance.pair_threshold(norms[i], norms[j]):
-                    orthogonal = False
-        strong = check_decoherence(sub, "forwards", "strong", tolerance).decoherent
+    gram = _gram(psi[None])  # without families the state is the only branch
+    levels = zip(_walk(model, psi[:, None]), _walk(model, cols))
+    for depth, (branches, chains) in enumerate(levels, start=1):
+        gram = _gram(branches)
+        overlaps = _pair_arrays(gram, 1.0, "strong", tolerance)
+        orthogonal = bool(overlaps.passed.all())
+        strong = _pair_arrays(_gram(chains), 1.0, "strong", tolerance).verdict() == "decoherent"
+        max_overlap = float(overlaps.measure.max(initial=0.0))
         per_depth.append((depth, max_overlap, strong, orthogonal == strong))
         agrees &= orthogonal == strong
     full = check_decoherence(model, "forwards", "strong", tolerance)
-    branches = branch_vectors(model, psi)
-    m = len(branches)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = np.vdot(branches[i].vector, branches[j].vector)
-    return OrthogonalityEquivalenceReport(agrees, per_depth, gram, full)
+    # gram[i, j] = <b_i, b_j>, the transpose of the functional-ordered matrix
+    return OrthogonalityEquivalenceReport(agrees, per_depth, gram.T, full)
 
 
 @dataclass
@@ -182,27 +172,18 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
         )
     branches = branch_vectors(model, psi)
     w = model.grid.cumulative(time_index)
-    evolved = [w @ b.vector for b in branches]
+    evolved = np.array([b.vector for b in branches]) @ w.T
     probabilities = {b.history: b.norm_squared() for b in branches}
+    norms = np.linalg.norm(evolved, axis=1)
+    live = norms > ZERO_BRANCH_NORM
+    units = np.zeros_like(evolved)
+    units[live] = evolved[live] / norms[live, None]
     projections = {}
-    units = []
-    for b, v in zip(branches, evolved):
-        nrm = float(np.linalg.norm(v))
-        if nrm > ZERO_BRANCH_NORM:
-            u = v / nrm
-            projections[b.history] = np.outer(u, u.conj())
-            units.append(u)
-        else:
-            projections[b.history] = np.zeros((model.dim, model.dim), dtype=complex)
-            units.append(None)
+    for b, u, ok in zip(branches, units, live):
+        projections[b.history] = (np.outer(u, u.conj()) if ok
+                                  else np.zeros((model.dim, model.dim), dtype=complex))
     # Perfect correlation: branch j lands entirely on its own record.
-    m = len(branches)
-    correlation = np.zeros((m, m))
-    for i in range(m):
-        if units[i] is None:
-            continue
-        for j in range(m):
-            correlation[i, j] = abs(complex(np.vdot(units[i], evolved[j]))) ** 2
+    correlation = np.abs(units.conj() @ evolved.T) ** 2
     for i, b in enumerate(branches):
         if abs(correlation[i, i] - probabilities[b.history]) > 1e-9:
             raise ConditionNotSatisfiedError(

@@ -27,6 +27,10 @@ from .histories import (
     DecoherenceReport,
     TimeReversedSet,
     TolerancePolicy,
+    _branch_table,
+    _gram,
+    _state_columns,
+    _walk,
     check_decoherence,
     time_reversed_history_set,
 )
@@ -167,32 +171,41 @@ class CollapseTrajectory:
     states: list[np.ndarray] | None = None
 
 
-def _enumerate_pure(model: QuantumModel, psi: np.ndarray) -> list[CollapseTrajectory]:
-    segments = []  # per family: product of steps reaching its time
-    pos = 0
-    for fam in model.families:
+def _collapse_walk(model: QuantumModel, psi: np.ndarray,
+                   backwards: bool = False) -> list[CollapseTrajectory]:
+    """Project-and-renormalize along every outcome sequence.
+
+    Forwards the steps run from the first grid time to the last; backwards
+    their adjoints run from the last grid time to the first and the families
+    are met latest first.  Labels are reported time-ordered either way.
+    """
+    steps = model.grid.step_unitaries
+    families = model.families[::-1] if backwards else model.families
+    last = model.grid.n_times - 1
+    stops = [fam.time_index for fam in families] + [0 if backwards else last]
+    segments = []  # per family: product of steps reaching its time; then the tail
+    pos = last if backwards else 0
+    for stop in stops:
         w = np.eye(model.dim, dtype=complex)
-        for i in range(pos, fam.time_index):
-            w = model.grid.step_unitaries[i] @ w
+        for i in (reversed(range(stop, pos)) if backwards else range(pos, stop)):
+            w = (steps[i].conj().T if backwards else steps[i]) @ w
         segments.append(w)
-        pos = fam.time_index
-    tail = np.eye(model.dim, dtype=complex)
-    for i in range(pos, model.grid.n_times - 1):
-        tail = model.grid.step_unitaries[i] @ tail
+        pos = stop
+    *segments, tail = segments
     trajectories = []
-    for idx in itertools.product(*[range(len(f)) for f in model.families]):
-        labels = tuple(f.labels[j] for f, j in zip(model.families, idx))
+    for idx in itertools.product(*[range(len(f)) for f in families]):
         state = psi.copy()
         prob = 1.0
         states = []
-        for fam, seg, j in zip(model.families, segments, idx):
+        for fam, seg, j in zip(families, segments, idx):
             state = fam.projectors[j] @ (seg @ state)
             p_step = float(np.vdot(state, state).real)
             prob *= p_step
             state = state / np.sqrt(p_step) if p_step > 1e-300 else np.zeros_like(state)
             states.append(state.copy())
         states.append(tail @ state)
-        trajectories.append(CollapseTrajectory(labels, prob, states))
+        labels = tuple(f.labels[j] for f, j in zip(families, idx))
+        trajectories.append(CollapseTrajectory(labels[::-1] if backwards else labels, prob, states))
     return trajectories
 
 
@@ -206,14 +219,14 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
     """
     state = model.initial_state
     if state.is_pure():
-        return _enumerate_pure(model, state.state_vector())
+        return _collapse_walk(model, state.state_vector())
     w, v = np.linalg.eigh((state.rho + state.rho.conj().T) / 2.0)
     table: dict[tuple, float] = {}
     order: list[tuple] = []
     for weight, k in zip(w, range(w.size)):
         if weight <= 1e-14:
             continue
-        for traj in _enumerate_pure(model, v[:, k]):
+        for traj in _collapse_walk(model, v[:, k]):
             if traj.labels not in table:
                 table[traj.labels] = 0.0
                 order.append(traj.labels)
@@ -237,34 +250,7 @@ def reverse_collapse_chain(model: QuantumModel, final_state) -> list[CollapseTra
     psi_f = linalg.as_vector(final_state, "final state")
     if abs(float(np.linalg.norm(psi_f)) - 1.0) > 1e-10:
         raise ValueError("final state must be normalized")
-    segments = []  # adjoint products leading down to each family, last family first
-    pos = model.grid.n_times - 1
-    for fam in reversed(model.families):
-        w = np.eye(model.dim, dtype=complex)
-        for i in reversed(range(fam.time_index, pos)):
-            w = model.grid.step_unitaries[i].conj().T @ w
-        segments.append(w)
-        pos = fam.time_index
-    tail = np.eye(model.dim, dtype=complex)
-    for i in reversed(range(0, pos)):
-        tail = model.grid.step_unitaries[i].conj().T @ tail
-    trajectories = []
-    for idx in itertools.product(*[range(len(f)) for f in reversed(model.families)]):
-        state = psi_f.copy()
-        prob = 1.0
-        states = []
-        for fam, seg, j in zip(reversed(model.families), segments, idx):
-            state = fam.projectors[j] @ (seg @ state)
-            p_step = float(np.vdot(state, state).real)
-            prob *= p_step
-            state = state / np.sqrt(p_step) if p_step > 1e-300 else np.zeros_like(state)
-            states.append(state.copy())
-        states.append(tail @ state)
-        labels = tuple(
-            f.labels[j] for f, j in zip(reversed(model.families), idx)
-        )[::-1]
-        trajectories.append(CollapseTrajectory(labels, prob, states))
-    return trajectories
+    return _collapse_walk(model, psi_f, backwards=True)
 
 
 def abl_probability(psi_initial, psi_final, model: QuantumModel, history) -> float:
@@ -280,15 +266,12 @@ def abl_probability(psi_initial, psi_final, model: QuantumModel, history) -> flo
 
 
 def abl_table(psi_initial, psi_final, model: QuantumModel) -> dict[tuple, float]:
-    from .histories import _single_chain
-
     psi_i = linalg.as_vector(psi_initial, "initial state")
     psi_f = linalg.as_vector(psi_final, "final state")
     w_end = model.grid.cumulative(model.grid.n_times - 1)
-    numerators = {}
-    for h in model.history_labels():
-        amp = complex(psi_f.conj() @ (w_end @ (_single_chain(model, h) @ psi_i)))
-        numerators[h] = abs(amp) ** 2
+    # <psi_f| W_end L_h |psi_i> = <W_end^dagger psi_f, L_h psi_i>
+    amps = _branch_table(model, psi_i[:, None])[:, 0] @ (w_end.conj().T @ psi_f).conj()
+    numerators = {h: abs(amp) ** 2 for h, amp in zip(model.history_labels(), amps.tolist())}
     denom = sum(numerators.values())
     if denom <= 1e-14:
         raise ZeroDivisionError(
@@ -402,17 +385,20 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
         dip = initial_purity - min(p for _, p in purity_curve)
         witness = abs(final_purity - initial_purity) <= atol
     reversed_set = time_reversed_history_set(extended)
-    reinterference = []
+    # Push the set into the mirrored half one reversed family at a time: the
+    # walk over the combined families has those truncations as its levels.
     rev_families = reversed_set.model.families
-    for depth in range(1, len(rev_families) + 1):
-        probe = QuantumModel(
-            extended.initial_state, extended.grid,
-            list(extended.families) + list(rev_families[:depth]),
-            extended.conjugation_basis, extended.factors,
-        )
-        probe_report = check_decoherence(probe, "forwards", "strong", tolerance)
-        t_probe = float(extended.grid.times[rev_families[depth - 1].time_index])
-        reinterference.append((t_probe, probe_report.max_offdiagonal()))
+    probe = QuantumModel(
+        extended.initial_state, extended.grid,
+        list(extended.families) + list(rev_families),
+        extended.conjugation_basis, extended.factors,
+    )
+    levels = itertools.islice(_walk(probe, _state_columns(probe.initial_state)),
+                              len(extended.families), None)
+    reinterference = [
+        (float(extended.grid.times[fam.time_index]), float(np.abs(np.triu(_gram(level), 1)).max()))
+        for fam, level in zip(rev_families, levels)
+    ]
     reversed_backwards = check_decoherence(reversed_set.model, "backwards", "weak", tolerance)
     original_backwards = check_decoherence(extended, "backwards", "weak", tolerance)
     equivalence = None if witness is None else (witness == reversed_backwards.decoherent)

@@ -1,0 +1,221 @@
+"""The prefix-walk core against the per-pair reference evaluator.
+
+Every functional, pointwise value, truncation depth and reinterference probe
+comes from one branch table; each is compared here with the chain-matrix,
+one-``vdot``-per-pair evaluation in ``reference_evaluator``.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import reference_evaluator as ref
+
+from decohist.histories import (
+    TolerancePolicy,
+    _functional_matrix,
+    candidate_probability_backwards,
+    candidate_probability_forwards,
+    check_decoherence,
+    check_two_state_decoherence,
+    decoherence_functional,
+    two_state_functional,
+)
+from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
+from decohist.records import branch_vectors, strong_decoherence_iff_orthogonality
+from decohist.scenarios import (
+    commuting_random_model,
+    random_model,
+    recoherence_scenario,
+    spin_model,
+    spin_recoherence_base,
+    spin_symmetric_scenario,
+)
+
+ATOL = 1e-12
+
+
+def _with_state(model, rho):
+    return QuantumModel(StateOperator(rho), model.grid, model.families,
+                        model.conjugation_basis, model.factors)
+
+
+def _rank_r(model, r, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((model.dim, r)) + 1j * rng.standard_normal((model.dim, r))
+    rho = c @ c.conj().T
+    return _with_state(model, rho / np.trace(rho).real)
+
+
+def _case(kind, n, seed):
+    if kind == "pure":
+        return random_model(seed, dim=5, n_families=n, pure=True)
+    if kind == "mixed":
+        return random_model(seed, dim=4, n_families=n, pure=False)
+    if kind == "rank2":
+        return _rank_r(random_model(seed, dim=6, n_families=n, members_per_family=2), 2, seed)
+    return commuting_random_model(seed, dim=4, n_families=n)
+
+
+CASES = [(kind, n, 40 + 7 * n + i)
+         for i, kind in enumerate(("pure", "mixed", "rank2", "commuting"))
+         for n in range(5)]
+
+
+def _final_operator(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return a @ a.conj().T / dim
+
+
+@pytest.mark.parametrize("kind,n,seed", CASES)
+def test_functional_matrices_match_reference(kind, n, seed):
+    model = _case(kind, n, seed)
+    rho_f = _final_operator(model.dim, seed)
+    for direction, extra in (("forwards", {}), ("backwards", {}),
+                             ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f})):
+        histories, d = _functional_matrix(model, direction, **extra)
+        expected = ref.functional_matrix(model, direction, **extra)
+        assert histories == model.history_labels()
+        assert np.max(np.abs(d - expected)) <= ATOL, direction
+        assert np.array_equal(d, d.conj().T), direction
+
+
+@pytest.mark.parametrize("kind,n,seed", CASES)
+def test_reports_match_reference_pair_table(kind, n, seed):
+    model = _case(kind, n, seed)
+    rho_f = _final_operator(model.dim, seed)
+    tol = TolerancePolicy()
+    reports = [
+        (check_decoherence(model, "forwards", "weak", tol), ref.functional_matrix(model), 1.0),
+        (check_decoherence(model, "backwards", "strong", tol),
+         ref.functional_matrix(model, "backwards"), 1.0),
+    ]
+    two = check_two_state_decoherence(model.initial_state, rho_f, model, "weak", tol)
+    reports.append((two, ref.functional_matrix(model, "two_state", model.initial_state, rho_f),
+                    two.normalization))
+    hs = model.history_labels()
+    for report, d, scale in reports:
+        expected = ref.pair_table(d, scale, report.strength, tol)
+        assert len(report.pairs) == len(expected)
+        for pair, (i, j, value, measure, threshold, passed, _) in zip(report.pairs, expected):
+            assert (pair.left, pair.right) == (hs[i], hs[j])
+            assert abs(pair.value - value) <= ATOL
+            assert abs(pair.measure - measure) <= ATOL
+            assert pair.threshold == pytest.approx(threshold, rel=ATOL, abs=0.0)
+            assert pair.passed == passed
+
+
+@pytest.mark.parametrize("kind,n,seed", CASES)
+def test_pointwise_values_and_branch_vectors_match_reference(kind, n, seed):
+    model = _case(kind, n, seed)
+    rho_f = _final_operator(model.dim, seed)
+    hs = model.history_labels()
+    fwd = ref.functional_matrix(model)
+    bwd = ref.functional_matrix(model, "backwards")
+    two = ref.functional_matrix(model, "two_state", model.initial_state, rho_f)
+    for i, h in enumerate(hs):
+        assert abs(candidate_probability_forwards(model, h) - fwd[i, i].real) <= ATOL
+        assert abs(candidate_probability_backwards(model, h) - bwd[i, i].real) <= ATOL
+    for i, j in [(0, len(hs) - 1), (len(hs) - 1, 0), (len(hs) // 2, 0)]:
+        assert abs(decoherence_functional(model, hs[i], hs[j]) - fwd[i, j]) <= ATOL
+        assert abs(decoherence_functional(model, hs[i], hs[j], "backwards") - bwd[i, j]) <= ATOL
+        got = two_state_functional(model.initial_state, rho_f, model, hs[i], hs[j])
+        assert abs(got - two[i, j]) <= ATOL
+    if model.initial_state.is_pure():
+        psi = model.initial_state.state_vector()
+        for b, h in zip(branch_vectors(model, psi), hs):
+            assert b.history == h
+            assert np.max(np.abs(b.vector - ref.single_chain(model, h) @ psi)) <= ATOL
+
+
+def _unrecorded_x_spin():
+    """Spin model whose x outcome leaves no pointer record: depth 1 decoheres, depth 2 not."""
+    spin = spin_model(0.6)
+    steps = spin.grid.step_unitaries
+    grid = TimeGrid(spin.grid.times, [np.eye(spin.dim), steps[1], steps[2]])
+    return QuantumModel(spin.initial_state, grid, spin.families, factors=spin.factors)
+
+
+@pytest.mark.parametrize("model", [
+    spin_model(0.6), _unrecorded_x_spin(), random_model(3, dim=5, n_families=3),
+    random_model(4, dim=4, n_families=4, members_per_family=2),
+    random_model(5, dim=3, n_families=0),
+], ids=["spin", "unrecorded-x", "random3", "random4", "no-families"])
+def test_truncation_depths_match_truncated_models(model):
+    psi = model.initial_state.state_vector()
+    report = strong_decoherence_iff_orthogonality(model, psi)
+    assert [row[0] for row in report.per_depth] == list(range(1, model.n_families + 1))
+    for depth, max_overlap, strong, agree in report.per_depth:
+        sub = ref.truncated_model(model, depth)
+        assert strong == check_decoherence(sub, "forwards", "strong").decoherent
+        assert agree
+        gram = ref.functional_matrix(_with_state(sub, np.outer(psi, psi.conj())))
+        assert abs(max_overlap - ref.max_offdiagonal(gram)) <= ATOL
+    branches = [ref.single_chain(model, h) @ psi for h in model.history_labels()]
+    expected = np.array([[np.vdot(a, b) for b in branches] for a in branches])
+    assert np.max(np.abs(report.gram - expected)) <= ATOL
+
+
+def test_truncation_verdicts_change_with_depth():
+    model = _unrecorded_x_spin()
+    report = strong_decoherence_iff_orthogonality(model, model.initial_state.state_vector())
+    assert [row[2] for row in report.per_depth] == [True, False]
+
+
+@pytest.mark.parametrize("analysis", [
+    spin_symmetric_scenario(), recoherence_scenario(spin_recoherence_base(0.6)),
+], ids=["spin-symmetric", "recoherence"])
+def test_reinterference_matches_per_depth_probes(analysis):
+    extended = analysis.extended_model
+    rev_families = analysis.reversed_set.model.families
+    expected = []
+    for depth in range(1, len(rev_families) + 1):
+        probe = QuantumModel(extended.initial_state, extended.grid,
+                             list(extended.families) + list(rev_families[:depth]),
+                             extended.conjugation_basis, extended.factors)
+        t_probe = float(extended.grid.times[rev_families[depth - 1].time_index])
+        expected.append((t_probe, ref.max_offdiagonal(ref.functional_matrix(probe))))
+    assert len(analysis.reinterference) == len(expected)
+    for (t, v), (t_ref, v_ref) in zip(analysis.reinterference, expected):
+        assert t == t_ref
+        assert abs(v - v_ref) <= ATOL
+
+
+def _zero_branch_model():
+    """|0> with a {|0><0|, |1><1|} family and no dynamics: history "1" has probability 0."""
+    eye = np.eye(2, dtype=complex)
+    family = ProjectorFamily(1, [("0", np.diag([1.0, 0.0])), ("1", np.diag([0.0, 1.0]))])
+    return QuantumModel(StateOperator.from_vector([1.0, 0.0]),
+                        TimeGrid([0.0, 1.0, 2.0], [eye, eye]), [family])
+
+
+@pytest.mark.parametrize("tol", [TolerancePolicy(), TolerancePolicy(rel=1e-3, abs=0.0),
+                                 TolerancePolicy(rel=0.0, abs=1e-6)])
+@pytest.mark.parametrize("model", [random_model(9, dim=4, n_families=3, pure=False),
+                                   _zero_branch_model(), spin_model(0.6)],
+                         ids=["random", "zero-branch", "spin"])
+def test_thresholds_equal_pair_threshold_exactly(model, tol):
+    rho_f = _final_operator(model.dim, 2)
+    reports = [check_decoherence(model, direction, strength, tol)
+               for direction, strength in itertools.product(("forwards", "backwards"),
+                                                            ("weak", "strong"))]
+    reports.append(check_two_state_decoherence(model.initial_state, rho_f, model, "weak", tol))
+    for report in reports:
+        p = {h: v / report.normalization for h, v in report.diagonals.items()}
+        for pair in report.pairs:
+            threshold = tol.pair_threshold(p[pair.left], p[pair.right])
+            assert pair.threshold == threshold
+            assert pair.passed == (pair.measure <= threshold)
+            expected_ratio = pair.measure / threshold if threshold > 0 else math.inf
+            assert pair.ratio == expected_ratio
+
+
+def test_zero_threshold_gives_infinite_ratio():
+    report = check_decoherence(_zero_branch_model(), "forwards", "weak",
+                               TolerancePolicy(rel=1e-9, abs=0.0))
+    (pair,) = report.pairs
+    assert pair.threshold == 0.0
+    assert pair.ratio == math.inf
+    assert pair.passed

@@ -198,6 +198,18 @@ def test_schema_error_exit_64(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
+def test_non_involutive_conjugation_basis_exit_65(tmp_path, capsys):
+    data = model_to_dict(spin_model(0.6))
+    # a unitary permutation that is not symmetric: B B^* is a 3-cycle, not +-1
+    basis = np.kron(np.eye(6), np.roll(np.eye(3), 1, axis=0))
+    data["conjugation_basis"] = [[[float(z), 0.0] for z in row] for row in basis]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", "--model", str(path)])
+    assert code == 65
+    assert "conjugation basis symmetry" in capsys.readouterr().err
+
+
 def test_invariant_violation_exit_65(tmp_path, capsys):
     data = {
         "dim": 2,

@@ -2,73 +2,21 @@ import numpy as np
 import pytest
 
 from decohist.linalg import (
-    adjoint,
     as_matrix,
     exp_generator,
     herm_eig,
     kron,
-    matmul,
     max_abs,
     trace,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _random_matrix(rng, n, m=None):
     m = n if m is None else m
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    m = _random_matrix(rng, 2)
-    np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-
-def test_matmul_pauli_involution():
-    np.testing.assert_allclose(matmul(SIGMA_X, SIGMA_X), np.eye(2), atol=0)
-
-
-def test_matmul_against_triple_loop():
-    rng = np.random.default_rng(1)
-    a = _random_matrix(rng, 3)
-    b = _random_matrix(rng, 3)
-    expected = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert max_abs(matmul(a, b) - expected) <= 1e-13
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matmul(np.eye(2), np.eye(3))
-
-
-def test_adjoint_real_symmetric_fixed():
-    m = np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex)
-    np.testing.assert_array_equal(adjoint(m), m)
-
-
-def test_adjoint_pauli_y_hermitian():
-    np.testing.assert_array_equal(adjoint(SIGMA_Y), SIGMA_Y)
-
-
-def test_adjoint_involution_exact():
-    rng = np.random.default_rng(2)
-    m = _random_matrix(rng, 4)
-    np.testing.assert_array_equal(adjoint(adjoint(m)), m)
-
-
-def test_adjoint_antihomomorphism():
-    rng = np.random.default_rng(3)
-    a = _random_matrix(rng, 4)
-    b = _random_matrix(rng, 4)
-    assert max_abs(adjoint(a @ b) - adjoint(b) @ adjoint(a)) <= 1e-13
 
 
 def test_trace_identity_and_projector():

@@ -14,6 +14,7 @@ from decohist.model import (
     is_time_symmetric,
     partial_trace,
     time_reverse_state,
+    time_reverse_vector,
 )
 from decohist.scenarios import haar_unitary, spin_model
 
@@ -292,6 +293,22 @@ def test_time_reverse_plus_y_gives_minus_y():
     # conjugating (1, i)/sqrt(2) by hand gives (1, -i)/sqrt(2)
     minus_y_rho = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
     assert max_abs(time_reverse_state(s).rho - minus_y_rho) <= 1e-14
+
+
+def test_model_rejects_conjugation_basis_that_is_not_an_involution():
+    # unitary but neither symmetric nor antisymmetric: B B^* = diag(-i, i)
+    b = np.array([[0.0, 1.0], [1.0j, 0.0]])
+    with pytest.raises(ModelValidationError, match="symmetr"):
+        QuantumModel(_pure([1.0, 0.0]), _small_model().grid, [], conjugation_basis=b)
+
+
+def test_model_accepts_antisymmetric_conjugation_basis():
+    i_sigma_y = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    m = QuantumModel(_pure([1.0, 0.0]), _small_model().grid, [], conjugation_basis=i_sigma_y)
+    psi = np.array([0.6, 0.8j])
+    # T^2 = -1 on vectors, a global phase; operators come back unchanged
+    twice = time_reverse_vector(time_reverse_vector(psi, m.conjugation_basis), m.conjugation_basis)
+    assert max_abs(twice + psi) <= 1e-15
 
 
 def test_time_reverse_requires_unitary_basis():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_evaluator import single_chain
 
 from decohist.exceptions import ModelValidationError
 from decohist.histories import check_decoherence
@@ -234,10 +235,8 @@ def test_abl_marginalized_over_final_family_gives_forwards():
             for k in range(m.dim):
                 psi_f = _basis_state(m.dim, k)
                 numerators = {}
-                from decohist.histories import _single_chain
-
                 for hh in m.history_labels():
-                    amp = complex(psi_f.conj() @ (w_end @ (_single_chain(m, hh) @ psi_i)))
+                    amp = complex(psi_f.conj() @ (w_end @ (single_chain(m, hh) @ psi_i)))
                     numerators[hh] = abs(amp) ** 2
                 denom = sum(numerators.values())
                 if denom <= 1e-14:

@@ -239,6 +239,20 @@ def test_time_reversal_round_trip():
             assert max_abs(pa - pb) <= 1e-12
 
 
+def test_time_reversal_round_trip_antisymmetric_basis():
+    m = _mirrored_random_model(7)
+    b = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))  # i sigma_y (x) 1, T^2 = -1
+    m = QuantumModel(m.initial_state, m.grid, m.families, conjugation_basis=b)
+    rev = time_reversed_history_set(m)
+    back = time_reversed_history_set(rev.model)
+    for fam_a, fam_r, fam_b in zip(m.families, reversed(rev.model.families), back.model.families):
+        assert fam_a.time_index == fam_b.time_index
+        assert fam_a.labels == fam_b.labels
+        for pa, pr, pb in zip(fam_a.projectors, fam_r.projectors, fam_b.projectors):
+            assert max_abs(pa - pr) > 1e-3  # a single reversal moves the projectors
+            assert max_abs(pa - pb) <= 1e-12
+
+
 def test_time_reversal_requires_reflectable_grid():
     m = spin_model(0.6)  # grid 0..3 has no mirror times
     with pytest.raises(Exception, match="reflection"):
