@@ -30,6 +30,7 @@ from .exceptions import (
 from .histories import (
     DecoherenceReport,
     TolerancePolicy,
+    _coerce_final_operator,
     both_conditions_theorem_check,
     check_decoherence,
     page_symmetric_cosmology_check,
@@ -214,9 +215,9 @@ def _cmd_probs(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     return body, EXIT_DECOHERENT
 
 
-def _rank_one_vector(rho_final: np.ndarray, command: str) -> np.ndarray:
-    """The state vector of a rank-one rho_final; other ranks exit 65."""
-    w, v = np.linalg.eigh(rho_final)
+def _rank_one_vector(model: QuantumModel, rho_final: np.ndarray, command: str) -> np.ndarray:
+    """The state vector of a valid rank-one rho_final; anything else exits 65."""
+    w, v = np.linalg.eigh(_coerce_final_operator(rho_final, model.dim))
     if np.sum(w > 1e-10) != 1:
         raise _CliError(f"{command} needs rho_final of rank one", EXIT_INVARIANT)
     return v[:, -1]
@@ -226,9 +227,7 @@ def _cmd_abl(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     psi_i = extras.get("psi_initial")
     psi_f = extras.get("psi_final")
     if psi_i is None:
-        if not model.initial_state.is_pure():
-            raise _CliError("abl needs a pure initial state", EXIT_INVARIANT)
-        psi_i = model.initial_state.state_vector()
+        psi_i = _pure_state_vector(model)
     if psi_f is None:
         rho_final = extras.get("rho_final")
         if rho_final is None:
@@ -236,7 +235,7 @@ def _cmd_abl(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
                 "abl needs a final state: use --scenario spin-post or a model file "
                 "with a rank-one rho_final", EXIT_USAGE,
             )
-        psi_f = _rank_one_vector(rho_final, "abl")
+        psi_f = _rank_one_vector(model, rho_final, "abl")
     table = scenarios.abl_table(psi_i, psi_f, model)
     body = {
         "table": _sorted_table(table),
@@ -273,7 +272,7 @@ def _cmd_records(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
 def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     rho_final = extras.get("rho_final")
     if rho_final is not None:
-        final = _rank_one_vector(rho_final, "reverse")
+        final = _rank_one_vector(model, rho_final, "reverse")
     else:
         psi = _pure_state_vector(model)
         final = model.grid.cumulative(model.grid.n_times - 1) @ psi

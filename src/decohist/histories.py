@@ -29,6 +29,7 @@ order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -111,7 +112,8 @@ class DecoherenceReport:
 
     ``probabilities`` is populated only when the set classifies as decoherent;
     for the two-state direction the diagonals are divided by ``normalization``
-    (Tr(rho_f rho_i), 1.0 otherwise).
+    (Tr(rho_f rho_i), 1.0 otherwise).  The pair table is kept as arrays and
+    ``pairs`` builds its :class:`PairCheck` list on first access.
     """
 
     direction: str
@@ -119,7 +121,7 @@ class DecoherenceReport:
     classification: str  # 'decoherent' | 'marginal' | 'not_decoherent'
     histories: list[History]
     diagonals: dict[History, float]
-    pairs: list[PairCheck]
+    _arrays: _PairArrays = field(repr=False, compare=False)
     probabilities: dict[History, float] | None
     tolerance: TolerancePolicy
     normalization: float = 1.0
@@ -128,6 +130,16 @@ class DecoherenceReport:
     def decoherent(self) -> bool:
         return self.classification == "decoherent"
 
+    @functools.cached_property
+    def pairs(self) -> list[PairCheck]:
+        """One :class:`PairCheck` per pair i < j, row-major over the histories."""
+        h = self.histories
+        return [
+            PairCheck(h[i], h[j], value, measure, threshold, passed, ratio)
+            for i, j, value, measure, threshold, passed, ratio
+            in zip(*(a.tolist() for a in self._arrays))
+        ]
+
     def pair_values(self) -> dict[tuple[History, History], complex]:
         return {(p.left, p.right): p.value for p in self.pairs}
 
@@ -135,7 +147,7 @@ class DecoherenceReport:
         return sorted(self.pairs, key=lambda p: (-p.ratio, p.left, p.right))
 
     def max_offdiagonal(self) -> float:
-        return max((p.measure for p in self.pairs), default=0.0)
+        return float(self._arrays.measure.max(initial=0.0))
 
 
 def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False, members=None):
@@ -193,13 +205,6 @@ def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return d
 
 
-def _state_columns(state: StateOperator) -> np.ndarray:
-    cols = state.eigen_columns()
-    if cols.size == 0:
-        raise ModelValidationError("state has no support above the eigenvalue cutoff")
-    return cols
-
-
 def _clamp_probability(value: complex, what: str) -> float:
     p = float(np.real(value))
     if abs(np.imag(value)) > 1e-9:
@@ -218,7 +223,7 @@ def _functional_matrix(model: QuantumModel, direction: str,
     if direction not in ("forwards", "backwards", "two_state"):
         raise ValueError(f"unknown direction {direction!r}")
     state = rho_i if rho_i is not None else model.initial_state
-    a = _branch_table(model, _state_columns(state), direction == "backwards")
+    a = _branch_table(model, state.eigen_columns(), direction == "backwards")
     b = a.reshape(-1, model.dim) @ rho_f.T if direction == "two_state" else None
     return model.history_labels(), _gram(a, b)
 
@@ -232,7 +237,7 @@ def _path_table(model: QuantumModel, history, cols: np.ndarray,
 
 def _candidate_table(model: QuantumModel, backwards: bool) -> dict[History, float]:
     """Candidate probabilities of every history: squared norms of the table rows."""
-    a = _branch_table(model, _state_columns(model.initial_state), backwards)
+    a = _branch_table(model, model.initial_state.eigen_columns(), backwards)
     norms = np.einsum("hij,hij->h", a.conj(), a)
     what = "backwards" if backwards else "forwards"
     return {h: _clamp_probability(v, f"{what} probability of {h}")
@@ -241,13 +246,13 @@ def _candidate_table(model: QuantumModel, backwards: bool) -> dict[History, floa
 
 def candidate_probability_forwards(model: QuantumModel, history) -> float:
     """Diagonal of the forwards functional: Tr(L_h rho L_h^dagger), in [0, 1]."""
-    a = _path_table(model, history, _state_columns(model.initial_state))
+    a = _path_table(model, history, model.initial_state.eigen_columns())
     return _clamp_probability(np.vdot(a, a), f"forwards probability of {tuple(history)}")
 
 
 def candidate_probability_backwards(model: QuantumModel, history) -> float:
     """Diagonal of the backwards functional: Tr(L_h^dagger rho L_h), in [0, 1]."""
-    a = _path_table(model, history, _state_columns(model.initial_state), backwards=True)
+    a = _path_table(model, history, model.initial_state.eigen_columns(), backwards=True)
     return _clamp_probability(np.vdot(a, a), f"backwards probability of {tuple(history)}")
 
 
@@ -260,7 +265,7 @@ def decoherence_functional(model: QuantumModel, h, h_prime, direction: str = "fo
     if direction not in ("forwards", "backwards"):
         raise ValueError(f"direction must be 'forwards' or 'backwards', got {direction!r}")
     backwards = direction == "backwards"
-    cols = _state_columns(model.initial_state)
+    cols = model.initial_state.eigen_columns()
     a = _path_table(model, h, cols, backwards)
     b = _path_table(model, h_prime, cols, backwards)
     return complex(np.vdot(b, a))
@@ -306,10 +311,6 @@ def _classify(histories, d, probabilities_scale, strength, tolerance,
     tolerance = tolerance or TolerancePolicy()
     arrays = _pair_arrays(d, probabilities_scale, strength, tolerance)
     classification = arrays.verdict()
-    pairs = [
-        PairCheck(histories[i], histories[j], value, measure, threshold, passed, ratio)
-        for i, j, value, measure, threshold, passed, ratio in zip(*(a.tolist() for a in arrays))
-    ]
     diagonals = d.diagonal().real
     probabilities = None
     if classification == "decoherent":
@@ -323,7 +324,7 @@ def _classify(histories, d, probabilities_scale, strength, tolerance,
         classification=classification,
         histories=list(histories),
         diagonals=dict(zip(histories, diagonals.tolist())),
-        pairs=pairs,
+        _arrays=arrays,
         probabilities=probabilities,
         tolerance=tolerance,
         normalization=normalization,
@@ -400,7 +401,7 @@ def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> compl
         rho_i = StateOperator(rho_i)
     rho_f = _coerce_final_operator(rho_f, model.dim)
     _two_state_normalization(rho_i, rho_f)
-    cols = _state_columns(rho_i)
+    cols = rho_i.eigen_columns()
     a = _path_table(model, h, cols)
     b = _path_table(model, h_prime, cols)
     return complex(np.vdot(b, a @ rho_f.T))
@@ -540,7 +541,7 @@ def both_conditions_theorem_check(model: QuantumModel,
         return BothConditionsReport(False, f"not applicable: {' and '.join(failed)} "
                                            "weak decoherence fails", fwd, bwd)
     # Tr(L_h rho) = <C, L_h C> for rho = C C^dagger
-    cols = _state_columns(model.initial_state)
+    cols = model.initial_state.eigen_columns()
     table = _branch_table(model, cols)
     chain = table.reshape(len(table), -1) @ cols.T.conj().reshape(-1)
     chain_vals = dict(zip(model.history_labels(), chain.real.tolist()))

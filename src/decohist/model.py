@@ -70,7 +70,9 @@ class StateOperator:
     """Density operator: Hermitian, unit trace, positive semidefinite.
 
     ``purity_hint`` records whether the operator was constructed from a state
-    vector; ``purity()`` gives the actual Tr(rho^2).
+    vector; ``purity()`` gives the actual Tr(rho^2).  The operator is
+    diagonalised once, at construction: ``eigenvalues`` (ascending) and
+    ``eigenvectors`` (columns) feed every later spectral query.
     """
 
     def __init__(self, rho, purity_hint: bool = False):
@@ -79,12 +81,14 @@ class StateOperator:
             raise ModelValidationError(f"state operator must be square, got {m.shape}")
         _check(linalg.max_abs(m - m.conj().T), "state operator Hermiticity")
         _check(abs(complex(np.trace(m)) - 1.0), "state operator trace")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if min_eig < -ATOL_MODEL:
+        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+        if w[0] < -ATOL_MODEL:
             raise ModelValidationError(
-                f"state operator is not positive semidefinite (min eigenvalue {min_eig:.3e})"
+                f"state operator is not positive semidefinite (min eigenvalue {w[0]:.3e})"
             )
         self.rho = _freeze(m)
+        self.eigenvalues = _freeze(w)
+        self.eigenvectors = _freeze(v)
         self.purity_hint = bool(purity_hint)
         self.vector: np.ndarray | None = None  # set when built from a vector
 
@@ -103,15 +107,14 @@ class StateOperator:
             raise ModelValidationError(
                 f"state with purity {self.purity():.6f} has no state vector"
             )
-        w, v = np.linalg.eigh((self.rho + self.rho.conj().T) / 2.0)
-        return v[:, -1]
+        return self.eigenvectors[:, -1]
 
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
 
     def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
+        return float(self.eigenvalues @ self.eigenvalues)
 
     def is_pure(self, atol: float = ATOL_MODEL) -> bool:
         return abs(self.purity() - 1.0) <= atol
@@ -121,10 +124,10 @@ class StateOperator:
 
         The density operator equals C @ C.conj().T for the returned C;
         eigenvalues at or below ``cutoff`` are dropped as null directions.
+        A validated state has unit trace, so at least one column remains.
         """
-        w, v = np.linalg.eigh((self.rho + self.rho.conj().T) / 2.0)
-        keep = w > cutoff
-        return v[:, keep] * np.sqrt(w[keep])
+        keep = self.eigenvalues > cutoff
+        return self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StateOperator(dim={self.dim}, purity={self.purity():.6f})"

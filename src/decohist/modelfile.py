@@ -25,6 +25,7 @@ row-major nested arrays of those pairs.  Top-level keys:
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,44 +37,33 @@ from .model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
 __all__ = ["dump_model", "load_model", "model_from_dict", "model_to_dict"]
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _to_pairs(a) -> list:
+    """Complex entries as nested [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_complex_to_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _vector_to_json(v: np.ndarray) -> list:
-    return [_complex_to_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
-
-
-def _pair(value, where: str) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        raise ModelFileError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
-
-
-def _vector(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ModelFileError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return np.array([_pair(x, f"{where}[{i}]") for i, x in enumerate(value)], dtype=complex)
-
-
-def _matrix(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
-        raise ModelFileError(f"{where}: expected a nested list (matrix of [re, im] pairs)")
-    rows = [_vector(r, f"{where}[{i}]") for i, r in enumerate(value)]
-    width = rows[0].size
-    if any(r.size != width for r in rows):
-        raise ModelFileError(f"{where}: ragged rows")
-    return np.vstack(rows)
-
-
-def _looks_like_matrix(value) -> bool:
-    return (isinstance(value, list) and value and isinstance(value[0], list)
-            and value[0] and isinstance(value[0][0], list))
+def _complex_array(value, where: str, ndims=(2,)) -> np.ndarray:
+    """Nested [re, im] pairs as a complex vector (ndim 1) or matrix (ndim 2)."""
+    expected = "a matrix" if ndims == (2,) else "a vector or a matrix"
+    expected += " of [re, im] pairs"
+    try:
+        a = np.array(value)
+        if a.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in a.flat):
+            a = a.astype(float)  # numbers mixed with integers wider than 64 bits
+    except OverflowError:
+        raise ModelFileError(f"{where}: number too large for a float") from None
+    except ValueError:
+        raise ModelFileError(f"{where}: ragged nesting, expected {expected}") from None
+    if (a.dtype.kind not in "biuf" or a.ndim - 1 not in ndims or a.shape[-1] != 2
+            or 0 in a.shape):
+        raise ModelFileError(f"{where}: expected {expected}")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        index = "".join(f"[{k}]" for k in bad[0])
+        raise ModelFileError(f"{where}{index}: non-finite number {float(a[tuple(bad[0])])}")
+    # each [re, im] pair read as one complex128, so signed zeros survive
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def _initial_state(value, dim: int, where: str) -> StateOperator:
@@ -89,9 +79,8 @@ def _initial_state(value, dim: int, where: str) -> StateOperator:
         psi = np.zeros(dim, dtype=complex)
         psi[k] = 1.0
         return StateOperator.from_vector(psi)
-    if _looks_like_matrix(value):
-        return StateOperator(_matrix(value, where))
-    return StateOperator.from_vector(_vector(value, where))
+    a = _complex_array(value, where, ndims=(1, 2))
+    return StateOperator(a) if a.ndim == 2 else StateOperator.from_vector(a)
 
 
 def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
@@ -123,8 +112,9 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
             raise ModelFileError(f"top level: missing required key {key!r}")
     times = data["grid"]
     if not (isinstance(times, list) and len(times) >= 2
-            and all(isinstance(t, (int, float)) for t in times)):
-        raise ModelFileError("grid: expected a list of at least two numbers")
+            and all(isinstance(t, (int, float)) and abs(t) <= sys.float_info.max
+                    for t in times)):
+        raise ModelFileError("grid: expected a list of at least two finite numbers")
     if not isinstance(data["steps"], list) or len(data["steps"]) != len(times) - 1:
         raise ModelFileError(
             f"steps: expected {len(times) - 1} entries for {len(times)} grid times"
@@ -135,9 +125,9 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
         if not isinstance(entry, dict) or len(entry) != 1:
             raise ModelFileError(f"{where}: expected exactly one of 'unitary' or 'generator'")
         if "unitary" in entry:
-            steps.append(_matrix(entry["unitary"], f"{where}.unitary"))
+            steps.append(_complex_array(entry["unitary"], f"{where}.unitary"))
         elif "generator" in entry:
-            h = _matrix(entry["generator"], f"{where}.generator")
+            h = _complex_array(entry["generator"], f"{where}.generator")
             try:
                 steps.append(linalg.exp_generator(h, float(times[i + 1]) - float(times[i])))
             except ValueError as exc:
@@ -161,7 +151,7 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
                 raise ModelFileError(f"{pwhere}: expected an object with a 'label'")
             label = str(proj["label"])
             if "matrix" in proj:
-                members.append((label, _matrix(proj["matrix"], f"{pwhere}.matrix")))
+                members.append((label, _complex_array(proj["matrix"], f"{pwhere}.matrix")))
             elif "basis_indices" in proj:
                 idx = proj["basis_indices"]
                 if not (isinstance(idx, list) and all(isinstance(k, int) for k in idx)):
@@ -177,12 +167,12 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
         families.append(ProjectorFamily(entry["time_index"], members))
     conj = None
     if "conjugation_basis" in data:
-        conj = _matrix(data["conjugation_basis"], "conjugation_basis")
+        conj = _complex_array(data["conjugation_basis"], "conjugation_basis")
     state = _initial_state(data["initial_state"], dim, "initial_state")
     model = QuantumModel(state, grid, families, conj, factors)
     rho_final = None
     if "rho_final" in data:
-        rho_final = _matrix(data["rho_final"], "rho_final")
+        rho_final = _complex_array(data["rho_final"], "rho_final")
     return model, rho_final
 
 
@@ -194,25 +184,25 @@ def model_to_dict(model: QuantumModel, rho_final: np.ndarray | None = None) -> d
     else:
         data["dim"] = model.dim
     if model.initial_state.vector is not None:
-        data["initial_state"] = _vector_to_json(model.initial_state.vector)
+        data["initial_state"] = _to_pairs(model.initial_state.vector)
     else:
-        data["initial_state"] = _matrix_to_json(model.initial_state.rho)
+        data["initial_state"] = _to_pairs(model.initial_state.rho)
     if linalg.max_abs(model.conjugation_basis - np.eye(model.dim)) > 0:
-        data["conjugation_basis"] = _matrix_to_json(model.conjugation_basis)
+        data["conjugation_basis"] = _to_pairs(model.conjugation_basis)
     data["grid"] = [float(t) for t in model.grid.times]
-    data["steps"] = [{"unitary": _matrix_to_json(u)} for u in model.grid.step_unitaries]
+    data["steps"] = [{"unitary": _to_pairs(u)} for u in model.grid.step_unitaries]
     data["families"] = [
         {
             "time_index": fam.time_index,
             "projectors": [
-                {"label": label, "matrix": _matrix_to_json(p)}
+                {"label": label, "matrix": _to_pairs(p)}
                 for label, p in zip(fam.labels, fam.projectors)
             ],
         }
         for fam in model.families
     ]
     if rho_final is not None:
-        data["rho_final"] = _matrix_to_json(rho_final)
+        data["rho_final"] = _to_pairs(rho_final)
     return data
 
 

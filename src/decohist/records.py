@@ -26,7 +26,6 @@ from .histories import (
     _branch_table,
     _gram,
     _pair_arrays,
-    _state_columns,
     _walk,
     check_decoherence,
 )
@@ -106,7 +105,7 @@ def strong_decoherence_iff_orthogonality(
     """
     psi = _require_pure(model, psi)
     tolerance = tolerance or TolerancePolicy()
-    cols = _state_columns(model.initial_state)
+    cols = model.initial_state.eigen_columns()
     per_depth = []
     agrees = True
     gram = _gram(psi[None])  # without families the state is the only branch

@@ -29,7 +29,6 @@ from .histories import (
     TolerancePolicy,
     _branch_table,
     _gram,
-    _state_columns,
     _walk,
     check_decoherence,
     time_reversed_history_set,
@@ -220,13 +219,12 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
     state = model.initial_state
     if state.is_pure():
         return _collapse_walk(model, state.state_vector())
-    w, v = np.linalg.eigh((state.rho + state.rho.conj().T) / 2.0)
     table: dict[tuple, float] = {}
     order: list[tuple] = []
-    for weight, k in zip(w, range(w.size)):
+    for weight, vec in zip(state.eigenvalues, state.eigenvectors.T):
         if weight <= 1e-14:
             continue
-        for traj in _collapse_walk(model, v[:, k]):
+        for traj in _collapse_walk(model, vec):
             if traj.labels not in table:
                 table[traj.labels] = 0.0
                 order.append(traj.labels)
@@ -393,7 +391,7 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
         list(extended.families) + list(rev_families),
         extended.conjugation_basis, extended.factors,
     )
-    levels = itertools.islice(_walk(probe, _state_columns(probe.initial_state)),
+    levels = itertools.islice(_walk(probe, probe.initial_state.eigen_columns()),
                               len(extended.families), None)
     reinterference = [
         (float(extended.grid.times[fam.time_index]), float(np.abs(np.triu(_gram(level), 1)).max()))

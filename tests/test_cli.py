@@ -8,7 +8,8 @@ import pytest
 from decohist.cli import main
 from decohist.modelfile import dump_model, load_model, model_from_dict, model_to_dict
 from decohist.exceptions import ModelFileError
-from decohist.scenarios import spin_model
+from decohist.model import QuantumModel
+from decohist.scenarios import random_model, spin_model, spin_post_selection
 
 FULL_SQRT_HALF = repr(float(1.0 / np.sqrt(2.0)))
 
@@ -172,6 +173,54 @@ def test_model_round_trip_through_dict():
             assert max_abs(pa - pb) <= 1e-12
 
 
+def test_dump_and_load_return_identical_arrays(tmp_path):
+    model = random_model(seed=2, dim=3, pure=False)
+    basis = np.array([[0, 1j, 0], [1j, 0, 0], [0, 0, -1]])
+    model = QuantumModel(model.initial_state, model.grid, model.families, basis)
+    rho_final = np.diag([0.5, 0.25, 0.25]).astype(complex)
+    path = tmp_path / "mixed.json"
+    dump_model(model, path, rho_final)
+    loaded, loaded_final = load_model(path)
+    assert np.array_equal(loaded.initial_state.rho, model.initial_state.rho)
+    assert np.array_equal(loaded.conjugation_basis, basis)
+    assert np.array_equal(loaded_final, rho_final)
+    for ua, ub in zip(loaded.grid.step_unitaries, model.grid.step_unitaries):
+        assert np.array_equal(ua, ub)
+    for fa, fb in zip(loaded.families, model.families):
+        assert all(np.array_equal(pa, pb) for pa, pb in zip(fa.projectors, fb.projectors))
+
+
+@pytest.mark.parametrize("index, value, where", [
+    ((1, 1, 0), float("nan"), "steps[0].unitary[1][1][0]: non-finite number nan"),
+    ((1, 1, 0), 10 ** 400, "steps[0].unitary: number too large for a float"),
+    ((1, 1, 0), "1.0", "steps[0].unitary: expected a matrix"),
+    ((1,), [[1.0, 0.0]], "steps[0].unitary: ragged"),
+    ((1, 1), [1.0], "steps[0].unitary: ragged"),
+], ids=["nan", "oversized", "string", "ragged-row", "re-singleton"])
+def test_bad_matrix_entry_exit_64_names_key_path(tmp_path, capsys, index, value, where):
+    data = model_to_dict(spin_post_selection()[0])
+    target = data["steps"][0]["unitary"]
+    for k in index[:-1]:
+        target = target[k]
+    target[index[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", "--model", str(path)])
+    assert code == 64
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("time", [float("inf"), float("nan"), 10 ** 400],
+                         ids=["inf", "nan", "oversized"])
+def test_non_finite_grid_time_exit_64(tmp_path, capsys, time):
+    data = model_to_dict(spin_model(0.6))
+    data["grid"][-1] = time
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--model", str(path)]) == 64
+    assert "grid: expected a list of at least two finite numbers" in capsys.readouterr().err
+
+
 def test_scenario_emit_and_reload(tmp_path, capsys):
     path = tmp_path / "emitted.json"
     code, _ = run_cli(capsys, "scenario", "emit", "spin", "a=0.6", "--out", str(path))
@@ -208,6 +257,17 @@ def test_non_involutive_conjugation_basis_exit_65(tmp_path, capsys):
     code = main(["check", "--model", str(path)])
     assert code == 65
     assert "conjugation basis symmetry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["abl", "reverse"])
+def test_non_hermitian_rho_final_exit_65(tmp_path, command, capsys):
+    # eigh reads one triangle, so this would pass as the rank-one |z-><z-|
+    data = model_to_dict(spin_post_selection()[0], np.array([[0.0, 5.0], [0.0, 1.0]]))
+    path = tmp_path / "post.json"
+    path.write_text(json.dumps(data))
+    code = main([command, "--model", str(path)])
+    assert code == 65
+    assert "final operator must be Hermitian" in capsys.readouterr().err
 
 
 def test_invariant_violation_exit_65(tmp_path, capsys):

@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from decohist.exceptions import ModelValidationError
+from decohist.histories import (
+    CoarseGraining,
+    check_decoherence,
+    check_two_state_decoherence,
+    coarse_grain_check,
+)
 from decohist.linalg import max_abs
 from decohist.model import (
     ProjectorFamily,
@@ -16,7 +22,12 @@ from decohist.model import (
     time_reverse_state,
     time_reverse_vector,
 )
-from decohist.scenarios import haar_unitary, spin_model
+from decohist.scenarios import (
+    collapse_probability_table,
+    haar_unitary,
+    random_model,
+    spin_model,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -68,6 +79,60 @@ def test_eigen_columns_factorize_state():
     s = StateOperator(rho / np.trace(rho).real)
     c = s.eigen_columns()
     assert max_abs(c @ c.conj().T - s.rho) <= 1e-12
+
+
+def _mixed_rho(rank: int, dim: int = 4, seed: int = 11) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_stored_spectrum_is_read_only():
+    s = StateOperator(_mixed_rho(4))
+    for a in (s.eigenvalues, s.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4], ids=["pure", "rank-deficient", "mixed"])
+def test_purity_matches_trace_of_square(rank):
+    s = StateOperator(_mixed_rho(rank))
+    assert abs(s.purity() - np.trace(s.rho @ s.rho).real) <= 1e-12
+    assert s.is_pure() == (rank == 1)
+
+
+def test_state_vector_of_pure_matrix_matches_up_to_phase():
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    v = StateOperator(np.outer(psi, psi.conj())).state_vector()
+    assert abs(abs(np.vdot(psi, v)) - 1.0) <= 1e-12
+
+
+def test_state_is_diagonalised_once(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    model = random_model(seed=3, dim=4, pure=False)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    check_decoherence(model, "forwards")
+    check_decoherence(model, "backwards")
+    check_two_state_decoherence(model.initial_state, model.initial_state, model)
+    merged = {"all": model.families[0].labels}
+    singles = [{lab: (lab,) for lab in fam.labels} for fam in model.families[1:]]
+    coarse_grain_check(model, CoarseGraining((merged, *singles)))
+    collapse_probability_table(model)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 # ---------------------------------------------------------------- grids
