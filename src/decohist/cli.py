@@ -3,16 +3,20 @@
 Commands: ``check``, ``probs``, ``abl``, ``records``, ``reverse``,
 ``recohere``, ``page``, ``scenario list``, ``scenario emit``.  Reports are
 JSON on standard output (or ``--out``); apart from the ``timing_s`` field
-they are deterministic for identical inputs and seeds.
+they are deterministic for identical inputs and seeds at a fixed BLAS thread
+count (another thread count can change the last digits of floats, and so
+the order of pair-table rows whose values are at rounding level, but not the
+verdicts).
 
 Exit codes: 0 decoherent / check passed, 1 not decoherent / check failed,
-2 marginal, 64 model-file parse errors, 65 model invariant violations,
-70 unexpected errors.
+2 marginal, 64 model-file parse errors and bad scenario parameters,
+65 model invariant violations, 70 unexpected errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -76,9 +80,12 @@ def _param_complex(params: dict, *names, default=None):
     for name in names:
         if name in params:
             try:
-                return complex(params[name])
+                value = complex(params[name])
             except ValueError:
                 raise _CliError(f"cannot parse {name}={params[name]!r} as a number", EXIT_USAGE)
+            if not cmath.isfinite(value):
+                raise _CliError(f"{name}={params[name]!r} is not a finite number", EXIT_USAGE)
+            return value
     return default
 
 
@@ -113,10 +120,16 @@ def _build_scenario(name: str, params: dict, seed: int):
         extras["analysis"] = analysis
         model = analysis.extended_model
     elif name == "random":
+        dim, n = _param_int(params, "dim", 4), _param_int(params, "n", 2)
+        if n < 0:
+            raise _CliError(f"n={n}: the number of families must be at least 0", EXIT_USAGE)
+        least = 2 if n else 1  # every family has at least two members
+        if dim < least:
+            raise _CliError(f"dim={dim}: must be at least {least} for n={n} families", EXIT_USAGE)
         model = scenarios.random_model(
             seed=_param_int(params, "seed", seed),
-            dim=_param_int(params, "dim", 4),
-            n_families=_param_int(params, "n", 2),
+            dim=dim,
+            n_families=n,
             pure=bool(_param_int(params, "pure", 1)),
         )
     else:

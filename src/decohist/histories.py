@@ -155,22 +155,29 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False, member
 
     Each level has shape (nodes, r, d): one node per history prefix, in
     lexicographic order, holding the transposed columns P_k U_k ... P_1 U_1 C
-    at the family's time.  Backwards walks the families latest first, from
-    W(t_n) C through the adjoint segments.  ``members`` lists the member
+    at the family's time, where U_k is the segment of steps between
+    consecutive family times.  Backwards walks the families latest first,
+    from W(t_n) C through the adjoint segments.  ``members`` lists the member
     indices to expand per family, all by default.
     """
+    grid = model.grid
     order = range(model.n_families)
     nodes, prev = cols.T[None], None
     for k in (reversed(order) if backwards else order):
         fam = model.families[k]
-        w = model.grid.cumulative(fam.time_index)
-        segment = w if prev is None else w @ prev.conj().T
-        flat = nodes.reshape(-1, nodes.shape[-1]) @ segment.T
+        t = fam.time_index
+        if prev is None:
+            step = grid.cumulative(t).T
+        elif backwards:
+            step = grid.segment(t, prev).conj()
+        else:
+            step = grid.segment(prev, t).T
+        flat = nodes.reshape(-1, nodes.shape[-1]) @ step
         picks = range(len(fam)) if members is None else members[k]
         # the family met last varies fastest forwards and slowest backwards
         nodes = np.stack([(flat @ fam.projectors[j].T).reshape(nodes.shape) for j in picks],
                          axis=0 if backwards else 1)
-        nodes, prev = nodes.reshape(-1, *nodes.shape[2:]), w
+        nodes, prev = nodes.reshape(-1, *nodes.shape[2:]), t
         yield nodes
 
 
@@ -364,7 +371,7 @@ def _coerce_final_operator(rho_f, dim: int) -> np.ndarray:
 
 
 def _two_state_normalization(rho_i: StateOperator, rho_f: np.ndarray) -> float:
-    n = complex(np.trace(rho_f @ rho_i.rho))
+    n = complex(np.sum(rho_f * rho_i.rho.T))  # Tr(rho_f rho_i) without the d^3 product
     if abs(n) <= NORMALIZATION_FLOOR:
         raise DegenerateNormalizationError(
             f"Tr(rho_f rho_i) = {n!r} vanishes; two-state probabilities are undefined"
@@ -456,8 +463,17 @@ class CoarseGraining:
                 )
 
     def coarse_model(self, model: QuantumModel) -> QuantumModel:
+        """The model with each family's blocks merged into single projectors.
+
+        A family whose blocks are exactly its own members (same labels, same
+        order) is the fine model's validated family itself.
+        """
         families = []
         for fam, mapping in zip(model.families, self.blocks):
+            singletons = [(lab, (lab,)) for lab in fam.labels]
+            if [(b, tuple(block)) for b, block in mapping.items()] == singletons:
+                families.append(fam)
+                continue
             members = [
                 (block_label, sum(fam.member(m) for m in block))
                 for block_label, block in mapping.items()

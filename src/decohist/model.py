@@ -154,7 +154,8 @@ class TimeGrid:
             _check(linalg.max_abs(u @ u.conj().T - np.eye(dim)), f"step unitary {i} unitarity")
         self.times = _freeze(t)
         self.step_unitaries = tuple(_freeze(u) for u in steps)
-        self._cumulative: list[np.ndarray] = [_freeze(np.eye(dim, dtype=complex))]
+        self._cumulative: list[np.ndarray] = [_freeze(np.eye(dim, dtype=complex)),
+                                              self.step_unitaries[0]]
 
     @classmethod
     def from_generators(cls, times, generators) -> "TimeGrid":
@@ -177,7 +178,11 @@ class TimeGrid:
         return int(self.times.size)
 
     def cumulative(self, k: int) -> np.ndarray:
-        """W(t_k <- t_0), the ordered product of the first k step unitaries."""
+        """W(t_k <- t_0), the ordered product of the first k step unitaries.
+
+        W(t_1) is the first step itself; later products are computed once
+        and kept read-only.
+        """
         if not 0 <= k < self.n_times:
             raise IndexError(f"grid index {k} out of range [0, {self.n_times})")
         while len(self._cumulative) <= k:
@@ -185,6 +190,19 @@ class TimeGrid:
             w = self.step_unitaries[j - 1] @ self._cumulative[j - 1]
             self._cumulative.append(_freeze(w))
         return self._cumulative[k]
+
+    def segment(self, a: int, b: int) -> np.ndarray:
+        """W(t_b <- t_a), the ordered product of the steps between grid indices a < b.
+
+        A one-step segment is the step itself; a longer one multiplies the
+        steps out, latest leftmost, without passing through W(t_a).
+        """
+        if not 0 <= a < b < self.n_times:
+            raise IndexError(f"grid segment ({a}, {b}) out of range [0, {self.n_times})")
+        w = self.step_unitaries[a]
+        for u in self.step_unitaries[a + 1:b]:
+            w = u @ w
+        return _freeze(w)
 
 
 class ProjectorFamily:

@@ -170,26 +170,41 @@ class CollapseTrajectory:
     states: list[np.ndarray] | None = None
 
 
-def _collapse_walk(model: QuantumModel, psi: np.ndarray,
-                   backwards: bool = False) -> list[CollapseTrajectory]:
-    """Project-and-renormalize along every outcome sequence.
+def _collapse_segments(model: QuantumModel, backwards: bool = False) -> list[np.ndarray]:
+    """Per family met, the product of the steps reaching its time; then the tail.
 
     Forwards the steps run from the first grid time to the last; backwards
-    their adjoints run from the last grid time to the first and the families
-    are met latest first.  Labels are reported time-ordered either way.
+    their adjoints run from the last grid time to the first.  Each product
+    starts from its first step (an adjoint is stored contiguous).  The
+    products are multiplied out here rather than taken from the grid, so the
+    oracle stays independent of the code it checks.
     """
     steps = model.grid.step_unitaries
     families = model.families[::-1] if backwards else model.families
     last = model.grid.n_times - 1
     stops = [fam.time_index for fam in families] + [0 if backwards else last]
-    segments = []  # per family: product of steps reaching its time; then the tail
+    segments = []
     pos = last if backwards else 0
     for stop in stops:
-        w = np.eye(model.dim, dtype=complex)
-        for i in (reversed(range(stop, pos)) if backwards else range(pos, stop)):
-            w = (steps[i].conj().T if backwards else steps[i]) @ w
+        idx = reversed(range(stop, pos)) if backwards else range(pos, stop)
+        factors = [steps[i].conj().T if backwards else steps[i] for i in idx]
+        w = np.ascontiguousarray(factors[0])
+        for u in factors[1:]:
+            w = u @ w
         segments.append(w)
         pos = stop
+    return segments
+
+
+def _collapse_walk(model: QuantumModel, psi: np.ndarray, segments: list[np.ndarray],
+                   backwards: bool = False) -> list[CollapseTrajectory]:
+    """Project-and-renormalize along every outcome sequence.
+
+    ``segments`` come from :func:`_collapse_segments` in the same direction;
+    backwards the families are met latest first.  Labels are reported
+    time-ordered either way.
+    """
+    families = model.families[::-1] if backwards else model.families
     *segments, tail = segments
     trajectories = []
     for idx in itertools.product(*[range(len(f)) for f in families]):
@@ -217,14 +232,15 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
     handled as spectral mixtures of pure runs (trajectory states omitted).
     """
     state = model.initial_state
+    segments = _collapse_segments(model)
     if state.is_pure():
-        return _collapse_walk(model, state.state_vector())
+        return _collapse_walk(model, state.state_vector(), segments)
     table: dict[tuple, float] = {}
     order: list[tuple] = []
     for weight, vec in zip(state.eigenvalues, state.eigenvectors.T):
         if weight <= 1e-14:
             continue
-        for traj in _collapse_walk(model, vec):
+        for traj in _collapse_walk(model, vec, segments):
             if traj.labels not in table:
                 table[traj.labels] = 0.0
                 order.append(traj.labels)
@@ -248,7 +264,7 @@ def reverse_collapse_chain(model: QuantumModel, final_state) -> list[CollapseTra
     psi_f = linalg.as_vector(final_state, "final state")
     if abs(float(np.linalg.norm(psi_f)) - 1.0) > 1e-10:
         raise ValueError("final state must be normalized")
-    return _collapse_walk(model, psi_f, backwards=True)
+    return _collapse_walk(model, psi_f, _collapse_segments(model, backwards=True), backwards=True)
 
 
 def abl_probability(psi_initial, psi_final, model: QuantumModel, history) -> float:

@@ -334,6 +334,18 @@ def test_usage_error_needs_model_or_scenario(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("params, name", [
+    (["spin", "a=nan"], "a="),
+    (["random", "dim=0"], "dim="),
+    (["random", "n=-1"], "n="),
+], ids=["spin-a-nan", "random-dim-0", "random-n-negative"])
+def test_bad_scenario_parameter_exit_64_names_it(capsys, params, name):
+    code = main(["check", "--scenario", *params])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "decohist.cli", "scenario", "list"],

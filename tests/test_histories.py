@@ -318,6 +318,44 @@ def test_interference_violation_equals_cross_term():
     assert (direct - summed) == pytest.approx(2.0 * cross.real, abs=1e-12)
 
 
+def test_singleton_blocks_reuse_the_fine_family():
+    m = spin_model(0.6)
+    graining = CoarseGraining((
+        {"x+": ("x+",), "x-": ("x-",)},
+        {"z": ("z+", "z-")},
+    ))
+    coarse = graining.coarse_model(m)
+    assert coarse.families[0] is m.families[0]
+    assert coarse.families[1] is not m.families[1]
+    assert coarse.families[1].labels == ("z",)
+    # the same members under other labels or in another order are rebuilt
+    renamed = CoarseGraining(({"a": ("x+",), "b": ("x-",)}, {"z": ("z+", "z-")}))
+    reordered = CoarseGraining(({"x-": ("x-",), "x+": ("x+",)}, {"z": ("z+", "z-")}))
+    assert renamed.coarse_model(m).families[0] is not m.families[0]
+    assert reordered.coarse_model(m).families[0].labels == ("x-", "x+")
+
+
+def test_merged_blocks_are_validated_in_full(monkeypatch):
+    m = spin_model(0.6)
+    built = []
+    init = ProjectorFamily.__init__
+
+    def counting_init(self, time_index, members):
+        built.append(time_index)
+        init(self, time_index, members)
+
+    monkeypatch.setattr(ProjectorFamily, "__init__", counting_init)
+    graining = CoarseGraining((
+        {"x+": ("x+",), "x-": ("x-",)},
+        {"z": ("z+", "z-")},
+    ))
+    coarse_grain_check(m, graining, "forwards")
+    assert built == [m.families[1].time_index]
+    built.clear()
+    coarse_grain_check(m, CoarseGraining.singletons(m), "forwards")
+    assert built == []
+
+
 def _all_pairwise_merges(model):
     for k, fam in enumerate(model.families):
         for a, b in itertools.combinations(fam.labels, 2):

@@ -168,6 +168,27 @@ def test_cumulative_composition():
     assert max_abs(grid.cumulative(3) - expected) <= 1e-13
 
 
+def test_cumulative_first_product_is_the_first_step():
+    rng = np.random.default_rng(12)
+    steps = [haar_unitary(3, rng) for _ in range(2)]
+    grid = TimeGrid([0.0, 1.0, 2.0], steps)
+    assert np.array_equal(grid.cumulative(1), grid.step_unitaries[0])
+    assert not grid.cumulative(2).flags.writeable
+
+
+def test_segment_multiplies_the_steps_between_two_times():
+    rng = np.random.default_rng(14)
+    steps = [haar_unitary(3, rng) for _ in range(4)]
+    grid = TimeGrid([0.0, 1.0, 2.0, 3.0, 4.0], steps)
+    assert grid.segment(2, 3) is grid.step_unitaries[2]
+    assert max_abs(grid.segment(1, 4) - steps[3] @ steps[2] @ steps[1]) <= 1e-13
+    assert max_abs(grid.segment(0, 4) - grid.cumulative(4)) <= 1e-13
+    assert not grid.segment(0, 2).flags.writeable
+    for a, b in ((1, 1), (2, 1), (-1, 2), (0, 5)):
+        with pytest.raises(IndexError):
+            grid.segment(a, b)
+
+
 # ---------------------------------------------------------------- families
 
 
@@ -191,8 +212,11 @@ def test_family_from_basis_satisfies_invariants():
 def test_family_warns_on_near_violation():
     p0 = np.diag([1.0 + 5e-10, 0.0])
     p1 = np.diag([0.0, 1.0])
-    with pytest.warns(UserWarning, match="idempotence"):
+    with pytest.warns(UserWarning) as caught:
         ProjectorFamily(1, [("a", p0), ("b", p1)])
+    messages = [str(w.message) for w in caught]
+    assert any("idempotence" in m for m in messages)
+    assert any("completeness" in m for m in messages)
 
 
 def test_family_rejects_large_violation():

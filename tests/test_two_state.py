@@ -101,6 +101,17 @@ def test_cyclic_role_swap_identity():
             assert abs(lhs - rhs) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_normalization_is_the_trace_of_the_product(seed):
+    m = random_model(seed, dim=24, n_families=1, pure=seed % 2 == 0)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((24, 3 + seed)) + 1j * rng.standard_normal((24, 3 + seed))
+    rho_f = a @ a.conj().T
+    expected = float(np.trace(rho_f @ m.initial_state.rho).real)
+    report = check_two_state_decoherence(m.initial_state, rho_f, m)
+    assert abs(report.normalization - expected) <= 1e-15 * expected
+
+
 def test_degenerate_normalization_rejected():
     m = spin_model(0.6)
     # final operator supported only where the initial state vanishes
