@@ -143,8 +143,17 @@ class DecoherenceReport:
     def pair_values(self) -> dict[tuple[History, History], complex]:
         return {(p.left, p.right): p.value for p in self.pairs}
 
+    def _worst_first(self) -> np.ndarray:
+        """Pair positions worst first: ratio descending, then both histories by label."""
+        h = self.histories
+        rank = np.empty(len(h), dtype=np.intp)
+        rank[sorted(range(len(h)), key=h.__getitem__)] = np.arange(len(h))
+        a = self._arrays
+        return np.lexsort((rank[a.j], rank[a.i], -a.ratio))
+
     def worst_pairs(self) -> list[PairCheck]:
-        return sorted(self.pairs, key=lambda p: (-p.ratio, p.left, p.right))
+        pairs = self.pairs
+        return [pairs[k] for k in self._worst_first().tolist()]
 
     def max_offdiagonal(self) -> float:
         return float(self._arrays.measure.max(initial=0.0))
@@ -479,8 +488,7 @@ class CoarseGraining:
                 for block_label, block in mapping.items()
             ]
             families.append(ProjectorFamily(fam.time_index, members))
-        return QuantumModel(model.initial_state, model.grid, families,
-                            model.conjugation_basis, model.factors)
+        return model._derive(families)
 
     def fine_histories_of(self, coarse_history) -> list[History]:
         pools = [
@@ -666,10 +674,7 @@ def time_reversed_history_set(model: QuantumModel, time_atol: float = 1e-9) -> T
         ]
         placed.append((j, k, ProjectorFamily(j, members)))
     placed.sort(key=lambda item: item[0])
-    reversed_model = QuantumModel(
-        model.initial_state, model.grid, [fam for _, _, fam in placed],
-        model.conjugation_basis, model.factors,
-    )
+    reversed_model = model._derive([fam for _, _, fam in placed])
     family_map = tuple((new_idx, orig_idx) for new_idx, (_, orig_idx, _) in enumerate(placed))
     return TimeReversedSet(reversed_model, family_map)
 

@@ -314,6 +314,10 @@ class QuantumModel:
             basis = np.eye(grid.dim, dtype=complex)
         else:
             basis = linalg.as_matrix(conjugation_basis, "conjugation basis")
+            if basis.shape != (grid.dim, grid.dim):
+                raise ModelValidationError(
+                    f"conjugation basis shape {basis.shape} does not match dimension {grid.dim}"
+                )
             if not linalg.is_unitary(basis):
                 raise ModelValidationError("conjugation basis must be unitary")
             # Time reversal is an involution only when B B^* = +-1.
@@ -330,6 +334,17 @@ class QuantumModel:
         self.families = families
         self.conjugation_basis = _freeze(basis)
         self.factors = factors
+
+    def _derive(self, families, grid: TimeGrid | None = None) -> "QuantumModel":
+        """A model with this one's state, conjugation basis and factors.
+
+        The grid (this model's by default) and the families are validated as
+        in the constructor; the basis, validated here, is reused as it is.
+        """
+        derived = QuantumModel(self.initial_state, self.grid if grid is None else grid,
+                               families, None, self.factors)
+        derived.conjugation_basis = self.conjugation_basis
+        return derived
 
     @property
     def dim(self) -> int:

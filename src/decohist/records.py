@@ -231,13 +231,7 @@ def _extension_check(model, time_index, branches, projections, residual,
     if linalg.max_abs(residual) > 1e-12:
         members.append(("rec:none", residual))
     record_family = ProjectorFamily(time_index + 1, members)
-    extended = QuantumModel(
-        model.initial_state,
-        TimeGrid(times, steps),
-        list(model.families) + [record_family],
-        model.conjugation_basis,
-        model.factors,
-    )
+    extended = model._derive(list(model.families) + [record_family], TimeGrid(times, steps))
     report = check_decoherence(extended, "forwards", "strong", tolerance)
     if not report.decoherent:
         raise ConditionNotSatisfiedError(

@@ -378,13 +378,7 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
     ext_times = list(map(float, times)) + [-float(t) for t in reversed(times[:-1])]
     mirrored = [b @ u.T @ b.conj().T for u in reversed(base.grid.step_unitaries)]
     ext_steps = list(base.grid.step_unitaries) + mirrored
-    extended = QuantumModel(
-        base.initial_state,
-        TimeGrid(ext_times, ext_steps),
-        base.families,
-        base.conjugation_basis,
-        base.factors,
-    )
+    extended = base._derive(base.families, TimeGrid(ext_times, ext_steps))
     first_half = check_decoherence(extended, "forwards", "weak", tolerance)
     purity_curve = None
     witness = None
@@ -402,11 +396,7 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
     # Push the set into the mirrored half one reversed family at a time: the
     # walk over the combined families has those truncations as its levels.
     rev_families = reversed_set.model.families
-    probe = QuantumModel(
-        extended.initial_state, extended.grid,
-        list(extended.families) + list(rev_families),
-        extended.conjugation_basis, extended.factors,
-    )
+    probe = extended._derive(list(extended.families) + list(rev_families))
     levels = itertools.islice(_walk(probe, probe.initial_state.eigen_columns()),
                               len(extended.families), None)
     reinterference = [

@@ -259,6 +259,17 @@ def test_non_involutive_conjugation_basis_exit_65(tmp_path, capsys):
     assert "conjugation basis symmetry" in capsys.readouterr().err
 
 
+def test_conjugation_basis_of_another_dimension_exit_65(tmp_path, capsys):
+    # time reversal multiplied by it, so page exited 70 on a matmul error
+    data = model_to_dict(spin_model(0.6))
+    data["conjugation_basis"] = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(data))
+    for command in ("check", "page"):
+        assert main([command, "--model", str(path)]) == 65
+        assert "conjugation basis shape (2, 2)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["abl", "reverse"])
 def test_non_hermitian_rho_final_exit_65(tmp_path, command, capsys):
     # eigh reads one triangle, so this would pass as the rank-one |z-><z-|

@@ -14,6 +14,7 @@ from decohist.histories import (
     coarse_grain_check,
     decoherence_functional,
 )
+from decohist import linalg
 from decohist.linalg import max_abs
 from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
 from decohist.scenarios import (
@@ -354,6 +355,36 @@ def test_merged_blocks_are_validated_in_full(monkeypatch):
     built.clear()
     coarse_grain_check(m, CoarseGraining.singletons(m), "forwards")
     assert built == []
+
+
+def test_derived_models_reuse_the_validated_basis(monkeypatch):
+    m = spin_model(0.6)
+    flip = np.eye(m.dim)[::-1]  # a symmetric permutation, so a valid basis
+    m = QuantumModel(m.initial_state, m.grid, m.families, flip, m.factors)
+    calls = []
+    is_unitary = linalg.is_unitary
+
+    def counting_is_unitary(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return is_unitary(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_unitary", counting_is_unitary)
+    graining = CoarseGraining(({"x+": ("x+",), "x-": ("x-",)}, {"z": ("z+", "z-")}))
+    coarse = graining.coarse_model(m)
+    assert calls == []
+    assert coarse.conjugation_basis is m.conjugation_basis
+    assert coarse.factors == m.factors
+    assert coarse.families[1].labels == ("z",)
+
+
+def test_derived_models_still_validate_grid_and_families():
+    m = spin_model(0.6)
+    late = ProjectorFamily(m.grid.n_times - 1, [("all", np.eye(m.dim))])
+    with pytest.raises(ModelValidationError, match="strictly inside"):
+        m._derive([late])
+    wide = TimeGrid([0.0, 1.0, 2.0], [np.eye(m.dim + 1)] * 2)
+    with pytest.raises(ModelValidationError, match="dimension"):
+        m._derive([], wide)
 
 
 def _all_pairwise_merges(model):

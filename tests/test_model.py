@@ -391,6 +391,12 @@ def test_model_rejects_conjugation_basis_that_is_not_an_involution():
         QuantumModel(_pure([1.0, 0.0]), _small_model().grid, [], conjugation_basis=b)
 
 
+def test_model_rejects_conjugation_basis_of_another_dimension():
+    grid = TimeGrid([0.0, 1.0, 2.0], [np.eye(4)] * 2)
+    with pytest.raises(ModelValidationError, match="conjugation basis shape"):
+        QuantumModel(StateOperator(np.eye(4) / 4), grid, [], conjugation_basis=np.eye(2))
+
+
 def test_model_accepts_antisymmetric_conjugation_basis():
     i_sigma_y = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     m = QuantumModel(_pure([1.0, 0.0]), _small_model().grid, [], conjugation_basis=i_sigma_y)
