@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from . import linalg, scenarios
+from . import linalg
 from .exceptions import (
     ConditionNotSatisfiedError,
     DegenerateNormalizationError,
@@ -42,14 +42,6 @@ from .histories import (
 )
 from .model import QuantumModel, evolve_state
 from .modelfile import dump_model, load_model, model_to_dict
-from .records import construct_records
-from .scenarios import (
-    recoherence_scenario,
-    reverse_collapse_chain,
-    spin_model,
-    spin_post_selection,
-    spin_recoherence_base,
-)
 
 EXIT_DECOHERENT = 0
 EXIT_NOT_DECOHERENT = 1
@@ -101,13 +93,15 @@ def _param_int(params: dict, name: str, default: int) -> int:
 
 def _build_scenario(name: str, params: dict, seed: int):
     """Resolve a scenario name into (model, extras) for the commands."""
+    from . import scenarios
+
     extras: dict = {}
     if name == "spin":
         alpha = _param_complex(params, "a", "alpha", default=0.6)
         beta = _param_complex(params, "b", "beta", default=None)
-        model = spin_model(alpha, beta)
+        model = scenarios.spin_model(alpha, beta)
     elif name == "spin-post":
-        model, psi_i, psi_f = spin_post_selection()
+        model, psi_i, psi_f = scenarios.spin_post_selection()
         extras["psi_initial"] = psi_i
         extras["psi_final"] = psi_f
     elif name in ("spin-symmetric", "recoherence"):
@@ -115,9 +109,9 @@ def _build_scenario(name: str, params: dict, seed: int):
         alpha = _param_complex(params, "a", "alpha", default=default)
         if abs(alpha.imag) > 0:
             raise _CliError("mirror scenarios need real amplitudes", EXIT_USAGE)
-        base = spin_recoherence_base(alpha.real)
+        base = scenarios.spin_recoherence_base(alpha.real)
         extras["recoherence_base"] = base
-        analysis = recoherence_scenario(base)
+        analysis = scenarios.recoherence_scenario(base)
         extras["analysis"] = analysis
         model = analysis.extended_model
     elif name == "random":
@@ -240,6 +234,8 @@ def _rank_one_vector(model: QuantumModel, rho_final: np.ndarray, command: str) -
 
 
 def _cmd_abl(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+    from . import scenarios
+
     psi_i = extras.get("psi_initial")
     psi_f = extras.get("psi_final")
     if psi_i is None:
@@ -267,6 +263,8 @@ def _pure_state_vector(model: QuantumModel) -> np.ndarray:
 
 
 def _cmd_records(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+    from .records import construct_records
+
     psi = _pure_state_vector(model)
     try:
         recs = construct_records(model, psi, args.tf, tol)
@@ -286,6 +284,8 @@ def _cmd_records(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
 
 
 def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+    from .scenarios import reverse_collapse_chain
+
     rho_final = extras.get("rho_final")
     if rho_final is not None:
         final = _rank_one_vector(model, rho_final, "reverse")
@@ -309,6 +309,8 @@ def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
 def _cmd_recohere(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     analysis = extras.get("analysis")
     if analysis is None:
+        from .scenarios import recoherence_scenario
+
         analysis = recoherence_scenario(model, tolerance=tol)
     body = {
         "first_half_classification": analysis.first_half_forwards.classification,

@@ -15,7 +15,7 @@ the real parts of all off-diagonal entries vanish and strongly (also called
 against max(abs_floor, rel * sqrt(p_h p_h')) so zero-probability branches are
 judged by the absolute floor.
 
-Evaluation factorizes the state through its spectral columns: with
+Evaluation factorizes the state through ``StateOperator.columns``: with
 rho = C C^dagger, D(h, h') is the Hilbert-Schmidt inner product of L_h C and
 L_h' C.  A Schrodinger-picture prefix walk builds these for all histories at
 once, applying each step segment and then each member projector to every
@@ -44,10 +44,12 @@ from .exceptions import (
     ModelValidationError,
 )
 from .model import (
+    ATOL_MODEL,
     ProjectorFamily,
     QuantumModel,
     StateOperator,
-    time_reverse_operator,
+    _psd_columns,
+    _reverse_in_basis,
 )
 
 __all__ = [
@@ -239,7 +241,7 @@ def _functional_matrix(model: QuantumModel, direction: str,
     if direction not in ("forwards", "backwards", "two_state"):
         raise ValueError(f"unknown direction {direction!r}")
     state = rho_i if rho_i is not None else model.initial_state
-    a = _branch_table(model, state.eigen_columns(), direction == "backwards")
+    a = _branch_table(model, state.columns, direction == "backwards")
     b = a.reshape(-1, model.dim) @ rho_f.T if direction == "two_state" else None
     return model.history_labels(), _gram(a, b)
 
@@ -253,7 +255,7 @@ def _path_table(model: QuantumModel, history, cols: np.ndarray,
 
 def _candidate_table(model: QuantumModel, backwards: bool) -> dict[History, float]:
     """Candidate probabilities of every history: squared norms of the table rows."""
-    a = _branch_table(model, model.initial_state.eigen_columns(), backwards)
+    a = _branch_table(model, model.initial_state.columns, backwards)
     norms = np.einsum("hij,hij->h", a.conj(), a)
     what = "backwards" if backwards else "forwards"
     return {h: _clamp_probability(v, f"{what} probability of {h}")
@@ -262,13 +264,13 @@ def _candidate_table(model: QuantumModel, backwards: bool) -> dict[History, floa
 
 def candidate_probability_forwards(model: QuantumModel, history) -> float:
     """Diagonal of the forwards functional: Tr(L_h rho L_h^dagger), in [0, 1]."""
-    a = _path_table(model, history, model.initial_state.eigen_columns())
+    a = _path_table(model, history, model.initial_state.columns)
     return _clamp_probability(np.vdot(a, a), f"forwards probability of {tuple(history)}")
 
 
 def candidate_probability_backwards(model: QuantumModel, history) -> float:
     """Diagonal of the backwards functional: Tr(L_h^dagger rho L_h), in [0, 1]."""
-    a = _path_table(model, history, model.initial_state.eigen_columns(), backwards=True)
+    a = _path_table(model, history, model.initial_state.columns, backwards=True)
     return _clamp_probability(np.vdot(a, a), f"backwards probability of {tuple(history)}")
 
 
@@ -281,7 +283,7 @@ def decoherence_functional(model: QuantumModel, h, h_prime, direction: str = "fo
     if direction not in ("forwards", "backwards"):
         raise ValueError(f"direction must be 'forwards' or 'backwards', got {direction!r}")
     backwards = direction == "backwards"
-    cols = model.initial_state.eigen_columns()
+    cols = model.initial_state.columns
     a = _path_table(model, h, cols, backwards)
     b = _path_table(model, h_prime, cols, backwards)
     return complex(np.vdot(b, a))
@@ -374,7 +376,8 @@ def _coerce_final_operator(rho_f, dim: int) -> np.ndarray:
         raise ModelValidationError(f"final operator shape {m.shape} does not match dimension {dim}")
     if linalg.max_abs(m - m.conj().T) > 1e-10:
         raise ModelValidationError("final operator must be Hermitian")
-    if float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) < -1e-10:
+    h = (m + m.conj().T) / 2.0
+    if _psd_columns(h) is None and float(np.linalg.eigvalsh(h)[0]) < -ATOL_MODEL:
         raise ModelValidationError("final operator must be positive semidefinite")
     return m
 
@@ -417,7 +420,7 @@ def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> compl
         rho_i = StateOperator(rho_i)
     rho_f = _coerce_final_operator(rho_f, model.dim)
     _two_state_normalization(rho_i, rho_f)
-    cols = rho_i.eigen_columns()
+    cols = rho_i.columns
     a = _path_table(model, h, cols)
     b = _path_table(model, h_prime, cols)
     return complex(np.vdot(b, a @ rho_f.T))
@@ -565,7 +568,7 @@ def both_conditions_theorem_check(model: QuantumModel,
         return BothConditionsReport(False, f"not applicable: {' and '.join(failed)} "
                                            "weak decoherence fails", fwd, bwd)
     # Tr(L_h rho) = <C, L_h C> for rho = C C^dagger
-    cols = model.initial_state.eigen_columns()
+    cols = model.initial_state.columns
     table = _branch_table(model, cols)
     chain = table.reshape(len(table), -1) @ cols.T.conj().reshape(-1)
     chain_vals = dict(zip(model.history_labels(), chain.real.tolist()))
@@ -669,7 +672,7 @@ def time_reversed_history_set(model: QuantumModel, time_atol: float = 1e-9) -> T
                 f"reflected family time {target!r} is not strictly inside the grid"
             )
         members = [
-            (label, time_reverse_operator(p, b))
+            (label, _reverse_in_basis(p, b))
             for label, p in zip(fam.labels, fam.projectors)
         ]
         placed.append((j, k, ProjectorFamily(j, members)))
@@ -710,8 +713,8 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
         rho_i = StateOperator(rho_i)
     rho_f = _coerce_final_operator(rho_f, model.dim)
     b = model.conjugation_basis
-    d_i = linalg.max_abs(rho_i.rho - time_reverse_operator(rho_i.rho, b))
-    d_f = linalg.max_abs(rho_f - time_reverse_operator(rho_f, b))
+    d_i = linalg.max_abs(rho_i.rho - _reverse_in_basis(rho_i.rho, b))
+    d_f = linalg.max_abs(rho_f - _reverse_in_basis(rho_f, b))
     d_c = linalg.max_abs(rho_i.rho @ rho_f - rho_f @ rho_i.rho)
     times = model.grid.times
     centers = np.nonzero(np.abs(times) <= 1e-9)[0]

@@ -2,8 +2,7 @@
 
 Everything in this module operates on plain ``numpy.ndarray`` values with
 ``complex128`` dtype.  Matrices are dense and row-major; no sparsity or
-arbitrary-precision support is attempted (target dimensions stay well below
-~1024).
+arbitrary-precision support is attempted (dimensions up to about 1024).
 """
 
 from __future__ import annotations

@@ -7,12 +7,16 @@ the unitary basis in which the antiunitary time reversal conjugates.
 
 All objects validate their invariants at construction and are immutable
 afterwards (stored arrays are marked read-only), so they are safe to share
-across threads.
+across threads.  The one lazily computed value, a state's spectrum, is
+deterministic: threads that read it first at the same moment may each
+compute it, and they obtain identical arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,6 +61,94 @@ def _check(defect: float, what: str, atol: float = ATOL_MODEL) -> None:
     raise ModelValidationError(f"{what}: defect {defect:.3e} exceeds {atol:.1e}")
 
 
+SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
+_FACTOR_BLOCK = 32  # pivots between updates of the residual matrix
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _cholesky_rows(h: np.ndarray) -> np.ndarray:
+    """Rows c_k^T of a factor h ~ sum_k c_k c_k^dagger, one per pivot above the cutoff.
+
+    A pivoted Cholesky factorization of the Hermitian ``h``: the largest
+    residual diagonal is the next pivot, until it is at most
+    ``SPECTRAL_CUTOFF``, so there are as many rows as h has numerical rank.
+    Pivots are taken one at a time against the residual matrix of the
+    earlier blocks, which is updated once per block and restricted to the
+    indices not yet pivoted on.  Once one block of pivots shows a rank of
+    at least ``_FACTOR_BLOCK``, LAPACK's unpivoted factorization of h is
+    tried: when every one of its pivots exceeds the cutoff, h is
+    numerically definite, no pivoting is needed, and its rows replace a
+    loop of d pivots.
+    """
+    d = h.shape[0]
+    rows = np.zeros((d, d), dtype=complex)
+    block = np.empty((_FACTOR_BLOCK, d), dtype=complex)  # this block's rows, on idx
+    idx = np.arange(d)  # the indices not pivoted on before this block
+    res = h  # h minus the rows before this block, on idx x idx
+    diag = h.diagonal().real.copy()  # the current residual diagonal, on idx
+    taken: list[int] = []  # positions in idx pivoted on in this block
+    start = k = 0
+    while k < d:
+        q = int(np.argmax(diag))
+        pivot = diag[q]
+        if not pivot > SPECTRAL_CUTOFF:
+            break
+        j, n = k - start, idx.size
+        col = res[q].conj() - block[:j, :n].T @ block[:j, q].conj()
+        col *= 1.0 / math.sqrt(pivot)
+        block[j, :n] = col
+        diag -= col.real ** 2 + col.imag ** 2
+        diag[q] = 0.0  # exactly zero in exact arithmetic; never a pivot again
+        taken.append(q)
+        k += 1
+        if len(taken) < _FACTOR_BLOCK:
+            continue
+        if k == _FACTOR_BLOCK < d:
+            try:
+                lower = np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if lower.diagonal().real.min() ** 2 > SPECTRAL_CUTOFF:
+                    return lower.T
+        rows[start:k, idx] = block[:, :n]
+        keep = np.ones(n, dtype=bool)
+        keep[taken] = False
+        x = block[:, :n][:, keep]
+        res = res[np.ix_(keep, keep)]
+        res -= x.T @ x.conj()
+        idx, diag = idx[keep], diag[keep]
+        taken, start = [], k
+    rows[start:k, idx] = block[:k - start, :idx.size]
+    return rows[:k].copy()
+
+
+def _psd_columns(h: np.ndarray) -> np.ndarray | None:
+    """Columns C with h = C C^dagger and a proof that h is PSD, or None.
+
+    C comes from :func:`_cholesky_rows`.  For the remainder
+    S = h - C C^dagger, Weyl's inequality gives lambda_min(h) >= -||S||_F.
+    Forming S in floating point errs by at most
+    sqrt(2) gamma_{r+2} || |C| |C|^T ||_F + u ||S||_F for r columns and unit
+    roundoff u (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    sections 3.6 and 10.3), and || |C| |C|^T ||_F is at most ||C||_F times
+    min(||C||_F, sqrt(||C||_1 ||C||_inf)).  When ||S||_F plus that allowance
+    is at most ATOL_MODEL / 2, h is PSD to within half the eigenvalue rule's
+    tolerance, and the other half covers the eigensolver's own error, so the
+    eigenvalue rule accepts h as well.  Otherwise the result is None and the
+    caller decides by eigenvalues.
+    """
+    c = _cholesky_rows(h)
+    s_norm = float(np.linalg.norm(h - c.T @ c.conj()))
+    c_norm = float(np.linalg.norm(c))
+    a = np.abs(c)
+    norm_1, norm_inf = a.sum(axis=1).max(initial=0.0), a.sum(axis=0).max(initial=0.0)
+    abs_norm = min(c_norm, math.sqrt(norm_1 * norm_inf))
+    n = (c.shape[0] + 2) * _UNIT_ROUNDOFF
+    allowance = math.sqrt(2.0) * n / (1.0 - n) * abs_norm * c_norm + _UNIT_ROUNDOFF * s_norm
+    return c.T if s_norm + allowance <= ATOL_MODEL / 2 else None
+
+
 def as_state_vector(psi, name: str = "state vector", atol: float = 1e-12) -> np.ndarray:
     """Validate a unit-norm complex vector and return a read-only copy."""
     v = linalg.as_vector(psi, name)
@@ -70,9 +162,14 @@ class StateOperator:
     """Density operator: Hermitian, unit trace, positive semidefinite.
 
     ``purity_hint`` records whether the operator was constructed from a state
-    vector; ``purity()`` gives the actual Tr(rho^2).  The operator is
-    diagonalised once, at construction: ``eigenvalues`` (ascending) and
-    ``eigenvectors`` (columns) feed every later spectral query.
+    vector; ``purity()`` gives the actual Tr(rho^2).  ``columns`` is a
+    read-only factor C with rho = C C^dagger and one column per unit of
+    numerical rank: a pivoted Cholesky factor whose residual certifies
+    positivity, or, when that certificate fails, the spectral columns of
+    ``eigen_columns()``.  A state built :meth:`from_vector` keeps its
+    spectral column.  ``eigenvalues`` (ascending), ``eigenvectors``
+    (columns) and ``eigen_columns()`` come from one ``eigh``, run when one
+    of them is first read and kept read-only.
     """
 
     def __init__(self, rho, purity_hint: bool = False):
@@ -81,14 +178,16 @@ class StateOperator:
             raise ModelValidationError(f"state operator must be square, got {m.shape}")
         _check(linalg.max_abs(m - m.conj().T), "state operator Hermiticity")
         _check(abs(complex(np.trace(m)) - 1.0), "state operator trace")
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        if w[0] < -ATOL_MODEL:
-            raise ModelValidationError(
-                f"state operator is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-            )
         self.rho = _freeze(m)
-        self.eigenvalues = _freeze(w)
-        self.eigenvectors = _freeze(v)
+        cols = _psd_columns(self._hermitian())
+        if cols is None:
+            w = self.eigenvalues
+            if w[0] < -ATOL_MODEL:
+                raise ModelValidationError(
+                    f"state operator is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+                )
+            cols = self.eigen_columns()
+        self.columns = _freeze(cols)
         self.purity_hint = bool(purity_hint)
         self.vector: np.ndarray | None = None  # set when built from a vector
 
@@ -97,7 +196,24 @@ class StateOperator:
         v = as_state_vector(psi)
         state = cls(np.outer(v, v.conj()), purity_hint=True)
         state.vector = v
+        state.columns = state.eigen_columns()  # keeps pure-state results as they were
         return state
+
+    def _hermitian(self) -> np.ndarray:
+        return (self.rho + self.rho.conj().T) / 2.0
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = np.linalg.eigh(self._hermitian())
+        return _freeze(w), _freeze(v)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._spectrum[1]
 
     def state_vector(self) -> np.ndarray:
         """A unit vector representing a pure state (exact if one was stored)."""
@@ -114,12 +230,14 @@ class StateOperator:
         return self.rho.shape[0]
 
     def purity(self) -> float:
-        return float(self.eigenvalues @ self.eigenvalues)
+        """Tr(rho^2), the squared Frobenius norm of C^dagger C."""
+        g = self.columns.conj().T @ self.columns
+        return float(np.vdot(g, g).real)
 
     def is_pure(self, atol: float = ATOL_MODEL) -> bool:
         return abs(self.purity() - 1.0) <= atol
 
-    def eigen_columns(self, cutoff: float = 1e-14) -> np.ndarray:
+    def eigen_columns(self, cutoff: float = SPECTRAL_CUTOFF) -> np.ndarray:
         """Columns v_k sqrt(lambda_k) spanning the support of rho.
 
         The density operator equals C @ C.conj().T for the returned C;
@@ -127,7 +245,7 @@ class StateOperator:
         A validated state has unit trace, so at least one column remains.
         """
         keep = self.eigenvalues > cutoff
-        return self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep])
+        return _freeze(self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep]))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StateOperator(dim={self.dim}, purity={self.purity():.6f})"
@@ -447,7 +565,12 @@ def time_reverse_operator(op: np.ndarray, conjugation_basis=None) -> np.ndarray:
     b = linalg.as_matrix(conjugation_basis, "conjugation basis")
     if not linalg.is_unitary(b):
         raise ModelValidationError("conjugation basis must be unitary")
-    return b @ op.conj() @ b.conj().T
+    return _reverse_in_basis(op, b)
+
+
+def _reverse_in_basis(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """B op^* B^dagger for a basis already validated, such as a model's."""
+    return basis @ op.conj() @ basis.conj().T
 
 
 def time_reverse_vector(psi: np.ndarray, conjugation_basis=None) -> np.ndarray:
@@ -533,7 +656,7 @@ def is_time_symmetric(model: QuantumModel, center_index: int) -> TimeSymmetryRes
     if why:
         return TimeSymmetryResult(False, why, grid_defect=grid_defect, dynamics_defect=dyn_defect)
     rho_c = evolve_state(model, center_index).rho
-    state_defect = linalg.max_abs(rho_c - time_reverse_operator(rho_c, model.conjugation_basis))
+    state_defect = linalg.max_abs(rho_c - _reverse_in_basis(rho_c, model.conjugation_basis))
     if state_defect > ATOL_MODEL:
         return TimeSymmetryResult(
             False, f"state not time-symmetric at center: defect {state_defect:.3e}",

@@ -105,7 +105,7 @@ def strong_decoherence_iff_orthogonality(
     """
     psi = _require_pure(model, psi)
     tolerance = tolerance or TolerancePolicy()
-    cols = model.initial_state.eigen_columns()
+    cols = model.initial_state.columns
     per_depth = []
     agrees = True
     gram = _gram(psi[None])  # without families the state is the only branch

@@ -38,9 +38,9 @@ from .model import (
     QuantumModel,
     StateOperator,
     TimeGrid,
+    _reverse_in_basis,
     evolve_state,
     partial_trace,
-    time_reverse_operator,
 )
 
 __all__ = [
@@ -160,7 +160,7 @@ class CollapseTrajectory:
     ``labels`` are time-ordered.  For pure models ``states`` holds the
     normalized state after each projection and finally after the trailing
     evolution; it is ``None`` for mixed models (the probabilities are then
-    aggregated over the state's spectral components).  For reverse chains the
+    aggregated over the columns of the state's factor).  For reverse chains the
     states follow the reverse procedure, ending at the reconstructed
     earliest-time state.
     """
@@ -228,8 +228,10 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
 
     This is the oracle for the forwards candidate probabilities: the product
     of stepwise collapse probabilities equals the chain-product trace formula,
-    so the two tables must agree on every model.  Mixed initial states are
-    handled as spectral mixtures of pure runs (trajectory states omitted).
+    so the two tables must agree on every model.  A mixed initial state is
+    handled as a mixture of pure runs, one per column c of its factor
+    ``columns``, run from c / ||c|| with weight ||c||^2 (trajectory states
+    omitted).
     """
     state = model.initial_state
     segments = _collapse_segments(model)
@@ -237,14 +239,13 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
         return _collapse_walk(model, state.state_vector(), segments)
     table: dict[tuple, float] = {}
     order: list[tuple] = []
-    for weight, vec in zip(state.eigenvalues, state.eigenvectors.T):
-        if weight <= 1e-14:
-            continue
-        for traj in _collapse_walk(model, vec, segments):
+    for col in state.columns.T:
+        weight = float(np.vdot(col, col).real)
+        for traj in _collapse_walk(model, col / np.sqrt(weight), segments):
             if traj.labels not in table:
                 table[traj.labels] = 0.0
                 order.append(traj.labels)
-            table[traj.labels] += float(weight) * traj.probability
+            table[traj.labels] += weight * traj.probability
     return [CollapseTrajectory(labels, table[labels]) for labels in sorted(order)]
 
 
@@ -369,7 +370,7 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
         raise ModelValidationError("recoherence base needs at least one family")
     b = base.conjugation_basis
     rho_c = evolve_state(base, base.grid.n_times - 1).rho
-    defect = linalg.max_abs(rho_c - time_reverse_operator(rho_c, b))
+    defect = linalg.max_abs(rho_c - _reverse_in_basis(rho_c, b))
     if defect > 1e-10:
         raise ModelValidationError(
             f"state at time 0 is not time-symmetric (defect {defect:.3e}); "
@@ -397,7 +398,7 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
     # walk over the combined families has those truncations as its levels.
     rev_families = reversed_set.model.families
     probe = extended._derive(list(extended.families) + list(rev_families))
-    levels = itertools.islice(_walk(probe, probe.initial_state.eigen_columns()),
+    levels = itertools.islice(_walk(probe, probe.initial_state.columns),
                               len(extended.families), None)
     reinterference = [
         (float(extended.grid.times[fam.time_index]), float(np.abs(np.triu(_gram(level), 1)).max()))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,14 @@ from decohist.model import QuantumModel
 from decohist.scenarios import random_model, spin_model, spin_post_selection
 
 FULL_SQRT_HALF = repr(float(1.0 / np.sqrt(2.0)))
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args):
+    """A fresh interpreter that imports decohist from this checkout's ``src``."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def run_cli(capsys, *argv):
@@ -358,12 +368,24 @@ def test_bad_scenario_parameter_exit_64_names_it(capsys, params, name):
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "decohist.cli", "scenario", "list"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "decohist.cli", "scenario", "list")
     assert proc.returncode == 0
     assert "spin-symmetric" in proc.stdout
+
+
+def test_cli_import_is_lazy_and_package_names_resolve():
+    proc = run_python("-c", (
+        "import sys, decohist.cli, decohist\n"
+        "print(sorted(m for m in sys.modules if m.startswith('decohist.')))\n"
+        "print([n for n in decohist.__all__ if not hasattr(decohist, n)])\n"
+        "print(decohist.scenarios.__name__, decohist.StateOperator.__module__)\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    loaded, names, modules = proc.stdout.splitlines()
+    assert "decohist.records" not in loaded and "decohist.scenarios" not in loaded
+    assert "decohist.cli" in loaded
+    assert names == "[]"
+    assert modules == "decohist.scenarios decohist.model"
 
 
 def test_load_model_key_path_in_error(tmp_path):

@@ -13,15 +13,26 @@ from decohist.histories import (
     check_decoherence,
     coarse_grain_check,
     decoherence_functional,
+    page_symmetric_cosmology_check,
+    time_reversed_history_set,
 )
 from decohist import linalg
 from decohist.linalg import max_abs
-from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
+from decohist.model import (
+    ProjectorFamily,
+    QuantumModel,
+    StateOperator,
+    TimeGrid,
+    evolve_state,
+    is_time_symmetric,
+    time_reverse_operator,
+)
 from decohist.scenarios import (
     commuting_random_model,
     haar_unitary,
     random_model,
     spin_model,
+    spin_symmetric_scenario,
 )
 
 PLUS_Z = np.array([1.0, 0.0], dtype=complex)
@@ -375,6 +386,34 @@ def test_derived_models_reuse_the_validated_basis(monkeypatch):
     assert coarse.conjugation_basis is m.conjugation_basis
     assert coarse.factors == m.factors
     assert coarse.families[1].labels == ("z",)
+
+
+def test_time_reversal_reuses_the_validated_basis(monkeypatch):
+    m = spin_symmetric_scenario().extended_model
+    b = m.conjugation_basis
+    center = int(np.nonzero(np.abs(m.grid.times) <= 1e-9)[0][0])
+    rho, rho_c = m.initial_state.rho, evolve_state(m, center).rho
+    expected = [[time_reverse_operator(p, b) for p in fam.projectors] for fam in m.families]
+    calls = []
+    is_unitary = linalg.is_unitary
+
+    def counting_is_unitary(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return is_unitary(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_unitary", counting_is_unitary)
+    reversed_set = time_reversed_history_set(m)
+    page = page_symmetric_cosmology_check(m.initial_state, np.eye(m.dim), m)
+    symmetry = is_time_symmetric(m, center)
+    assert calls == []
+    for new, orig in reversed_set.family_map:
+        for p, q in zip(reversed_set.model.families[new].projectors, expected[orig]):
+            assert np.array_equal(p, q)
+    assert page.preconditions["initial_time_symmetric"][1] == max_abs(
+        rho - time_reverse_operator(rho, b))
+    assert page.passed
+    assert symmetry.symmetric
+    assert symmetry.state_defect == max_abs(rho_c - time_reverse_operator(rho_c, b))
 
 
 def test_derived_models_still_validate_grid_and_families():

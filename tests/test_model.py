@@ -124,14 +124,20 @@ def test_state_is_diagonalised_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
     model = random_model(seed=3, dim=4, pure=False)
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 0}
     check_decoherence(model, "forwards")
     check_decoherence(model, "backwards")
     check_two_state_decoherence(model.initial_state, model.initial_state, model)
+    check_two_state_decoherence(model.initial_state, model.initial_state.rho, model)
     merged = {"all": model.families[0].labels}
     singles = [{lab: (lab,) for lab in fam.labels} for fam in model.families[1:]]
     coarse_grain_check(model, CoarseGraining((merged, *singles)))
     collapse_probability_table(model)
+    assert calls == {"eigh": 0, "eigvalsh": 0}
+    w = model.initial_state.eigenvalues
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert model.initial_state.eigenvectors.shape == (4, 4)
+    assert model.initial_state.eigen_columns().shape[1] == int(np.sum(w > 1e-14))
     assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
