@@ -62,65 +62,35 @@ def _check(defect: float, what: str, atol: float = ATOL_MODEL) -> None:
 
 
 SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
-_FACTOR_BLOCK = 32  # pivots between updates of the residual matrix
+_FACTOR_RANK = 32  # pivots after which an eigendecomposition decides instead
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _cholesky_rows(h: np.ndarray) -> np.ndarray:
+def _cholesky_rows(h: np.ndarray) -> np.ndarray | None:
     """Rows c_k^T of a factor h ~ sum_k c_k c_k^dagger, one per pivot above the cutoff.
 
     A pivoted Cholesky factorization of the Hermitian ``h``: the largest
     residual diagonal is the next pivot, until it is at most
     ``SPECTRAL_CUTOFF``, so there are as many rows as h has numerical rank.
-    Pivots are taken one at a time against the residual matrix of the
-    earlier blocks, which is updated once per block and restricted to the
-    indices not yet pivoted on.  Once one block of pivots shows a rank of
-    at least ``_FACTOR_BLOCK``, LAPACK's unpivoted factorization of h is
-    tried: when every one of its pivots exceeds the cutoff, h is
-    numerically definite, no pivoting is needed, and its rows replace a
-    loop of d pivots.
+    Pivot k costs O(k d).  When h has more than ``_FACTOR_RANK`` pivots the
+    result is None, and the caller decides by eigenvalues.
     """
     d = h.shape[0]
-    rows = np.zeros((d, d), dtype=complex)
-    block = np.empty((_FACTOR_BLOCK, d), dtype=complex)  # this block's rows, on idx
-    idx = np.arange(d)  # the indices not pivoted on before this block
-    res = h  # h minus the rows before this block, on idx x idx
-    diag = h.diagonal().real.copy()  # the current residual diagonal, on idx
-    taken: list[int] = []  # positions in idx pivoted on in this block
-    start = k = 0
-    while k < d:
+    rows = np.empty((min(d, _FACTOR_RANK), d), dtype=complex)
+    diag = h.diagonal().real.copy()  # the residual diagonal
+    for k in range(d):
         q = int(np.argmax(diag))
         pivot = diag[q]
         if not pivot > SPECTRAL_CUTOFF:
-            break
-        j, n = k - start, idx.size
-        col = res[q].conj() - block[:j, :n].T @ block[:j, q].conj()
+            return rows[:k]
+        if k == _FACTOR_RANK:
+            return None
+        col = h[q].conj() - rows[:k].T @ rows[:k, q].conj()
         col *= 1.0 / math.sqrt(pivot)
-        block[j, :n] = col
+        rows[k] = col
         diag -= col.real ** 2 + col.imag ** 2
         diag[q] = 0.0  # exactly zero in exact arithmetic; never a pivot again
-        taken.append(q)
-        k += 1
-        if len(taken) < _FACTOR_BLOCK:
-            continue
-        if k == _FACTOR_BLOCK < d:
-            try:
-                lower = np.linalg.cholesky(h)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                if lower.diagonal().real.min() ** 2 > SPECTRAL_CUTOFF:
-                    return lower.T
-        rows[start:k, idx] = block[:, :n]
-        keep = np.ones(n, dtype=bool)
-        keep[taken] = False
-        x = block[:, :n][:, keep]
-        res = res[np.ix_(keep, keep)]
-        res -= x.T @ x.conj()
-        idx, diag = idx[keep], diag[keep]
-        taken, start = [], k
-    rows[start:k, idx] = block[:k - start, :idx.size]
-    return rows[:k].copy()
+    return rows
 
 
 def _psd_columns(h: np.ndarray) -> np.ndarray | None:
@@ -134,19 +104,31 @@ def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     sections 3.6 and 10.3), and || |C| |C|^T ||_F is at most ||C||_F times
     min(||C||_F, sqrt(||C||_1 ||C||_inf)).  When ||S||_F plus that allowance
     is at most ATOL_MODEL / 2, h is PSD to within half the eigenvalue rule's
-    tolerance, and the other half covers the eigensolver's own error, so the
-    eigenvalue rule accepts h as well.  Otherwise the result is None and the
-    caller decides by eigenvalues.
+    tolerance.  The other half covers the eigensolver's own error, taken as
+    d u ||h||_2 <= d u ||C||_F^2; when that estimate does not fit, as for a
+    final operator of large trace, the eigensolver could reject a PSD
+    matrix, so the result is None and the caller decides by eigenvalues, as
+    it does whenever the factor or its certificate fails.
     """
     c = _cholesky_rows(h)
-    s_norm = float(np.linalg.norm(h - c.T @ c.conj()))
+    if c is None:
+        return None
     c_norm = float(np.linalg.norm(c))
+    if h.shape[0] * _UNIT_ROUNDOFF * c_norm ** 2 > ATOL_MODEL / 2:
+        return None
+    s_norm = float(np.linalg.norm(h - c.T @ c.conj()))
     a = np.abs(c)
     norm_1, norm_inf = a.sum(axis=1).max(initial=0.0), a.sum(axis=0).max(initial=0.0)
     abs_norm = min(c_norm, math.sqrt(norm_1 * norm_inf))
     n = (c.shape[0] + 2) * _UNIT_ROUNDOFF
     allowance = math.sqrt(2.0) * n / (1.0 - n) * abs_norm * c_norm + _UNIT_ROUNDOFF * s_norm
     return c.T if s_norm + allowance <= ATOL_MODEL / 2 else None
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues (ascending) and eigenvectors of the Hermitian ``h``."""
+    w, v = np.linalg.eigh(h)
+    return _freeze(w), _freeze(v)
 
 
 def as_state_vector(psi, name: str = "state vector", atol: float = 1e-12) -> np.ndarray:
@@ -165,11 +147,12 @@ class StateOperator:
     vector; ``purity()`` gives the actual Tr(rho^2).  ``columns`` is a
     read-only factor C with rho = C C^dagger and one column per unit of
     numerical rank: a pivoted Cholesky factor whose residual certifies
-    positivity, or, when that certificate fails, the spectral columns of
-    ``eigen_columns()``.  A state built :meth:`from_vector` keeps its
-    spectral column.  ``eigenvalues`` (ascending), ``eigenvectors``
-    (columns) and ``eigen_columns()`` come from one ``eigh``, run when one
-    of them is first read and kept read-only.
+    positivity, or, when the rank exceeds 32 or the certificate fails, the
+    spectral columns of ``eigen_columns()``.  A state built
+    :meth:`from_vector` keeps its spectral column.  ``eigenvalues``
+    (ascending), ``eigenvectors`` (columns) and ``eigen_columns()`` come
+    from one ``eigh``, run at construction when the factor fails and
+    otherwise when one of them is first read, and kept read-only.
     """
 
     def __init__(self, rho, purity_hint: bool = False):
@@ -179,8 +162,10 @@ class StateOperator:
         _check(linalg.max_abs(m - m.conj().T), "state operator Hermiticity")
         _check(abs(complex(np.trace(m)) - 1.0), "state operator trace")
         self.rho = _freeze(m)
-        cols = _psd_columns(self._hermitian())
+        h = self._hermitian()
+        cols = _psd_columns(h)
         if cols is None:
+            self._spectrum = _eigh(h)
             w = self.eigenvalues
             if w[0] < -ATOL_MODEL:
                 raise ModelValidationError(
@@ -204,8 +189,7 @@ class StateOperator:
 
     @functools.cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(self._hermitian())
-        return _freeze(w), _freeze(v)
+        return _eigh(self._hermitian())
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -5,9 +5,10 @@ it can prove it.  Hypothesis draws Hermitian matrices with a chosen rank and
 smallest eigenvalue, including ones just inside and just outside the
 tolerance; the accept/reject verdict and message of ``StateOperator`` and of
 the final-operator check must equal the eigenvalue rule's, and a returned
-factor must reproduce its matrix.  Larger explicit cases reach the block
-update and the unpivoted LAPACK path, and check the functionals of such
-states against the reference evaluator.
+factor must reproduce its matrix.  Larger explicit cases reach the rank at
+which the factor gives way to eigenvalues, and a final operator of large
+trace the bound on the eigensolver's error; the functionals of such states
+are checked against the reference evaluator.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from decohist.exceptions import ModelValidationError
 from decohist.histories import _coerce_final_operator, _functional_matrix
-from decohist.model import ATOL_MODEL, QuantumModel, StateOperator, _psd_columns
+from decohist.model import _FACTOR_RANK, ATOL_MODEL, QuantumModel, StateOperator, _psd_columns
 from decohist.scenarios import haar_unitary, random_model
 
 SHIFTS = (-1e-3, -2e-10, -0.4e-10, 0.0, 1e-9, 1e-3)
@@ -115,23 +116,40 @@ def test_scaled_identities_are_accepted(dim, scale):
     h = scale * np.eye(dim, dtype=complex)
     _coerce_final_operator(h, dim)
     # at 1e6 the rounding allowance alone exceeds the budget, and eigvalsh decides
-    _check_factor(h, None if scale > 10 else dim if scale else 0)
+    certified = scale <= 10 and (dim <= _FACTOR_RANK or scale == 0)
+    _check_factor(h, None if not certified else dim if scale else 0)
+    assert (_psd_columns(h) is None) == (not certified)
 
 
-@pytest.mark.parametrize("dim,rank", [(40, 31), (40, 32), (40, 33), (48, 40), (48, 47),
-                                      (48, 48), (70, 64), (70, 70)])
-def test_block_and_definite_paths_factor_exactly(dim, rank):
+@pytest.mark.parametrize("dim,rank", [(40, 31), (40, 32), (40, 33), (48, 47), (48, 48),
+                                      (70, 64)])
+def test_ranks_above_the_limit_are_decided_by_eigenvalues(dim, rank):
     h = _hermitian(dim, rank, 0.0, 1.0, 100 + rank)
-    _check_factor(h, rank)
+    _check_factor(h, rank if rank <= _FACTOR_RANK else None)
+    assert (_psd_columns(h) is None) == (rank > _FACTOR_RANK)
+    state = StateOperator(h)
+    assert state.columns.shape == (dim, rank)
+    assert np.max(np.abs(state.columns @ state.columns.conj().T - h)) <= 1e-12
     bad = _hermitian(dim, rank, -2e-10, 1.0, 100 + rank)
     message = _state_verdict_by_eigenvalues(bad)
     assert message is not None and _verdict(lambda: StateOperator(bad)) == message
+    assert _verdict(lambda: _coerce_final_operator(bad, dim)) == _final_verdict_by_eigenvalues(bad)
 
 
-def test_singular_matrix_lapack_factors_keeps_one_column_per_pivot():
-    h = np.diag([1.0] * 39 + [1e-16]).astype(complex)  # LAPACK factors it without error
-    np.linalg.cholesky(h)
-    _check_factor(h, 39)
+@pytest.mark.parametrize("dim,trace", [(64, 10.0), (64, 1e6), (256, 1e4)])
+def test_large_trace_rank_one_final_operators(dim, trace, monkeypatch):
+    """Beyond d u tr(h) <= ATOL_MODEL / 2, eigvalsh decides, as it did before the factor."""
+    rng = np.random.default_rng(dim)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    h = trace * np.outer(v, v.conj()) / np.vdot(v, v).real
+    h = (h + h.conj().T) / 2.0
+    decided_by_eigenvalues = dim * np.finfo(float).eps / 2 * trace > ATOL_MODEL / 2
+    assert (_psd_columns(h) is None) == decided_by_eigenvalues
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    assert _verdict(lambda: _coerce_final_operator(h, dim)) == _final_verdict_by_eigenvalues(h)
+    assert len(calls) == 1 + decided_by_eigenvalues
 
 
 @pytest.mark.parametrize("rank", [3, 33, 40])
