@@ -374,9 +374,11 @@ def _coerce_final_operator(rho_f, dim: int) -> np.ndarray:
     m = linalg.as_matrix(rho_f, "final operator")
     if m.shape != (dim, dim):
         raise ModelValidationError(f"final operator shape {m.shape} does not match dimension {dim}")
-    if linalg.max_abs(m - m.conj().T) > 1e-10:
+    h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
+    if linalg.max_abs(m - h) > 1e-10:
         raise ModelValidationError("final operator must be Hermitian")
-    h = (m + m.conj().T) / 2.0
+    h += m
+    h /= 2.0
     if _psd_columns(h) is None and float(np.linalg.eigvalsh(h)[0]) < -ATOL_MODEL:
         raise ModelValidationError("final operator must be positive semidefinite")
     return m
@@ -486,11 +488,7 @@ class CoarseGraining:
             if [(b, tuple(block)) for b, block in mapping.items()] == singletons:
                 families.append(fam)
                 continue
-            members = [
-                (block_label, sum(fam.member(m) for m in block))
-                for block_label, block in mapping.items()
-            ]
-            families.append(ProjectorFamily(fam.time_index, members))
+            families.append(ProjectorFamily._merge(fam, mapping))
         return model._derive(families)
 
     def fine_histories_of(self, coarse_history) -> list[History]:

@@ -52,11 +52,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check(defect: float, what: str, atol: float = ATOL_MODEL) -> None:
+def _check(defect: float, what: str, atol: float = ATOL_MODEL, stacklevel: int = 3) -> None:
     if defect <= atol:
         return
     if defect <= WARN_FACTOR * atol:
-        warnings.warn(f"{what}: defect {defect:.3e} exceeds {atol:.1e}", stacklevel=3)
+        warnings.warn(f"{what}: defect {defect:.3e} exceeds {atol:.1e}", stacklevel=stacklevel)
         return
     raise ModelValidationError(f"{what}: defect {defect:.3e} exceeds {atol:.1e}")
 
@@ -64,6 +64,15 @@ def _check(defect: float, what: str, atol: float = ATOL_MODEL) -> None:
 SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
 _FACTOR_RANK = 32  # pivots after which an eigendecomposition decides instead
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Relative allowance for the rounding of the family bounds' own arithmetic:
+# each sums and multiplies a few nonnegative floats, every one within a
+# relative (d + 4) u of the quantity it stands for.
+_BOUND_SLACK = 1.001
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the n-operation rounding constant."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
 def _cholesky_rows(h: np.ndarray) -> np.ndarray | None:
@@ -156,33 +165,48 @@ class StateOperator:
     """
 
     def __init__(self, rho, purity_hint: bool = False):
-        m = linalg.as_matrix(rho, "state operator")
-        if m.shape[0] != m.shape[1]:
-            raise ModelValidationError(f"state operator must be square, got {m.shape}")
-        _check(linalg.max_abs(m - m.conj().T), "state operator Hermiticity")
-        _check(abs(complex(np.trace(m)) - 1.0), "state operator trace")
-        self.rho = _freeze(m)
-        h = self._hermitian()
+        h = self._validate(rho)
         cols = _psd_columns(h)
-        if cols is None:
-            self._spectrum = _eigh(h)
-            w = self.eigenvalues
-            if w[0] < -ATOL_MODEL:
-                raise ModelValidationError(
-                    f"state operator is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-                )
-            cols = self.eigen_columns()
-        self.columns = _freeze(cols)
+        self.columns = _freeze(self._eigen_rule(h) if cols is None else cols)
         self.purity_hint = bool(purity_hint)
         self.vector: np.ndarray | None = None  # set when built from a vector
 
     @classmethod
     def from_vector(cls, psi) -> "StateOperator":
+        """The pure state |psi><psi|, with the spectral column as its factor.
+
+        The outer product is Hermitian by construction, so the ``eigh`` its
+        spectral column needs also decides positivity; no factor is certified.
+        """
         v = as_state_vector(psi)
-        state = cls(np.outer(v, v.conj()), purity_hint=True)
+        state = cls.__new__(cls)
+        state.columns = state._eigen_rule(state._validate(np.outer(v, v.conj())))
+        state.purity_hint = True
         state.vector = v
-        state.columns = state.eigen_columns()  # keeps pure-state results as they were
         return state
+
+    def _validate(self, rho) -> np.ndarray:
+        """Check shape, Hermiticity and trace; keep rho and return (rho + rho^dagger) / 2."""
+        m = linalg.as_matrix(rho, "state operator")
+        if m.shape[0] != m.shape[1]:
+            raise ModelValidationError(f"state operator must be square, got {m.shape}")
+        h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
+        _check(linalg.max_abs(m - h), "state operator Hermiticity", stacklevel=4)
+        _check(abs(complex(np.trace(m)) - 1.0), "state operator trace", stacklevel=4)
+        self.rho = _freeze(m)
+        h += m
+        h /= 2.0
+        return h
+
+    def _eigen_rule(self, h: np.ndarray) -> np.ndarray:
+        """Spectral columns of ``h``, rejecting a smallest eigenvalue below -ATOL_MODEL."""
+        self._spectrum = _eigh(h)
+        w = self.eigenvalues
+        if w[0] < -ATOL_MODEL:
+            raise ModelValidationError(
+                f"state operator is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+            )
+        return self.eigen_columns()
 
     def _hermitian(self) -> np.ndarray:
         return (self.rho + self.rho.conj().T) / 2.0
@@ -313,9 +337,20 @@ class ProjectorFamily:
     Each member must be idempotent and Hermitian, members must be mutually
     orthogonal, and the family must be exhaustive; all within ``ATOL_MODEL``
     elementwise (near-violations inside 10x the tolerance only warn).
+
+    A member's idempotence is proven from the orthogonality products and the
+    completeness defect where a rigorous bound allows (see
+    :meth:`_bound_defects`), and a family merged by
+    :meth:`CoarseGraining.coarse_model` bounds its orthogonality products from
+    the fine family's; a product is formed only where its bound exceeds the
+    tolerance.  The checks report in the dense order (Hermiticity and
+    idempotence per member, then the pairs, then completeness), so verdicts,
+    messages and warnings are those of forming every product.
     """
 
     def __init__(self, time_index: int, members):
+        # A family built by _merge carries bounds on its members' products.
+        merged = vars(self).pop("_merged_bounds", None)
         members = list(members)
         if not members:
             raise ModelValidationError("projector family needs at least one member")
@@ -327,20 +362,111 @@ class ProjectorFamily:
         if len(set(labels)) != len(labels):
             raise ModelValidationError(f"duplicate member labels in family: {labels}")
         dim = projectors[0].shape[0]
-        for label, p in zip(labels, projectors):
-            if p.shape != (dim, dim):
+        n_square = next((a for a, p in enumerate(projectors) if p.shape != (dim, dim)), len(projectors))
+        herm = [linalg.max_abs(p - p.conj().T) for p in projectors[:n_square]]
+        idem = [math.inf] * n_square
+        if n_square == len(projectors):
+            idem, orth, complete = self._bound_defects(projectors, herm, merged)
+        for a, (label, p) in enumerate(zip(labels, projectors)):
+            if a == n_square:
                 raise ModelValidationError(f"projector {label!r} has shape {p.shape}, expected {(dim, dim)}")
-            _check(linalg.max_abs(p - p.conj().T), f"projector {label!r} Hermiticity")
-            _check(linalg.max_abs(p @ p - p), f"projector {label!r} idempotence")
-        for (la, pa), (lb, pb) in itertools.combinations(zip(labels, projectors), 2):
-            _check(linalg.max_abs(pa @ pb), f"orthogonality of projectors {la!r}, {lb!r}")
-        _check(
-            linalg.max_abs(sum(projectors) - np.eye(dim)),
-            "family completeness (sum of projectors vs identity)",
-        )
+            _check(herm[a], f"projector {label!r} Hermiticity")
+            if not idem[a] <= ATOL_MODEL:
+                _check(linalg.max_abs(p @ p - p), f"projector {label!r} idempotence")
+        for (a, b), defect in orth.items():
+            _check(defect, f"orthogonality of projectors {labels[a]!r}, {labels[b]!r}")
+        _check(complete, "family completeness (sum of projectors vs identity)")
         self.time_index = int(time_index)
         self.labels = tuple(labels)
         self.projectors = tuple(_freeze(p) for p in projectors)
+
+    @classmethod
+    def _merge(cls, fine: "ProjectorFamily", blocks) -> "ProjectorFamily":
+        """``fine`` with each block of members summed into one member, in block order.
+
+        ``blocks`` maps new labels to member labels (or indices) of ``fine``.
+        A merged member is the plain sum of its members, as a family built
+        from those sums would hold; only the validation uses ``fine``'s bounds.
+        The family goes through ``__init__``, whose signature stays public.
+        """
+        groups = [[fine._index(m) for m in block] for block in blocks.values()]
+        members = [(label, sum(fine.projectors[i] for i in g)) for label, g in zip(blocks, groups)]
+        family = cls.__new__(cls)
+        family._merged_bounds = fine._merged_pair_bounds(groups)
+        family.__init__(fine.time_index, members)
+        return family
+
+    def _bound_defects(self, projectors, herm, merged):
+        """Idempotence bounds, orthogonality defects and the completeness defect.
+
+        With C = sum_b P_b - I, the exact identity
+        P_a^2 - P_a = P_a C - sum_{b != a} P_a P_b bounds a member's
+        idempotence defect by the pair products and C; for b < a, P_a P_b
+        comes from the computed P_b P_a through
+        P_a P_b = (P_b P_a)^dagger + P_a^dagger H_b + H_a P_b, H = P - P^dagger.
+        Row and column 2-norms bound every rounding error, that of the dense
+        check p @ p - p included (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, section 3.1: sqrt(2) gamma_{d+2} per complex
+        inner product of length d), so a member whose bound is at most
+        ``ATOL_MODEL`` would pass the dense check silently.  The orthogonality
+        defect of a pair a < b is max |P_a P_b| as computed or, for a merged
+        pair, a bound on it of at most ``ATOL_MODEL``.  Also keeps
+        ``_pair_bounds``, whose entry (a, b) bounds the exact max |P_a P_b|
+        (by Cauchy-Schwarz on the diagonal), and each member's largest row and
+        column 2-norm.
+        """
+        n, d = len(projectors), projectors[0].shape[0]
+        squares = (np.square(p.real) + np.square(p.imag) for p in projectors)  # one at a time
+        rows, cols = np.sqrt([(s.sum(axis=1).max(initial=0.0), s.sum(axis=0).max(initial=0.0))
+                              for s in squares]).T
+        g = math.sqrt(2.0) * _gamma(d + 2)  # rounding of one complex inner product
+        herm_cols = math.sqrt(d) * np.asarray(herm)  # bounds every row and column 2-norm of H
+        exact = np.diag(rows * cols)
+        orth = {}
+        for a, b in itertools.combinations(range(n), 2):
+            if merged is not None:
+                bound = _BOUND_SLACK * (merged[a, b] + g * rows[a] * cols[b])
+                if bound <= ATOL_MODEL:
+                    orth[a, b] = bound
+                    exact[a, b], exact[b, a] = merged[a, b], merged[b, a]
+                    continue
+            orth[a, b] = linalg.max_abs(projectors[a] @ projectors[b])
+            exact[a, b] = orth[a, b] + g * rows[a] * cols[b]
+            # P_b P_a = (P_a P_b)^dagger + P_b^dagger H_a + H_b P_a
+            exact[b, a] = exact[a, b] + cols[b] * herm_cols[a] + herm_cols[b] * cols[a]
+        exact *= _BOUND_SLACK
+        complete = linalg.max_abs(sum(projectors) - np.eye(d))
+        # Column 2-norms of the exact C: the computed one's, plus the rounding of
+        # its n-term sum, at most sqrt(2) gamma_n (sum_b |P_b| + I) elementwise.
+        c_cols = math.sqrt(d) * complete + math.sqrt(2.0) * _gamma(n) * (cols.sum() + 1.0)
+        others = exact.copy()
+        np.fill_diagonal(others, 0.0)
+        idem = _BOUND_SLACK * (rows * c_cols + others.sum(axis=1) + g * rows * cols)
+        self._pair_bounds, self._row_norms, self._col_norms = exact, rows, cols
+        return idem, orth, complete
+
+    def _merged_pair_bounds(self, groups) -> np.ndarray:
+        """Bounds on the exact max |P_A P_B| for members summed over ``groups``.
+
+        A merged member is S_A + E_A, with S_A the exact sum and E_A the
+        rounding of its k-term sum, |E_A| <= sqrt(2) gamma_{k-1} sum_a |P_a|.
+        So P_A P_B is the sum of the fine products plus E_A S_B + S_A E_B +
+        E_A E_B, whose entries the row and column norms bound.
+        """
+        rows = np.array([self._row_norms[g].sum() for g in groups])
+        cols = np.array([self._col_norms[g].sum() for g in groups])
+        err = np.array([math.sqrt(2.0) * _gamma(len(g) - 1) for g in groups])
+        fine_sums = np.array([[self._pair_bounds[np.ix_(ga, gb)].sum() for gb in groups] for ga in groups])
+        rounding = np.outer(rows, cols) * (err[:, None] + err[None, :] + np.outer(err, err))
+        return _BOUND_SLACK * (fine_sums + rounding)
+
+    def _index(self, label_or_index) -> int:
+        if isinstance(label_or_index, (int, np.integer)):
+            return int(label_or_index)
+        try:
+            return self.labels.index(str(label_or_index))
+        except ValueError:
+            raise KeyError(f"no member {label_or_index!r} in family with labels {self.labels}") from None
 
     @classmethod
     def from_basis(cls, time_index: int, basis: np.ndarray, blocks) -> "ProjectorFamily":
@@ -369,12 +495,7 @@ class ProjectorFamily:
         return len(self.projectors)
 
     def member(self, label_or_index) -> np.ndarray:
-        if isinstance(label_or_index, (int, np.integer)):
-            return self.projectors[int(label_or_index)]
-        try:
-            return self.projectors[self.labels.index(str(label_or_index))]
-        except ValueError:
-            raise KeyError(f"no member {label_or_index!r} in family with labels {self.labels}") from None
+        return self.projectors[self._index(label_or_index)]
 
 
 class QuantumModel:

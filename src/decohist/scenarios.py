@@ -231,22 +231,31 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
     so the two tables must agree on every model.  A mixed initial state is
     handled as a mixture of pure runs, one per column c of its factor
     ``columns``, run from c / ||c|| with weight ||c||^2 (trajectory states
-    omitted).
+    omitted).  The unit columns walk each trajectory together, as one block,
+    and a trajectory's probability is sum_c ||c||^2 p_c.
     """
     state = model.initial_state
     segments = _collapse_segments(model)
     if state.is_pure():
         return _collapse_walk(model, state.state_vector(), segments)
-    table: dict[tuple, float] = {}
-    order: list[tuple] = []
-    for col in state.columns.T:
-        weight = float(np.vdot(col, col).real)
-        for traj in _collapse_walk(model, col / np.sqrt(weight), segments):
-            if traj.labels not in table:
-                table[traj.labels] = 0.0
-                order.append(traj.labels)
-            table[traj.labels] += weight * traj.probability
-    return [CollapseTrajectory(labels, table[labels]) for labels in sorted(order)]
+    cols = state.columns
+    weights = np.sum(cols.real ** 2 + cols.imag ** 2, axis=0)
+    units = cols / np.sqrt(weights)
+    families = model.families
+    trajectories = []
+    for idx in itertools.product(*[range(len(f)) for f in families]):
+        block = units
+        probs = np.ones(weights.size)
+        for fam, seg, j in zip(families, segments, idx):
+            block = fam.projectors[j] @ (seg @ block)
+            p_step = np.sum(block.real ** 2 + block.imag ** 2, axis=0)
+            probs *= p_step
+            live = p_step > 1e-300
+            block[:, live] /= np.sqrt(p_step[live])
+            block[:, ~live] = 0.0
+        labels = tuple(f.labels[j] for f, j in zip(families, idx))
+        trajectories.append(CollapseTrajectory(labels, float(weights @ probs)))
+    return sorted(trajectories, key=lambda t: t.labels)
 
 
 def collapse_probability_table(model: QuantumModel) -> dict[tuple, float]:

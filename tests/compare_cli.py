@@ -1,0 +1,132 @@
+"""Run the CLI command list against two source trees and compare the output.
+
+    python tests/compare_cli.py OLD_TREE NEW_TREE [--commands FILE] [--workdir DIR]
+
+Each tree is a checkout with ``src/decohist``.  Every command of the list
+(``tests/cli_commands.txt`` by default) runs as ``python -m decohist.cli``
+with that tree's ``src`` first on ``PYTHONPATH``, one BLAS thread, and its
+own working directory holding the fixture files, so the two runs see the
+same relative paths.  A command differs when its exit code, its stderr
+(with the tree's ``src`` path replaced), or its stdout with the ``timing_s``
+field removed differ, or when a file it wrote with ``--out`` differs.  The script prints one line per differing
+command and a summary, and exits 1 if any command differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+TIMING = re.compile(r'\n\s*"timing_s": [^\n]*')
+
+
+def read_commands(path: Path) -> list[list[str]]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.lstrip().startswith("#")]
+
+
+def run(tree: Path, argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "decohist.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def _pairs(m) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def write_fixtures(tree: Path, where: Path) -> None:
+    """Model files derived from ``tree``'s emitted scenarios, plus the register models."""
+    for name, params in (("spin", ["a=0.6"]), ("spin-post", [])):
+        proc = run(tree, ["scenario", "emit", name, *params, "--out", f"base-{name}.json"], where)
+        if proc.returncode != 0:
+            raise SystemExit(f"cannot emit the {name} fixture:\n{proc.stderr}")
+    spin = json.loads((where / "base-spin.json").read_text(encoding="utf-8"))
+    for family in spin["families"]:
+        family["projectors"].reverse()
+    post = json.loads((where / "base-spin-post.json").read_text(encoding="utf-8"))
+    finals = {
+        "spin-post-rank1": [[0.5, 0.5], [0.5, 0.5]],
+        "spin-post-rank2": [[0.7, 0.1], [0.1, 0.3]],
+        "spin-post-nonherm": [[0.5, 0.2], [0.0, 0.5]],
+    }
+    files = {"label-order": spin}
+    for name, rho_f in finals.items():
+        files[name] = dict(post, rho_final=_pairs(rho_f))
+    files["mixed-rank2"] = dict(post, initial_state=_pairs([[0.6, 0.1], [0.1, 0.4]]),
+                                rho_final=_pairs([[0.7, 0.1], [0.1, 0.3]]))
+    nan = json.loads(json.dumps(post))
+    nan["steps"][0] = {"unitary": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]]}
+    files["nan"] = nan
+    # z+ grown by 3e-10 along itself: idempotence and completeness warn.
+    # A non-Hermitian leak of 1e-8 moved from z- into z+: rejected.
+    for name, z_plus, z_minus in (("family-warn", [[1.0 + 3e-10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]),
+                                  ("family-reject", [[1.0, 0.0], [1e-8, 0.0]], [[0.0, 0.0], [-1e-8, 1.0]])):
+        bad = json.loads(json.dumps(post))
+        bad["families"][0]["projectors"] = [{"label": "z+", "matrix": _pairs(z_plus)},
+                                            {"label": "z-", "matrix": _pairs(z_minus)}]
+        files[name] = bad
+    for name, data in files.items():
+        (where / f"{name}.json").write_text(json.dumps(data, indent=2), encoding="utf-8")
+    sys.path.insert(0, str(tree / "perfbench"))
+    import numpy as np
+    import inputs  # the benchmark's numpy-only generator
+
+    rng = np.random.default_rng([1, 3])
+    for key, n in (("reg6", 6), ("reg4", 4)):
+        inputs.write_model_file(inputs.register_model(n, rng), where / f"{key}.json")
+
+
+def outcome(tree: Path, argv: list[str], cwd: Path) -> tuple:
+    proc = run(tree, argv, cwd)
+    written = None
+    if "--out" in argv:
+        out = cwd / argv[argv.index("--out") + 1]
+        written = TIMING.sub("", out.read_text(encoding="utf-8")) if out.exists() else None
+    stderr = proc.stderr.replace(str(tree / "src"), "<src>")  # warnings name their source file
+    return proc.returncode, stderr, TIMING.sub("", proc.stdout), written
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--commands", type=Path, default=HERE / "cli_commands.txt")
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="directory for fixtures and outputs (a temporary one by default)")
+    args = parser.parse_args(argv)
+    commands = read_commands(args.commands)
+    root = Path(tempfile.mkdtemp(prefix="compare-cli-")) if args.workdir is None else args.workdir
+    fixtures = root / "fixtures"
+    fixtures.mkdir(parents=True, exist_ok=True)
+    write_fixtures(args.old.resolve(), fixtures)
+    dirs = []
+    for tag in ("old", "new"):
+        shutil.copytree(fixtures, root / tag, dirs_exist_ok=True)
+        dirs.append(root / tag)
+    parts = ("exit code", "stderr", "stdout", "--out file")
+    differing = 0
+    for command in commands:
+        old = outcome(args.old.resolve(), command, dirs[0])
+        new = outcome(args.new.resolve(), command, dirs[1])
+        diff = [name for name, a, b in zip(parts, old, new) if a != b]
+        if diff:
+            differing += 1
+            print(f"DIFFERS ({', '.join(diff)}): decohist {shlex.join(command)}")
+    print(f"{len(commands)} commands, {len(commands) - differing} identical, {differing} differing"
+          f" (outputs in {root})")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
