@@ -9,8 +9,8 @@ the order of pair-table rows whose values are at rounding level, but not the
 verdicts).
 
 Exit codes: 0 decoherent / check passed, 1 not decoherent / check failed,
-2 marginal, 64 model-file parse errors and bad scenario parameters,
-65 model invariant violations, 70 unexpected errors.
+2 marginal, 64 model-file parse errors, bad scenario parameters and
+out-of-range options, 65 model invariant violations, 70 unexpected errors.
 """
 
 from __future__ import annotations
@@ -144,17 +144,9 @@ def _resolve_model(args, seed: int):
     return _build_scenario(name, _parse_params(tokens), seed)
 
 
-def _tolerance(args) -> TolerancePolicy:
-    return TolerancePolicy(rel=args.tol_rel, abs=args.tol_abs)
-
-
-def _history_key(history) -> list[str]:
-    return list(history)
-
-
 def _sorted_table(table: dict) -> list[dict]:
     return [
-        {"history": _history_key(h), "probability": float(p)}
+        {"history": list(h), "probability": float(p)}
         for h, p in sorted(table.items())
     ]
 
@@ -163,7 +155,7 @@ def _pair_table(rep: DecoherenceReport) -> list[dict]:
     """The report's pairs worst first, read from its pair arrays in one pass."""
     a = rep._arrays
     order = rep._worst_first()
-    keys = [_history_key(h) for h in rep.histories]  # one shared list per history
+    keys = [list(h) for h in rep.histories]  # one shared list per history
     columns = (a.i, a.j, a.value.real, a.value.imag, a.measure, a.threshold, a.ratio, a.passed)
     return [
         {"left": keys[i], "right": keys[j], "re": re, "im": im, "measure": measure,
@@ -248,7 +240,10 @@ def _cmd_abl(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
                 "with a rank-one rho_final", EXIT_USAGE,
             )
         psi_f = _rank_one_vector(model, rho_final, "abl")
-    table = scenarios.abl_table(psi_i, psi_f, model)
+    try:
+        table = scenarios.abl_table(psi_i, psi_f, model)
+    except ZeroDivisionError as exc:  # the selection pair has probability zero
+        raise DegenerateNormalizationError(str(exc)) from exc
     body = {
         "table": _sorted_table(table),
         "sum": float(sum(table.values())),
@@ -265,6 +260,11 @@ def _pure_state_vector(model: QuantumModel) -> np.ndarray:
 def _cmd_records(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     from .records import construct_records
 
+    last = model.grid.n_times - 1
+    first = model.families[-1].time_index if model.families else 0
+    if args.tf is not None and not first <= args.tf <= last:
+        raise _CliError(f"--tf {args.tf} is outside the allowed range [{first}, {last}] "
+                        "(last family's grid index to last grid index)", EXIT_USAGE)
     psi = _pure_state_vector(model)
     try:
         recs = construct_records(model, psi, args.tf, tol)
@@ -299,7 +299,7 @@ def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
         reconstructed = t.states[-1]
         fidelity = float(abs(np.vdot(psi0, reconstructed)) ** 2) if t.probability > 0 else 0.0
         body["trajectories"].append({
-            "history": _history_key(t.labels),
+            "history": list(t.labels),
             "probability": t.probability,
             "reconstruction_fidelity": fidelity,
         })
@@ -559,7 +559,7 @@ def _run(argv) -> int:
             _emit(body, args.out if args.action == "list" else None)
             return code
         model, extras = _resolve_model(args, args.seed)
-        tol = _tolerance(args)
+        tol = TolerancePolicy(rel=args.tol_rel, abs=args.tol_abs)
         body, code = _DISPATCH[args.command](args, model, extras, tol)
         report = {
             "command": args.command,

@@ -253,15 +253,6 @@ def _path_table(model: QuantumModel, history, cols: np.ndarray,
     return _branch_table(model, cols, backwards, path)
 
 
-def _candidate_table(model: QuantumModel, backwards: bool) -> dict[History, float]:
-    """Candidate probabilities of every history: squared norms of the table rows."""
-    a = _branch_table(model, model.initial_state.columns, backwards)
-    norms = np.einsum("hij,hij->h", a.conj(), a)
-    what = "backwards" if backwards else "forwards"
-    return {h: _clamp_probability(v, f"{what} probability of {h}")
-            for h, v in zip(model.history_labels(), norms.tolist())}
-
-
 def candidate_probability_forwards(model: QuantumModel, history) -> float:
     """Diagonal of the forwards functional: Tr(L_h rho L_h^dagger), in [0, 1]."""
     a = _path_table(model, history, model.initial_state.columns)
@@ -325,7 +316,7 @@ def _pair_arrays(d: np.ndarray, scale: float, strength: str,
 
 
 def _classify(histories, d, probabilities_scale, strength, tolerance,
-              direction, normalization=1.0) -> DecoherenceReport:
+              direction) -> DecoherenceReport:
     tolerance = tolerance or TolerancePolicy()
     arrays = _pair_arrays(d, probabilities_scale, strength, tolerance)
     classification = arrays.verdict()
@@ -345,7 +336,7 @@ def _classify(histories, d, probabilities_scale, strength, tolerance,
         _arrays=arrays,
         probabilities=probabilities,
         tolerance=tolerance,
-        normalization=normalization,
+        normalization=probabilities_scale,
     )
 
 
@@ -408,7 +399,7 @@ def check_two_state_decoherence(rho_i, rho_f, model: QuantumModel,
     rho_f = _coerce_final_operator(rho_f, model.dim)
     norm = _two_state_normalization(rho_i, rho_f)
     histories, d = _functional_matrix(model, "two_state", rho_i=rho_i, rho_f=rho_f)
-    return _classify(histories, d, norm, strength, tolerance, "two_state", normalization=norm)
+    return _classify(histories, d, norm, strength, tolerance, "two_state")
 
 
 def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> complex:
@@ -471,7 +462,7 @@ class CoarseGraining:
             )
         for fam, mapping in zip(model.families, self.blocks):
             members = [str(m) for block in mapping.values() for m in block]
-            if sorted(members) != sorted(fam.labels):
+            if sorted(members) != sorted(fam.labels) or not all(mapping.values()):
                 raise ValueError(
                     f"blocks {mapping!r} do not partition family labels {fam.labels}"
                 )
@@ -479,17 +470,14 @@ class CoarseGraining:
     def coarse_model(self, model: QuantumModel) -> QuantumModel:
         """The model with each family's blocks merged into single projectors.
 
-        A family whose blocks are exactly its own members (same labels, same
-        order) is the fine model's validated family itself.
+        A merged member is the plain sum of its fine members, and every
+        family is validated in full by the public constructor.
         """
-        families = []
-        for fam, mapping in zip(model.families, self.blocks):
-            singletons = [(lab, (lab,)) for lab in fam.labels]
-            if [(b, tuple(block)) for b, block in mapping.items()] == singletons:
-                families.append(fam)
-                continue
-            families.append(ProjectorFamily._merge(fam, mapping))
-        return model._derive(families)
+        return model._derive([
+            ProjectorFamily(fam.time_index, [(label, sum(fam.member(m) for m in block))
+                                             for label, block in mapping.items()])
+            for fam, mapping in zip(model.families, self.blocks)
+        ])
 
     def fine_histories_of(self, coarse_history) -> list[History]:
         pools = [
@@ -514,17 +502,31 @@ def coarse_grain_check(model: QuantumModel, graining: CoarseGraining,
                        direction: str = "forwards", atol: float = 1e-9) -> CoarseGrainReport:
     """Compare coarse candidate probabilities with sums of fine-grained ones.
 
-    For a decoherent set the two agree; otherwise the largest discrepancy is
-    the surviving interference, e.g. merging exactly two histories leaves
+    A merged projector is the sum of its members, so the chain of a coarse
+    history is the sum of its fine chains, and its branch-table row the sum
+    of their rows: one walk of the fine model gives both sides.  For a
+    decoherent set the two agree; otherwise the largest discrepancy is the
+    surviving interference, e.g. merging exactly two histories leaves
     2 Re D(h, h') behind.
     """
     graining.validate(model)
-    coarse = graining.coarse_model(model)
     backwards = direction != "forwards"
-    fine_table = _candidate_table(model, backwards)
+    what = "backwards" if backwards else "forwards"
+    a = _branch_table(model, model.initial_state.columns, backwards)
+    fine_table = {h: _clamp_probability(v, f"{what} probability of {h}")
+                  for h, v in zip(model.history_labels(),
+                                  np.einsum("hij,hij->h", a.conj(), a).tolist())}
+    # One axis per family, then the flattened row: sum each family's blocks.
+    rows = a.reshape(*map(len, model.families), -1)
+    for k, (fam, mapping) in enumerate(zip(model.families, graining.blocks)):
+        picks = [[fam.labels.index(str(m)) for m in block] for block in mapping.values()]
+        rows = np.stack([rows.take(p, axis=k).sum(axis=k) for p in picks], axis=k)
+    rows = rows.reshape(-1, rows.shape[-1])
+    coarse_histories = itertools.product(*[[str(b) for b in mapping] for mapping in graining.blocks])
     per_history = {}
     max_violation = 0.0
-    for ch, direct in _candidate_table(coarse, backwards).items():
+    for ch, v in zip(coarse_histories, np.einsum("hi,hi->h", rows.conj(), rows).tolist()):
+        direct = _clamp_probability(v, f"{what} probability of {ch}")
         summed = sum(fine_table[h] for h in graining.fine_histories_of(ch))
         per_history[ch] = (direct, summed)
         max_violation = max(max_violation, abs(direct - summed))

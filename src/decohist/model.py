@@ -340,17 +340,14 @@ class ProjectorFamily:
 
     A member's idempotence is proven from the orthogonality products and the
     completeness defect where a rigorous bound allows (see
-    :meth:`_bound_defects`), and a family merged by
-    :meth:`CoarseGraining.coarse_model` bounds its orthogonality products from
-    the fine family's; a product is formed only where its bound exceeds the
-    tolerance.  The checks report in the dense order (Hermiticity and
-    idempotence per member, then the pairs, then completeness), so verdicts,
-    messages and warnings are those of forming every product.
+    :meth:`_bound_defects`); its product is formed only where that bound
+    exceeds the tolerance.  The checks report in the dense order
+    (Hermiticity and idempotence per member, then the pairs, then
+    completeness), so verdicts, messages and warnings are those of forming
+    every product.
     """
 
     def __init__(self, time_index: int, members):
-        # A family built by _merge carries bounds on its members' products.
-        merged = vars(self).pop("_merged_bounds", None)
         members = list(members)
         if not members:
             raise ModelValidationError("projector family needs at least one member")
@@ -366,7 +363,7 @@ class ProjectorFamily:
         herm = [linalg.max_abs(p - p.conj().T) for p in projectors[:n_square]]
         idem = [math.inf] * n_square
         if n_square == len(projectors):
-            idem, orth, complete = self._bound_defects(projectors, herm, merged)
+            idem, orth, complete = self._bound_defects(projectors, herm)
         for a, (label, p) in enumerate(zip(labels, projectors)):
             if a == n_square:
                 raise ModelValidationError(f"projector {label!r} has shape {p.shape}, expected {(dim, dim)}")
@@ -380,23 +377,8 @@ class ProjectorFamily:
         self.labels = tuple(labels)
         self.projectors = tuple(_freeze(p) for p in projectors)
 
-    @classmethod
-    def _merge(cls, fine: "ProjectorFamily", blocks) -> "ProjectorFamily":
-        """``fine`` with each block of members summed into one member, in block order.
-
-        ``blocks`` maps new labels to member labels (or indices) of ``fine``.
-        A merged member is the plain sum of its members, as a family built
-        from those sums would hold; only the validation uses ``fine``'s bounds.
-        The family goes through ``__init__``, whose signature stays public.
-        """
-        groups = [[fine._index(m) for m in block] for block in blocks.values()]
-        members = [(label, sum(fine.projectors[i] for i in g)) for label, g in zip(blocks, groups)]
-        family = cls.__new__(cls)
-        family._merged_bounds = fine._merged_pair_bounds(groups)
-        family.__init__(fine.time_index, members)
-        return family
-
-    def _bound_defects(self, projectors, herm, merged):
+    @staticmethod
+    def _bound_defects(projectors, herm):
         """Idempotence bounds, orthogonality defects and the completeness defect.
 
         With C = sum_b P_b - I, the exact identity
@@ -409,11 +391,7 @@ class ProjectorFamily:
         Numerical Algorithms*, section 3.1: sqrt(2) gamma_{d+2} per complex
         inner product of length d), so a member whose bound is at most
         ``ATOL_MODEL`` would pass the dense check silently.  The orthogonality
-        defect of a pair a < b is max |P_a P_b| as computed or, for a merged
-        pair, a bound on it of at most ``ATOL_MODEL``.  Also keeps
-        ``_pair_bounds``, whose entry (a, b) bounds the exact max |P_a P_b|
-        (by Cauchy-Schwarz on the diagonal), and each member's largest row and
-        column 2-norm.
+        defect of a pair a < b is max |P_a P_b| as computed.
         """
         n, d = len(projectors), projectors[0].shape[0]
         squares = (np.square(p.real) + np.square(p.imag) for p in projectors)  # one at a time
@@ -421,44 +399,20 @@ class ProjectorFamily:
                               for s in squares]).T
         g = math.sqrt(2.0) * _gamma(d + 2)  # rounding of one complex inner product
         herm_cols = math.sqrt(d) * np.asarray(herm)  # bounds every row and column 2-norm of H
-        exact = np.diag(rows * cols)
+        others = np.zeros(n)  # per member a, bounds on the exact max |P_a P_b| summed over b != a
         orth = {}
         for a, b in itertools.combinations(range(n), 2):
-            if merged is not None:
-                bound = _BOUND_SLACK * (merged[a, b] + g * rows[a] * cols[b])
-                if bound <= ATOL_MODEL:
-                    orth[a, b] = bound
-                    exact[a, b], exact[b, a] = merged[a, b], merged[b, a]
-                    continue
             orth[a, b] = linalg.max_abs(projectors[a] @ projectors[b])
-            exact[a, b] = orth[a, b] + g * rows[a] * cols[b]
+            ab = orth[a, b] + g * rows[a] * cols[b]
             # P_b P_a = (P_a P_b)^dagger + P_b^dagger H_a + H_b P_a
-            exact[b, a] = exact[a, b] + cols[b] * herm_cols[a] + herm_cols[b] * cols[a]
-        exact *= _BOUND_SLACK
+            others[a] += ab
+            others[b] += ab + cols[b] * herm_cols[a] + herm_cols[b] * cols[a]
         complete = linalg.max_abs(sum(projectors) - np.eye(d))
         # Column 2-norms of the exact C: the computed one's, plus the rounding of
         # its n-term sum, at most sqrt(2) gamma_n (sum_b |P_b| + I) elementwise.
         c_cols = math.sqrt(d) * complete + math.sqrt(2.0) * _gamma(n) * (cols.sum() + 1.0)
-        others = exact.copy()
-        np.fill_diagonal(others, 0.0)
-        idem = _BOUND_SLACK * (rows * c_cols + others.sum(axis=1) + g * rows * cols)
-        self._pair_bounds, self._row_norms, self._col_norms = exact, rows, cols
+        idem = _BOUND_SLACK * (rows * c_cols + others + g * rows * cols)
         return idem, orth, complete
-
-    def _merged_pair_bounds(self, groups) -> np.ndarray:
-        """Bounds on the exact max |P_A P_B| for members summed over ``groups``.
-
-        A merged member is S_A + E_A, with S_A the exact sum and E_A the
-        rounding of its k-term sum, |E_A| <= sqrt(2) gamma_{k-1} sum_a |P_a|.
-        So P_A P_B is the sum of the fine products plus E_A S_B + S_A E_B +
-        E_A E_B, whose entries the row and column norms bound.
-        """
-        rows = np.array([self._row_norms[g].sum() for g in groups])
-        cols = np.array([self._col_norms[g].sum() for g in groups])
-        err = np.array([math.sqrt(2.0) * _gamma(len(g) - 1) for g in groups])
-        fine_sums = np.array([[self._pair_bounds[np.ix_(ga, gb)].sum() for gb in groups] for ga in groups])
-        rounding = np.outer(rows, cols) * (err[:, None] + err[None, :] + np.outer(err, err))
-        return _BOUND_SLACK * (fine_sums + rounding)
 
     def _index(self, label_or_index) -> int:
         if isinstance(label_or_index, (int, np.integer)):

@@ -106,6 +106,24 @@ def _spin_projectors(axis: np.ndarray) -> list[tuple[str, np.ndarray]]:
     ]
 
 
+def _spin_parts(alpha, beta):
+    """psi_0, the x and z premeasurements, and the x and z families at grid indices 1, 2.
+
+    The particle is in alpha |+x> + beta |-x> with both pointers ready.
+    """
+    ready = np.zeros(_POINTER_DIM, dtype=complex)
+    ready[0] = 1.0
+    psi0 = np.kron(np.kron(alpha * PLUS_X + beta * MINUS_X, ready), ready)
+    u1 = _premeasurement(_spin_projectors(PLUS_X), pointer_slot=1)
+    u2 = _premeasurement(_spin_projectors(PLUS_Z), pointer_slot=2)
+    eye9 = np.eye(_POINTER_DIM * _POINTER_DIM)
+    families = [
+        ProjectorFamily(1, [(f"x{s}", np.kron(p, eye9)) for s, p in _spin_projectors(PLUS_X)]),
+        ProjectorFamily(2, [(f"z{s}", np.kron(p, eye9)) for s, p in _spin_projectors(PLUS_Z)]),
+    ]
+    return psi0, u1, u2, families
+
+
 def spin_model(alpha: complex, beta: complex | None = None) -> QuantumModel:
     """Two consecutive premeasurements of a spin-1/2, x then z.
 
@@ -124,18 +142,8 @@ def spin_model(alpha: complex, beta: complex | None = None) -> QuantumModel:
         raise ModelValidationError(
             f"amplitudes not normalized: |alpha|^2 + |beta|^2 = {abs(alpha)**2 + abs(beta)**2!r}"
         )
-    ready = np.zeros(_POINTER_DIM, dtype=complex)
-    ready[0] = 1.0
-    psi0 = np.kron(np.kron(alpha * PLUS_X + beta * MINUS_X, ready), ready)
-    u1 = _premeasurement(_spin_projectors(PLUS_X), pointer_slot=1)
-    u2 = _premeasurement(_spin_projectors(PLUS_Z), pointer_slot=2)
-    eye = np.eye(psi0.size, dtype=complex)
-    grid = TimeGrid([0.0, 1.0, 2.0, 3.0], [u1, u2, eye])
-    eye9 = np.eye(_POINTER_DIM * _POINTER_DIM)
-    families = [
-        ProjectorFamily(1, [(f"x{s}", np.kron(p, eye9)) for s, p in _spin_projectors(PLUS_X)]),
-        ProjectorFamily(2, [(f"z{s}", np.kron(p, eye9)) for s, p in _spin_projectors(PLUS_Z)]),
-    ]
+    psi0, u1, u2, families = _spin_parts(alpha, beta)
+    grid = TimeGrid([0.0, 1.0, 2.0, 3.0], [u1, u2, np.eye(psi0.size, dtype=complex)])
     return QuantumModel(StateOperator.from_vector(psi0), grid, families,
                         factors=(2, _POINTER_DIM, _POINTER_DIM))
 
@@ -318,18 +326,8 @@ def spin_recoherence_base(alpha: float, beta: float | None = None) -> QuantumMod
     beta = float(np.sqrt(max(0.0, 1.0 - alpha**2))) if beta is None else float(beta)
     if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
         raise ModelValidationError("amplitudes not normalized")
-    ready = np.zeros(_POINTER_DIM, dtype=complex)
-    ready[0] = 1.0
-    psi0 = np.kron(np.kron(alpha * PLUS_X + beta * MINUS_X, ready), ready)
-    u1 = _premeasurement(_spin_projectors(PLUS_X), pointer_slot=1)
-    u2 = _premeasurement(_spin_projectors(PLUS_Z), pointer_slot=2)
-    eye = np.eye(psi0.size, dtype=complex)
-    grid = TimeGrid([-3.0, -2.0, -1.0, 0.0], [eye, u1, u2])
-    eye9 = np.eye(_POINTER_DIM * _POINTER_DIM)
-    families = [
-        ProjectorFamily(1, [(f"x{s}", np.kron(p, eye9)) for s, p in _spin_projectors(PLUS_X)]),
-        ProjectorFamily(2, [(f"z{s}", np.kron(p, eye9)) for s, p in _spin_projectors(PLUS_Z)]),
-    ]
+    psi0, u1, u2, families = _spin_parts(alpha, beta)
+    grid = TimeGrid([-3.0, -2.0, -1.0, 0.0], [np.eye(psi0.size, dtype=complex), u1, u2])
     return QuantumModel(StateOperator.from_vector(psi0), grid, families,
                         factors=(2, _POINTER_DIM, _POINTER_DIM))
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decohist.cli import main
+from compare_cli import read_commands
+from decohist.cli import build_parser, main
 from decohist.modelfile import dump_model, load_model, model_from_dict, model_to_dict
 from decohist.exceptions import ModelFileError
 from decohist.model import QuantumModel
@@ -116,6 +117,25 @@ def test_records_refused_without_strong_decoherence(capsys):
     code, report = run_cli(capsys, "records", "--scenario", "random", "dim=4", "n=2")
     assert code == 1
     assert report["result"]["records"] is None
+
+
+@pytest.mark.parametrize("tf", ["99", "-1", "1"])
+def test_records_tf_out_of_range_exit_64_names_the_range(capsys, tf):
+    # the spin grid has indices 0..3 and its last family sits at index 2
+    code = main(["records", "--scenario", "spin", "--tf", tf])
+    assert code == 64
+    assert f"--tf {tf} is outside the allowed range [2, 3]" in capsys.readouterr().err
+
+
+def test_abl_impossible_selection_exit_65(tmp_path, capsys):
+    # |z+> before and |z-> after: every history has amplitude zero
+    data = model_to_dict(spin_post_selection()[0], np.diag([0.0, 1.0]))
+    data["initial_state"] = "pure:0"
+    path = tmp_path / "impossible.json"
+    path.write_text(json.dumps(data))
+    code = main(["abl", "--model", str(path)])
+    assert code == 65
+    assert "invariant violation: pre/post-selection pair is impossible" in capsys.readouterr().err
 
 
 def test_reverse_command(capsys):
@@ -238,6 +258,17 @@ def test_scenario_emit_and_reload(tmp_path, capsys):
     model, rho_final = load_model(path)
     assert model.dim == 18
     assert rho_final is None
+
+
+def test_command_list_parses():
+    # a malformed line would exit 2 on every tree and so compare as identical
+    commands = read_commands(Path(__file__).resolve().parent / "cli_commands.txt")
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"cli_commands.txt line does not parse: {' '.join(argv)}")
 
 
 def test_parse_error_exit_64(tmp_path, capsys):

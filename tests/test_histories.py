@@ -330,21 +330,27 @@ def test_interference_violation_equals_cross_term():
     assert (direct - summed) == pytest.approx(2.0 * cross.real, abs=1e-12)
 
 
-def test_singleton_blocks_reuse_the_fine_family():
+def test_singleton_blocks_keep_the_fine_labels_and_order():
     m = spin_model(0.6)
     graining = CoarseGraining((
         {"x+": ("x+",), "x-": ("x-",)},
         {"z": ("z+", "z-")},
     ))
     coarse = graining.coarse_model(m)
-    assert coarse.families[0] is m.families[0]
-    assert coarse.families[1] is not m.families[1]
+    assert coarse.families[0].labels == ("x+", "x-")
     assert coarse.families[1].labels == ("z",)
-    # the same members under other labels or in another order are rebuilt
+    # the same members under other labels or in another order
     renamed = CoarseGraining(({"a": ("x+",), "b": ("x-",)}, {"z": ("z+", "z-")}))
     reordered = CoarseGraining(({"x-": ("x-",), "x+": ("x+",)}, {"z": ("z+", "z-")}))
-    assert renamed.coarse_model(m).families[0] is not m.families[0]
+    assert renamed.coarse_model(m).families[0].labels == ("a", "b")
     assert reordered.coarse_model(m).families[0].labels == ("x-", "x+")
+
+
+def test_empty_block_is_not_a_partition():
+    m = spin_model(0.6)
+    graining = CoarseGraining(({"x+": ("x+",), "x-": ("x-",)}, {"z": ("z+", "z-"), "none": ()}))
+    with pytest.raises(ValueError, match="do not partition"):
+        coarse_grain_check(m, graining, "forwards")
 
 
 def test_merged_blocks_are_validated_in_full(monkeypatch):
@@ -361,11 +367,14 @@ def test_merged_blocks_are_validated_in_full(monkeypatch):
         {"x+": ("x+",), "x-": ("x-",)},
         {"z": ("z+", "z-")},
     ))
+    # the check sums rows of the fine branch table and builds no family
     coarse_grain_check(m, graining, "forwards")
-    assert built == [m.families[1].time_index]
-    built.clear()
+    coarse_grain_check(m, graining, "backwards")
     coarse_grain_check(m, CoarseGraining.singletons(m), "forwards")
     assert built == []
+    # the coarse model builds every family through the constructor
+    graining.coarse_model(m)
+    assert built == [f.time_index for f in m.families]
 
 
 def test_derived_models_reuse_the_validated_basis(monkeypatch):
