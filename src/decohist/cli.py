@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from . import linalg
 from .exceptions import (
     ConditionNotSatisfiedError,
     DegenerateNormalizationError,
@@ -40,8 +39,8 @@ from .histories import (
     check_decoherence,
     page_symmetric_cosmology_check,
 )
-from .model import QuantumModel, evolve_state
-from .modelfile import dump_model, load_model, model_to_dict
+from .model import QuantumModel
+from .modelfile import load_model, model_to_dict
 
 EXIT_DECOHERENT = 0
 EXIT_NOT_DECOHERENT = 1
@@ -111,9 +110,7 @@ def _build_scenario(name: str, params: dict, seed: int):
             raise _CliError("mirror scenarios need real amplitudes", EXIT_USAGE)
         base = scenarios.spin_recoherence_base(alpha.real)
         extras["recoherence_base"] = base
-        analysis = scenarios.recoherence_scenario(base)
-        extras["analysis"] = analysis
-        model = analysis.extended_model
+        model = scenarios._mirror_extension(base)
     elif name == "random":
         dim, n = _param_int(params, "dim", 4), _param_int(params, "n", 2)
         if n < 0:
@@ -287,13 +284,11 @@ def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     from .scenarios import reverse_collapse_chain
 
     rho_final = extras.get("rho_final")
-    if rho_final is not None:
-        final = _rank_one_vector(model, rho_final, "reverse")
-    else:
-        psi = _pure_state_vector(model)
-        final = model.grid.cumulative(model.grid.n_times - 1) @ psi
-    trajectories = reverse_collapse_chain(model, final)
+    final = None if rho_final is None else _rank_one_vector(model, rho_final, "reverse")
     psi0 = _pure_state_vector(model)
+    if final is None:
+        final = model.grid.cumulative(model.grid.n_times - 1) @ psi0
+    trajectories = reverse_collapse_chain(model, final)
     body = {"trajectories": []}
     for t in sorted(trajectories, key=lambda t: t.labels):
         reconstructed = t.states[-1]
@@ -307,11 +302,9 @@ def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
 
 
 def _cmd_recohere(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
-    analysis = extras.get("analysis")
-    if analysis is None:
-        from .scenarios import recoherence_scenario
+    from .scenarios import recoherence_scenario
 
-        analysis = recoherence_scenario(model, tolerance=tol)
+    analysis = recoherence_scenario(extras.get("recoherence_base", model), tolerance=tol)
     body = {
         "first_half_classification": analysis.first_half_forwards.classification,
         "purity_curve": [[t, p] for t, p in (analysis.purity_curve or [])],
@@ -351,10 +344,9 @@ def _cmd_scenario(args):
     if args.action == "list":
         return {"scenarios": list(SCENARIO_NAMES)}, EXIT_DECOHERENT
     model, extras = _build_scenario(args.name, _parse_params(args.params or []), seed=0)
-    rho_final = extras.get("rho_final")
-    data = model_to_dict(model, rho_final)
+    data = model_to_dict(model, extras.get("rho_final"))
     if args.out:
-        dump_model(model, args.out, rho_final)
+        _emit(data, args.out)
         return {"written": args.out}, EXIT_DECOHERENT
     return data, EXIT_DECOHERENT
 
@@ -406,9 +398,12 @@ def _texts(values, level: int) -> list[str]:
 
     Values of one shape are encoded together: scalars in one C-encoder pass,
     arrays of one length as the column of their items, and objects with one
-    key sequence as one column per key.  A column of mixed shapes is split
-    into groups of one shape, and an object that appears several times (a
-    history shared by many pair rows) is encoded once.
+    key sequence of strings as one column per key.  An object that appears
+    several times (a history shared by many pair rows) is encoded once.  In
+    a column of mixed shapes each value is encoded on its own, by the
+    writer for its kind; a bare ``_texts`` recursion would never end on a
+    scalar of another type (``np.float64``) or an object with non-string
+    keys.
     """
     types = set(map(type, values))
     if types <= _SCALAR_TYPES:
@@ -426,26 +421,14 @@ def _texts(values, level: int) -> list[str]:
         # equal str keys have equal text; other keys (1 and True) may not
         if len(keys) == 1 and all(isinstance(k, str) for k in next(iter(keys))):
             return _object_texts(values, level)
-    groups: dict = {}
-    for i, v in enumerate(values):
-        if isinstance(v, (list, tuple)):
-            shape = len(v)
-        elif isinstance(v, dict):
-            shape = tuple(_key_texts(v)) if v else ()
+    out = []
+    for v in values:
+        if isinstance(v, dict):
+            out += _object_texts([v], level)
+        elif isinstance(v, (list, tuple)):
+            out += _array_texts([v], len(v), level)
         else:
-            shape = None
-        groups.setdefault(shape, []).append(i)
-    out = [""] * len(values)
-    for shape, where in groups.items():
-        group = [values[i] for i in where]
-        if shape is None:
-            texts = _scalar_texts(group)
-        elif isinstance(shape, int):
-            texts = _array_texts(group, shape, level)
-        else:
-            texts = _object_texts(group, level)
-        for i, text in zip(where, texts):
-            out[i] = text
+            out += _scalar_texts([v])
     return out
 
 

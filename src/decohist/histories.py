@@ -45,9 +45,11 @@ from .exceptions import (
 )
 from .model import (
     ATOL_MODEL,
+    TIME_ATOL,
     ProjectorFamily,
     QuantumModel,
     StateOperator,
+    _dynamics_symmetry_defect,
     _psd_columns,
     _reverse_in_basis,
 )
@@ -82,6 +84,7 @@ History = tuple  # tuple of member labels, one per family
 PROBABILITY_SLACK = 1e-10  # candidate values may poke this far outside [0, 1]
 NORMALIZATION_FLOOR = 1e-14  # below this, Tr(rho_f rho_i) counts as zero
 MARGINAL_FACTOR = 1e3  # failed pairs within this factor of threshold are marginal
+TABLE_ATOL = 1e-9  # two probability tables (or values) this close agree
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,6 @@ class DecoherenceReport:
             for i, j, value, measure, threshold, passed, ratio
             in zip(*(a.tolist() for a in self._arrays))
         ]
-
-    def pair_values(self) -> dict[tuple[History, History], complex]:
-        return {(p.left, p.right): p.value for p in self.pairs}
 
     def _worst_first(self) -> np.ndarray:
         """Pair positions worst first: ratio descending, then both histories by label."""
@@ -446,7 +446,9 @@ class CoarseGraining:
     """Per-family partition of member labels into labeled blocks.
 
     ``blocks`` holds one mapping per family, block label -> member labels.
-    Blocks must be disjoint and cover every member of their family.
+    Blocks must be disjoint and cover every member of their family, and a
+    family's block labels must differ as strings, since a coarse history
+    names each block by ``str(label)``.
     """
 
     blocks: tuple[dict, ...]
@@ -461,6 +463,8 @@ class CoarseGraining:
                 f"graining has {len(self.blocks)} family entries, model has {model.n_families}"
             )
         for fam, mapping in zip(model.families, self.blocks):
+            if len(set(map(str, mapping))) != len(mapping):
+                raise ValueError(f"block labels {list(mapping)} are not distinct as strings")
             members = [str(m) for block in mapping.values() for m in block]
             if sorted(members) != sorted(fam.labels) or not all(mapping.values()):
                 raise ValueError(
@@ -474,14 +478,14 @@ class CoarseGraining:
         family is validated in full by the public constructor.
         """
         return model._derive([
-            ProjectorFamily(fam.time_index, [(label, sum(fam.member(m) for m in block))
+            ProjectorFamily(fam.time_index, [(label, sum(fam.member(str(m)) for m in block))
                                              for label, block in mapping.items()])
             for fam, mapping in zip(model.families, self.blocks)
         ])
 
     def fine_histories_of(self, coarse_history) -> list[History]:
         pools = [
-            tuple(str(m) for m in mapping[label])
+            tuple(str(m) for m in {str(k): b for k, b in mapping.items()}[str(label)])
             for mapping, label in zip(self.blocks, coarse_history)
         ]
         return [tuple(h) for h in itertools.product(*pools)]
@@ -499,39 +503,40 @@ class CoarseGrainReport:
 
 
 def coarse_grain_check(model: QuantumModel, graining: CoarseGraining,
-                       direction: str = "forwards", atol: float = 1e-9) -> CoarseGrainReport:
+                       direction: str = "forwards") -> CoarseGrainReport:
     """Compare coarse candidate probabilities with sums of fine-grained ones.
 
     A merged projector is the sum of its members, so the chain of a coarse
     history is the sum of its fine chains, and its branch-table row the sum
     of their rows: one walk of the fine model gives both sides.  For a
-    decoherent set the two agree; otherwise the largest discrepancy is the
-    surviving interference, e.g. merging exactly two histories leaves
-    2 Re D(h, h') behind.
+    decoherent set the two agree to ``TABLE_ATOL``; otherwise the largest
+    discrepancy is the surviving interference, e.g. merging exactly two
+    histories leaves 2 Re D(h, h') behind.
     """
+    if direction not in ("forwards", "backwards"):
+        raise ValueError(f"direction must be 'forwards' or 'backwards', got {direction!r}")
     graining.validate(model)
-    backwards = direction != "forwards"
-    what = "backwards" if backwards else "forwards"
-    a = _branch_table(model, model.initial_state.columns, backwards)
-    fine_table = {h: _clamp_probability(v, f"{what} probability of {h}")
-                  for h, v in zip(model.history_labels(),
-                                  np.einsum("hij,hij->h", a.conj(), a).tolist())}
-    # One axis per family, then the flattened row: sum each family's blocks.
-    rows = a.reshape(*map(len, model.families), -1)
+    a = _branch_table(model, model.initial_state.columns, direction == "backwards")
+    fine = [_clamp_probability(v, f"{direction} probability of {h}")
+            for h, v in zip(model.history_labels(), np.einsum("hij,hij->h", a.conj(), a).tolist())]
+    # One axis per family, then the flattened row with the clamped fine
+    # probability as its last column: sum each family's blocks.
+    rows = np.concatenate([a.reshape(len(a), -1), np.array(fine)[:, None]], axis=1)
+    rows = rows.reshape(*map(len, model.families), -1)
     for k, (fam, mapping) in enumerate(zip(model.families, graining.blocks)):
         picks = [[fam.labels.index(str(m)) for m in block] for block in mapping.values()]
         rows = np.stack([rows.take(p, axis=k).sum(axis=k) for p in picks], axis=k)
     rows = rows.reshape(-1, rows.shape[-1])
+    norms = np.einsum("hi,hi->h", rows[:, :-1].conj(), rows[:, :-1]).tolist()
     coarse_histories = itertools.product(*[[str(b) for b in mapping] for mapping in graining.blocks])
     per_history = {}
     max_violation = 0.0
-    for ch, v in zip(coarse_histories, np.einsum("hi,hi->h", rows.conj(), rows).tolist()):
-        direct = _clamp_probability(v, f"{what} probability of {ch}")
-        summed = sum(fine_table[h] for h in graining.fine_histories_of(ch))
+    for ch, v, summed in zip(coarse_histories, norms, rows[:, -1].real.tolist()):
+        direct = _clamp_probability(v, f"{direction} probability of {ch}")
         per_history[ch] = (direct, summed)
         max_violation = max(max_violation, abs(direct - summed))
-    return CoarseGrainReport(direction, max_violation, max_violation <= atol,
-                             per_history, atol)
+    return CoarseGrainReport(direction, max_violation, max_violation <= TABLE_ATOL,
+                             per_history, TABLE_ATOL)
 
 
 @dataclass
@@ -554,9 +559,8 @@ class BothConditionsReport:
 
 
 def both_conditions_theorem_check(model: QuantumModel,
-                                  tolerance: TolerancePolicy | None = None,
-                                  atol: float = 1e-9) -> BothConditionsReport:
-    """When both weak conditions hold, verify the probability tables coincide."""
+                                  tolerance: TolerancePolicy | None = None) -> BothConditionsReport:
+    """When both weak conditions hold, verify the probability tables coincide to ``TABLE_ATOL``."""
     fwd = check_decoherence(model, "forwards", "weak", tolerance)
     bwd = check_decoherence(model, "backwards", "weak", tolerance)
     if not (fwd.decoherent and bwd.decoherent):
@@ -581,7 +585,7 @@ def both_conditions_theorem_check(model: QuantumModel,
         True, "both weak decoherence conditions hold", fwd, bwd,
         max_table_difference=table_diff, max_chain_difference=chain_diff,
         chain_expectations=chain_vals,
-        passed=(table_diff <= atol and chain_diff <= atol),
+        passed=(table_diff <= TABLE_ATOL and chain_diff <= TABLE_ATOL),
     )
 
 
@@ -602,12 +606,12 @@ class TrivialityReport:
 
 
 def pure_two_state_triviality_check(model: QuantumModel, psi,
-                                    tolerance: TolerancePolicy | None = None,
-                                    atol: float = 1e-9) -> TrivialityReport:
+                                    tolerance: TolerancePolicy | None = None) -> TrivialityReport:
     """Check the restrictive rho_i = rho_f = |psi><psi| condition and its 0/1 law.
 
     Both boundary slots are filled with the given pure state; the model
-    contributes only its families and dynamics.
+    contributes only its families and dynamics.  Values within
+    ``TABLE_ATOL`` of 0 or 1, and of their amplitudes, count as such.
     """
     psi = linalg.as_vector(psi, "psi")
     state = StateOperator.from_vector(psi)
@@ -621,10 +625,10 @@ def pure_two_state_triviality_check(model: QuantumModel, psi,
         max(abs(probabilities[h] - amplitudes[h].real), abs(amplitudes[h].imag))
         for h in amplitudes
     )
-    trivial = all(min(p, abs(1.0 - p)) <= atol for p in probabilities.values())
+    trivial = all(min(p, abs(1.0 - p)) <= TABLE_ATOL for p in probabilities.values())
     return TrivialityReport(True, report.classification, probabilities, amplitudes,
                             max_amplitude_defect=defect,
-                            all_zero_or_one=(trivial and defect <= atol))
+                            all_zero_or_one=(trivial and defect <= TABLE_ATOL))
 
 
 @dataclass
@@ -644,23 +648,21 @@ class TimeReversedSet:
     def reversed_history(history) -> History:
         return tuple(reversed(tuple(history)))
 
-    original_history = reversed_history
 
-
-def time_reversed_history_set(model: QuantumModel, time_atol: float = 1e-9) -> TimeReversedSet:
+def time_reversed_history_set(model: QuantumModel) -> TimeReversedSet:
     """Reflect the history set about t = 0 within the same model.
 
-    Every family time t_k must have -t_k on the grid (and strictly inside
-    it); the reversed family at -t_k carries the conjugated projectors
-    B P^* B^dagger under the original labels.  Applying the operation twice
-    returns the original set.
+    Every family time t_k must have -t_k on the grid to ``TIME_ATOL`` (and
+    strictly inside it); the reversed family at -t_k carries the conjugated
+    projectors B P^* B^dagger under the original labels.  Applying the
+    operation twice returns the original set.
     """
     times = model.grid.times
     b = model.conjugation_basis
     placed = []  # (new_time_index, original_family_index, family)
     for k, fam in enumerate(model.families):
         target = -float(times[fam.time_index])
-        hits = np.nonzero(np.abs(times - target) <= time_atol)[0]
+        hits = np.nonzero(np.abs(times - target) <= TIME_ATOL)[0]
         if hits.size == 0:
             raise ModelValidationError(
                 f"grid does not admit reflection: no grid time at {target!r} "
@@ -703,12 +705,11 @@ class PageReport:
 
 
 def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
-                                   tolerance: TolerancePolicy | None = None,
-                                   precond_atol: float = 1e-10,
-                                   table_atol: float = 1e-9) -> PageReport:
-    """Test time-symmetric-cosmology behavior for a boundary pair (rho_i, rho_f)."""
-    from .model import _dynamics_symmetry_defect  # shared mirror-defect helper
+                                   tolerance: TolerancePolicy | None = None) -> PageReport:
+    """Test time-symmetric-cosmology behavior for a boundary pair (rho_i, rho_f).
 
+    Preconditions must hold to ``ATOL_MODEL`` and the tables agree to ``TABLE_ATOL``.
+    """
     if not isinstance(rho_i, StateOperator):
         rho_i = StateOperator(rho_i)
     rho_f = _coerce_final_operator(rho_f, model.dim)
@@ -717,7 +718,7 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
     d_f = linalg.max_abs(rho_f - _reverse_in_basis(rho_f, b))
     d_c = linalg.max_abs(rho_i.rho @ rho_f - rho_f @ rho_i.rho)
     times = model.grid.times
-    centers = np.nonzero(np.abs(times) <= 1e-9)[0]
+    centers = np.nonzero(np.abs(times) <= TIME_ATOL)[0]
     if centers.size:
         grid_defect, dyn_defect, why = _dynamics_symmetry_defect(model, int(centers[0]))
         d_g = max(grid_defect, dyn_defect)
@@ -725,9 +726,9 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
     else:
         d_g, grid_ok = float("inf"), False
     preconditions = {
-        "initial_time_symmetric": (d_i <= precond_atol, d_i),
-        "final_time_symmetric": (d_f <= precond_atol, d_f),
-        "boundary_operators_commute": (d_c <= precond_atol, d_c),
+        "initial_time_symmetric": (d_i <= ATOL_MODEL, d_i),
+        "final_time_symmetric": (d_f <= ATOL_MODEL, d_f),
+        "boundary_operators_commute": (d_c <= ATOL_MODEL, d_c),
         "grid_mirrors_about_zero": (grid_ok, d_g),
     }
     ok = all(flag for flag, _ in preconditions.values())
@@ -751,4 +752,4 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
     )
     return PageReport(preconditions, True, original, mirrored, True,
                       "preconditions and both decoherence conditions hold",
-                      max_table_difference=diff, passed=diff <= table_atol)
+                      max_table_difference=diff, passed=diff <= TABLE_ATOL)

@@ -67,11 +67,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def is_unitary(a: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return max_abs(a @ a.conj().T - np.eye(a.shape[0])) <= atol
+    return max_abs(a @ a.conj().T - np.eye(a.shape[0])) <= ATOL_UNITARY
 
 
 def _fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:
@@ -86,7 +86,7 @@ def _fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def herm_eig(a: np.ndarray, atol: float = ATOL_HERMITIAN) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
@@ -94,13 +94,13 @@ def herm_eig(a: np.ndarray, atol: float = ATOL_HERMITIAN) -> tuple[np.ndarray, n
     by making the largest-magnitude component of each column real-positive.
 
     Raises ``ValueError`` if ``a`` deviates from Hermiticity by more than
-    ``atol`` elementwise.
+    ``ATOL_HERMITIAN`` elementwise.
     """
     m = as_matrix(a, "herm_eig input")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"herm_eig requires a square matrix, got shape {m.shape}")
     defect = max_abs(m - m.conj().T)
-    if defect > atol:
+    if defect > ATOL_HERMITIAN:
         raise ValueError(f"matrix is not Hermitian (max |A - A^dagger| = {defect:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w, _fix_eigenvector_phases(v)

@@ -45,6 +45,7 @@ __all__ = [
 # within 10x of it only warn, since user-supplied matrices accumulate rounding.
 ATOL_MODEL = 1e-10
 WARN_FACTOR = 10.0
+TIME_ATOL = 1e-9  # grid times this close count as the same time (mirror and centre lookups)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -52,13 +53,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check(defect: float, what: str, atol: float = ATOL_MODEL, stacklevel: int = 3) -> None:
-    if defect <= atol:
+def _check(defect: float, what: str, stacklevel: int = 3) -> None:
+    if defect <= ATOL_MODEL:
         return
-    if defect <= WARN_FACTOR * atol:
-        warnings.warn(f"{what}: defect {defect:.3e} exceeds {atol:.1e}", stacklevel=stacklevel)
+    if defect <= WARN_FACTOR * ATOL_MODEL:
+        warnings.warn(f"{what}: defect {defect:.3e} exceeds {ATOL_MODEL:.1e}", stacklevel=stacklevel)
         return
-    raise ModelValidationError(f"{what}: defect {defect:.3e} exceeds {atol:.1e}")
+    raise ModelValidationError(f"{what}: defect {defect:.3e} exceeds {ATOL_MODEL:.1e}")
 
 
 SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
@@ -140,35 +141,35 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(w), _freeze(v)
 
 
-def as_state_vector(psi, name: str = "state vector", atol: float = 1e-12) -> np.ndarray:
+def as_state_vector(psi) -> np.ndarray:
     """Validate a unit-norm complex vector and return a read-only copy."""
-    v = linalg.as_vector(psi, name)
+    v = linalg.as_vector(psi, "state vector")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > atol:
-        raise ModelValidationError(f"{name} is not normalized: ||psi|| = {nrm!r}")
+    if abs(nrm - 1.0) > 1e-12:
+        raise ModelValidationError(f"state vector is not normalized: ||psi|| = {nrm!r}")
     return _freeze(v)
 
 
 class StateOperator:
     """Density operator: Hermitian, unit trace, positive semidefinite.
 
-    ``purity_hint`` records whether the operator was constructed from a state
-    vector; ``purity()`` gives the actual Tr(rho^2).  ``columns`` is a
-    read-only factor C with rho = C C^dagger and one column per unit of
-    numerical rank: a pivoted Cholesky factor whose residual certifies
-    positivity, or, when the rank exceeds 32 or the certificate fails, the
-    spectral columns of ``eigen_columns()``.  A state built
-    :meth:`from_vector` keeps its spectral column.  ``eigenvalues``
-    (ascending), ``eigenvectors`` (columns) and ``eigen_columns()`` come
-    from one ``eigh``, run at construction when the factor fails and
-    otherwise when one of them is first read, and kept read-only.
+    ``purity()`` gives Tr(rho^2), and ``is_pure()`` tests it against 1 to
+    within ``ATOL_MODEL``.  ``columns`` is a read-only factor C with
+    rho = C C^dagger and one column per unit of numerical rank: a pivoted
+    Cholesky factor whose residual certifies positivity, or, when the rank
+    exceeds 32 or the certificate fails, the spectral columns of
+    ``eigen_columns()``.  A state built :meth:`from_vector` keeps its
+    spectral column and stores the vector as ``vector`` (None otherwise).
+    ``eigenvalues`` (ascending), ``eigenvectors`` (columns) and
+    ``eigen_columns()`` come from one ``eigh``, run at construction when
+    the factor fails and otherwise when one of them is first read, and kept
+    read-only.
     """
 
-    def __init__(self, rho, purity_hint: bool = False):
+    def __init__(self, rho):
         h = self._validate(rho)
         cols = _psd_columns(h)
         self.columns = _freeze(self._eigen_rule(h) if cols is None else cols)
-        self.purity_hint = bool(purity_hint)
         self.vector: np.ndarray | None = None  # set when built from a vector
 
     @classmethod
@@ -181,7 +182,6 @@ class StateOperator:
         v = as_state_vector(psi)
         state = cls.__new__(cls)
         state.columns = state._eigen_rule(state._validate(np.outer(v, v.conj())))
-        state.purity_hint = True
         state.vector = v
         return state
 
@@ -242,17 +242,18 @@ class StateOperator:
         g = self.columns.conj().T @ self.columns
         return float(np.vdot(g, g).real)
 
-    def is_pure(self, atol: float = ATOL_MODEL) -> bool:
-        return abs(self.purity() - 1.0) <= atol
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) <= ATOL_MODEL
 
-    def eigen_columns(self, cutoff: float = SPECTRAL_CUTOFF) -> np.ndarray:
+    def eigen_columns(self) -> np.ndarray:
         """Columns v_k sqrt(lambda_k) spanning the support of rho.
 
         The density operator equals C @ C.conj().T for the returned C;
-        eigenvalues at or below ``cutoff`` are dropped as null directions.
-        A validated state has unit trace, so at least one column remains.
+        eigenvalues at or below ``SPECTRAL_CUTOFF`` are dropped as null
+        directions.  A validated state has unit trace, so at least one
+        column remains.
         """
-        keep = self.eigenvalues > cutoff
+        keep = self.eigenvalues > SPECTRAL_CUTOFF
         return _freeze(self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep]))
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -531,9 +532,6 @@ class QuantumModel:
     def n_families(self) -> int:
         return len(self.families)
 
-    def family_times(self) -> tuple[float, ...]:
-        return tuple(float(self.grid.times[f.time_index]) for f in self.families)
-
     def history_labels(self) -> list[tuple[str, ...]]:
         """All histories as label tuples, lexicographic in the multi-index."""
         return [tuple(h) for h in itertools.product(*[f.labels for f in self.families])]
@@ -576,7 +574,7 @@ def evolve_state(model: QuantumModel, to_index: int) -> StateOperator:
     """State at grid time ``to_index``: W rho(t_0) W^dagger, no collapses."""
     w = model.grid.cumulative(to_index)
     rho = w @ model.initial_state.rho @ w.conj().T
-    return StateOperator(rho, purity_hint=model.initial_state.purity_hint)
+    return StateOperator(rho)
 
 
 def partial_trace(state, dims, keep):
@@ -605,7 +603,7 @@ def partial_trace(state, dims, keep):
     reduced = np.einsum(t, row_idx + col_idx, out_idx)
     d_keep = int(np.prod([dims[k] for k in keep]))
     reduced = reduced.reshape(d_keep, d_keep)
-    return StateOperator(reduced, purity_hint=False) if is_state else reduced
+    return StateOperator(reduced) if is_state else reduced
 
 
 def time_reverse_operator(op: np.ndarray, conjugation_basis=None) -> np.ndarray:
@@ -650,8 +648,7 @@ def time_reverse_state(state: StateOperator, conjugation_basis=None) -> StateOpe
     real in the conjugation basis.
     """
     rho = state.rho if isinstance(state, StateOperator) else linalg.as_matrix(state, "state")
-    return StateOperator(time_reverse_operator(rho, conjugation_basis),
-                         purity_hint=getattr(state, "purity_hint", False))
+    return StateOperator(time_reverse_operator(rho, conjugation_basis))
 
 
 @dataclass(frozen=True)
@@ -668,8 +665,7 @@ class TimeSymmetryResult:
         return self.symmetric
 
 
-def _dynamics_symmetry_defect(model: QuantumModel, center_index: int,
-                              time_atol: float = 1e-9) -> tuple[float, float, str]:
+def _dynamics_symmetry_defect(model: QuantumModel, center_index: int) -> tuple[float, float, str]:
     """Grid and step mirror defects about a center index.
 
     The j-th step after the center must equal B S^T B^dagger of the j-th step
@@ -693,7 +689,7 @@ def _dynamics_symmetry_defect(model: QuantumModel, center_index: int,
         step_before = model.grid.step_unitaries[center_index - j]
         mirrored = b @ step_before.T @ b.conj().T
         dyn_defect = max(dyn_defect, linalg.max_abs(step_after - mirrored))
-    if grid_defect > time_atol:
+    if grid_defect > TIME_ATOL:
         return grid_defect, dyn_defect, f"grid asymmetric: spacing defect {grid_defect:.3e}"
     if dyn_defect > ATOL_MODEL:
         return grid_defect, dyn_defect, f"dynamics asymmetric: step defect {dyn_defect:.3e}"

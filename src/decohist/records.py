@@ -29,7 +29,7 @@ from .histories import (
     _walk,
     check_decoherence,
 )
-from .model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
+from .model import ProjectorFamily, QuantumModel, TimeGrid
 
 __all__ = [
     "BranchVector",
@@ -169,25 +169,25 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
             f"strong forwards decoherence does not hold (classification: {base.classification}); "
             "records exist only for strongly decoherent sets"
         )
-    branches = branch_vectors(model, psi)
-    w = model.grid.cumulative(time_index)
-    evolved = np.array([b.vector for b in branches]) @ w.T
-    probabilities = {b.history: b.norm_squared() for b in branches}
+    histories = model.history_labels()
+    branches = _branch_table(model, psi[:, None])[:, 0]
+    evolved = branches @ model.grid.cumulative(time_index).T
+    probabilities = {h: float(np.vdot(v, v).real) for h, v in zip(histories, branches)}
     norms = np.linalg.norm(evolved, axis=1)
     live = norms > ZERO_BRANCH_NORM
     units = np.zeros_like(evolved)
     units[live] = evolved[live] / norms[live, None]
     projections = {}
-    for b, u, ok in zip(branches, units, live):
-        projections[b.history] = (np.outer(u, u.conj()) if ok
-                                  else np.zeros((model.dim, model.dim), dtype=complex))
+    for h, u, ok in zip(histories, units, live):
+        projections[h] = (np.outer(u, u.conj()) if ok
+                          else np.zeros((model.dim, model.dim), dtype=complex))
     # Perfect correlation: branch j lands entirely on its own record.
     correlation = np.abs(units.conj() @ evolved.T) ** 2
-    for i, b in enumerate(branches):
-        if abs(correlation[i, i] - probabilities[b.history]) > 1e-9:
+    for i, h in enumerate(histories):
+        if abs(correlation[i, i] - probabilities[h]) > 1e-9:
             raise ConditionNotSatisfiedError(
                 f"record correlation diagonal {correlation[i, i]!r} deviates from "
-                f"probability {probabilities[b.history]!r}"
+                f"probability {probabilities[h]!r}"
             )
     off = correlation - np.diag(np.diag(correlation))
     if linalg.max_abs(off) > 1e-9:
@@ -195,12 +195,12 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
             f"record correlation has off-diagonal weight {linalg.max_abs(off):.3e}"
         )
     residual = np.eye(model.dim, dtype=complex) - sum(projections.values())
-    extension_report = _extension_check(model, time_index, branches, projections,
+    extension_report = _extension_check(model, time_index, histories, projections,
                                         residual, tolerance)
     return RecordSet(
         time_index=int(time_index),
         time=float(model.grid.times[time_index]),
-        histories=[b.history for b in branches],
+        histories=histories,
         projections=projections,
         residual=residual,
         probabilities=probabilities,
@@ -209,7 +209,7 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
     )
 
 
-def _extension_check(model, time_index, branches, projections, residual,
+def _extension_check(model, time_index, histories, projections, residual,
                      tolerance) -> DecoherenceReport:
     """Append the record family and re-run the strong forwards check.
 
@@ -224,9 +224,9 @@ def _extension_check(model, time_index, branches, projections, residual,
     times += [times[-1] + gap, times[-1] + 2 * gap]
     steps += [eye, eye]
     members = [
-        ("rec:" + ",".join(b.history), projections[b.history])
-        for b in branches
-        if linalg.max_abs(projections[b.history]) > 0
+        ("rec:" + ",".join(h), projections[h])
+        for h in histories
+        if linalg.max_abs(projections[h]) > 0
     ]
     if linalg.max_abs(residual) > 1e-12:
         members.append(("rec:none", residual))

@@ -24,6 +24,7 @@ import numpy as np
 from . import linalg
 from .exceptions import ModelValidationError
 from .histories import (
+    TABLE_ATOL,
     DecoherenceReport,
     TimeReversedSet,
     TolerancePolicy,
@@ -61,14 +62,9 @@ __all__ = [
     "spin_symmetric_scenario",
 ]
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 PLUS_X = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 MINUS_X = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 PLUS_Z = np.array([1.0, 0.0], dtype=complex)
-MINUS_Z = np.array([0.0, 1.0], dtype=complex)
 
 # Pointer basis order: 0 = ready, 1 = "up" record, 2 = "down" record.
 _POINTER_DIM = 3
@@ -354,20 +350,8 @@ class RecoherenceAnalysis:
     purity_dip: float | None = None
 
 
-def recoherence_scenario(base: QuantumModel, keep=(0,),
-                         tolerance: TolerancePolicy | None = None,
-                         atol: float = 1e-9) -> RecoherenceAnalysis:
-    """Extend a pre-zero model through its own mirror image and analyze it.
-
-    The base must have all families before time 0 and end exactly at 0 with a
-    state there that time reversal fixes.  The extension appends the
-    reflected times with each step replaced by its reflected image, giving a
-    grid symmetric about 0.  The analysis checks forwards decoherence of the
-    first half, tracks how off-diagonal functional weight returns as the
-    history set is pushed into the mirrored half, and verifies that the
-    purity-based recoherence witness matches backwards decoherence of the
-    time-reversed set.
-    """
+def _mirror_extension(base: QuantumModel) -> QuantumModel:
+    """The extended model of :func:`recoherence_scenario`, with its base checks."""
     times = base.grid.times
     if abs(float(times[-1])) > 1e-12:
         raise ModelValidationError("recoherence base must end exactly at time 0")
@@ -386,7 +370,24 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
     ext_times = list(map(float, times)) + [-float(t) for t in reversed(times[:-1])]
     mirrored = [b @ u.T @ b.conj().T for u in reversed(base.grid.step_unitaries)]
     ext_steps = list(base.grid.step_unitaries) + mirrored
-    extended = base._derive(base.families, TimeGrid(ext_times, ext_steps))
+    return base._derive(base.families, TimeGrid(ext_times, ext_steps))
+
+
+def recoherence_scenario(base: QuantumModel, keep=(0,),
+                         tolerance: TolerancePolicy | None = None) -> RecoherenceAnalysis:
+    """Extend a pre-zero model through its own mirror image and analyze it.
+
+    The base must have all families before time 0 and end exactly at 0 with a
+    state there that time reversal fixes.  The extension appends the
+    reflected times with each step replaced by its reflected image, giving a
+    grid symmetric about 0.  The analysis checks forwards decoherence of the
+    first half, tracks how off-diagonal functional weight returns as the
+    history set is pushed into the mirrored half, and verifies that the
+    purity-based recoherence witness (the final reduced purity back at its
+    initial value to ``TABLE_ATOL``) matches backwards decoherence of the
+    time-reversed set.
+    """
+    extended = _mirror_extension(base)
     first_half = check_decoherence(extended, "forwards", "weak", tolerance)
     purity_curve = None
     witness = None
@@ -399,7 +400,7 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
         initial_purity = purity_curve[0][1]
         final_purity = purity_curve[-1][1]
         dip = initial_purity - min(p for _, p in purity_curve)
-        witness = abs(final_purity - initial_purity) <= atol
+        witness = abs(final_purity - initial_purity) <= TABLE_ATOL
     reversed_set = time_reversed_history_set(extended)
     # Push the set into the mirrored half one reversed family at a time: the
     # walk over the combined families has those truncations as its levels.
@@ -441,30 +442,28 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _cut(dim: int, n_members: int, rng: np.random.Generator) -> list[range]:
+    """``n_members`` consecutive runs of range(dim), cut at distinct random points."""
+    cuts = sorted(rng.choice(np.arange(1, dim), size=n_members - 1, replace=False).tolist())
+    bounds = [0] + cuts + [dim]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _random_family(dim: int, time_index: int, rng: np.random.Generator,
                    n_members: int | None = None) -> ProjectorFamily:
     basis = haar_unitary(dim, rng)
     if n_members is None:
         n_members = int(rng.integers(2, min(dim, 4) + 1))
-    cuts = sorted(rng.choice(np.arange(1, dim), size=n_members - 1, replace=False).tolist())
-    bounds = [0] + cuts + [dim]
-    blocks = {
-        f"m{j}": list(range(bounds[j], bounds[j + 1])) for j in range(n_members)
-    }
+    blocks = {f"m{j}": list(run) for j, run in enumerate(_cut(dim, n_members, rng))}
     return ProjectorFamily.from_basis(time_index, basis, blocks)
 
 
 def random_model(seed: int, dim: int = 4, n_families: int = 2,
-                 members_per_family: int | None = None, pure: bool = True,
-                 trivial_dynamics: bool = False) -> QuantumModel:
+                 members_per_family: int | None = None, pure: bool = True) -> QuantumModel:
     """Seeded random model: Haar steps and random orthogonal-basis families."""
     rng = np.random.default_rng(seed)
     n_times = n_families + 2
-    eye = np.eye(dim, dtype=complex)
-    steps = [
-        eye.copy() if trivial_dynamics else haar_unitary(dim, rng)
-        for _ in range(n_times - 1)
-    ]
+    steps = [haar_unitary(dim, rng) for _ in range(n_times - 1)]
     grid = TimeGrid(np.arange(n_times, dtype=float), steps)
     families = [
         _random_family(dim, k + 1, rng, members_per_family)
@@ -505,12 +504,7 @@ def commuting_random_model(seed: int, dim: int = 4, n_families: int = 2) -> Quan
 def _random_family_from_basis(basis: np.ndarray, time_index: int,
                               rng: np.random.Generator) -> ProjectorFamily:
     dim = basis.shape[0]
-    n_members = int(rng.integers(2, min(dim, 3) + 1))
-    cuts = sorted(rng.choice(np.arange(1, dim), size=n_members - 1, replace=False).tolist())
-    bounds = [0] + cuts + [dim]
+    runs = _cut(dim, int(rng.integers(2, min(dim, 3) + 1)), rng)
     perm = rng.permutation(dim)
-    blocks = {
-        f"m{j}": [int(perm[i]) for i in range(bounds[j], bounds[j + 1])]
-        for j in range(n_members)
-    }
+    blocks = {f"m{j}": perm[run].tolist() for j, run in enumerate(runs)}
     return ProjectorFamily.from_basis(time_index, basis, blocks)

@@ -46,7 +46,11 @@ def _pairs(m) -> list:
 
 
 def write_fixtures(tree: Path, where: Path) -> None:
-    """Model files derived from ``tree``'s emitted scenarios, plus the register models."""
+    """Model files derived from ``tree``'s emitted scenarios, plus the register models.
+
+    The register models come from the benchmark generator in this script's
+    own checkout (``perfbench/inputs.py``), so ``tree`` needs only ``src/``.
+    """
     for name, params in (("spin", ["a=0.6"]), ("spin-post", [])):
         proc = run(tree, ["scenario", "emit", name, *params, "--out", f"base-{name}.json"], where)
         if proc.returncode != 0:
@@ -78,7 +82,7 @@ def write_fixtures(tree: Path, where: Path) -> None:
         files[name] = bad
     for name, data in files.items():
         (where / f"{name}.json").write_text(json.dumps(data, indent=2), encoding="utf-8")
-    sys.path.insert(0, str(tree / "perfbench"))
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
     import numpy as np
     import inputs  # the benchmark's numpy-only generator
 

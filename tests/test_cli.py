@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from compare_cli import read_commands
+from decohist import scenarios
 from decohist.cli import build_parser, main
 from decohist.modelfile import dump_model, load_model, model_from_dict, model_to_dict
 from decohist.exceptions import ModelFileError
+from decohist.histories import TolerancePolicy
 from decohist.model import QuantumModel
-from decohist.scenarios import random_model, spin_model, spin_post_selection
+from decohist.scenarios import random_model, spin_model, spin_post_selection, spin_recoherence_base
 
 FULL_SQRT_HALF = repr(float(1.0 / np.sqrt(2.0)))
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -155,6 +157,50 @@ def test_recohere_command(capsys):
     assert res["recoherence_witness"] is True
     assert res["equivalence_holds"] is True
     assert res["reversed_set_backwards"] == "decoherent"
+
+
+def _count_analyses(monkeypatch) -> list:
+    """Record the tolerance of every recoherence analysis the CLI runs."""
+    calls, analyse = [], scenarios.recoherence_scenario
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tolerance"))
+        return analyse(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "recoherence_scenario", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, alpha", [("spin-symmetric", 1.0 / np.sqrt(2.0)),
+                                         ("recoherence", 0.6)])
+def test_recohere_tolerances_reach_mirror_scenarios(capsys, monkeypatch, name, alpha):
+    calls = _count_analyses(monkeypatch)
+    code, report = run_cli(capsys, "recohere", "--tol-rel", "1", "--tol-abs", "1",
+                           "--scenario", name)
+    tol = TolerancePolicy(rel=1.0, abs=1.0)
+    assert calls == [tol]
+    api = scenarios.recoherence_scenario(spin_recoherence_base(alpha), tolerance=tol)
+    res = report["result"]
+    assert res["first_half_classification"] == api.first_half_forwards.classification
+    assert res["reversed_set_backwards"] == api.reversed_backwards.classification
+    assert res["original_set_backwards"] == api.original_backwards.classification
+    assert res["recoherence_witness"] == api.recoherence_witness
+    assert res["equivalence_holds"] == api.equivalence_holds
+    assert code == (0 if api.recoherence_witness and api.equivalence_holds else 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--scenario", "spin-symmetric"],
+    ["check", "--both", "--scenario", "recoherence"],
+    ["page", "--scenario", "spin-symmetric"],
+    ["probs", "--scenario", "recoherence"],
+    ["scenario", "emit", "spin-symmetric"],
+])
+def test_mirror_scenarios_run_no_analysis_outside_recohere(capsys, monkeypatch, argv):
+    calls = _count_analyses(monkeypatch)
+    code, report = run_cli(capsys, *argv)
+    assert code in (0, 1) and report is not None
+    assert calls == []
 
 
 def test_page_command(capsys):

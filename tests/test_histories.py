@@ -353,6 +353,39 @@ def test_empty_block_is_not_a_partition():
         coarse_grain_check(m, graining, "forwards")
 
 
+def test_coarse_grain_check_rejects_an_unknown_direction():
+    m = spin_model(0.6)
+    with pytest.raises(ValueError, match="direction must be"):
+        coarse_grain_check(m, CoarseGraining.singletons(m), "forward")
+
+
+@pytest.mark.parametrize("direction", ["forwards", "backwards"])
+def test_int_block_labels_give_the_values_of_string_labels(direction):
+    m = spin_model(0.6)
+    ints = coarse_grain_check(
+        m, CoarseGraining(({0: ("x+",), 1: ("x-",)}, {"z": ("z+", "z-")})), direction)
+    strs = coarse_grain_check(
+        m, CoarseGraining(({"0": ("x+",), "1": ("x-",)}, {"z": ("z+", "z-")})), direction)
+    assert list(ints.per_history) == [("0", "z"), ("1", "z")]
+    assert ints.per_history == strs.per_history
+    assert ints.max_violation == strs.max_violation
+    clash = CoarseGraining(({1: ("x+",), "1": ("x-",)}, {"z": ("z+", "z-")}))
+    with pytest.raises(ValueError, match="not distinct as strings"):
+        coarse_grain_check(m, clash, direction)
+
+
+def test_coarse_model_reads_int_members_as_labels():
+    # members labelled "1" then "0": the member 0 is the label "0", not index 0
+    fam = ProjectorFamily(1, [("1", np.diag([1.0, 0.0])), ("0", np.diag([0.0, 1.0]))])
+    grid = TimeGrid([0, 1, 2], [np.eye(2)] * 2)
+    m = QuantumModel(StateOperator(np.diag([0.3, 0.7])), grid, [fam])
+    graining = CoarseGraining(({"a": (0,), "b": (1,)},))
+    direct = {h: d for h, (d, _) in coarse_grain_check(m, graining).per_history.items()}
+    assert direct == pytest.approx({("a",): 0.7, ("b",): 0.3}, abs=1e-12)
+    coarse = check_decoherence(graining.coarse_model(m))
+    assert coarse.diagonals == pytest.approx(direct, abs=1e-12)
+
+
 def test_merged_blocks_are_validated_in_full(monkeypatch):
     m = spin_model(0.6)
     built = []

@@ -63,9 +63,9 @@ def test_state_operator_rejects_negative_eigenvalue():
         StateOperator(np.diag([1.2, -0.2]))
 
 
-def test_from_vector_sets_purity_hint():
+def test_from_vector_is_pure():
     s = StateOperator.from_vector([1.0, 0.0])
-    assert s.purity_hint and s.is_pure()
+    assert s.is_pure()
 
 
 def test_state_vector_norm_enforced():
