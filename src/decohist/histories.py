@@ -22,9 +22,12 @@ once, applying each step segment and then each member projector to every
 node of a level, so shared prefixes are computed once (one O(d^2 r) product
 per node).  Every functional is then one Gram product of the resulting
 branch table, and the walk's levels are the truncated history sets.
-All functions here are pure; histories may be evaluated concurrently and the
-reports assemble in a fixed lexicographic order regardless of evaluation
-order.
+A model's own table (its state's columns, every history) is walked once per
+direction and kept read-only on the model, so the functionals, coarse
+graining and the both-conditions check of one model share it.  Apart from
+that memo, whose tables are the same whichever call fills it, all functions
+here are pure; histories may be evaluated concurrently and the reports
+assemble in a fixed lexicographic order regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .model import (
     QuantumModel,
     StateOperator,
     _dynamics_symmetry_defect,
+    _freeze,
     _psd_columns,
     _reverse_in_basis,
 )
@@ -197,14 +201,20 @@ def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False
     """Rows of L_h C (L_h^dagger C backwards), one (r, d) block per history.
 
     The last level of the walk pulled back to the initial time, by W(t_n)^dagger
-    (W(t_1)^dagger backwards).
+    (W(t_1)^dagger backwards).  The model's own table, all members of its
+    state's ``columns``, is memoised on the model per direction, read-only.
     """
+    own = members is None and cols is model.initial_state.columns
+    if own and backwards in model._tables:
+        return model._tables[backwards]
     table = cols.T[None]
     for table in _walk(model, cols, backwards, members):
         pass
     if model.families:
         w = model.grid.cumulative(model.families[0 if backwards else -1].time_index)
         table = (table.reshape(-1, model.dim) @ w.conj()).reshape(table.shape)
+    if own:
+        model._tables[backwards] = _freeze(table)
     return table
 
 

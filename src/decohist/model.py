@@ -7,9 +7,10 @@ the unitary basis in which the antiunitary time reversal conjugates.
 
 All objects validate their invariants at construction and are immutable
 afterwards (stored arrays are marked read-only), so they are safe to share
-across threads.  The one lazily computed value, a state's spectrum, is
-deterministic: threads that read it first at the same moment may each
-compute it, and they obtain identical arrays.
+across threads.  The lazily computed values, a state's spectrum and a
+model's own branch tables (one per direction, memoised by
+:mod:`decohist.histories`), are deterministic: threads that read one first
+at the same moment may each compute it, and they obtain identical arrays.
 """
 
 from __future__ import annotations
@@ -512,6 +513,7 @@ class QuantumModel:
         self.families = families
         self.conjugation_basis = _freeze(basis)
         self.factors = factors
+        self._tables: dict[bool, np.ndarray] = {}  # read-only branch tables, keyed by backwards
 
     def _derive(self, families, grid: TimeGrid | None = None) -> "QuantumModel":
         """A model with this one's state, conjugation basis and factors.

@@ -235,8 +235,11 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
     so the two tables must agree on every model.  A mixed initial state is
     handled as a mixture of pure runs, one per column c of its factor
     ``columns``, run from c / ||c|| with weight ||c||^2 (trajectory states
-    omitted).  The unit columns walk each trajectory together, as one block,
-    and a trajectory's probability is sum_c ||c||^2 p_c.
+    omitted), and a trajectory's probability is sum_c ||c||^2 p_c.  The runs
+    go level by level: the d x r blocks of unit columns of every trajectory
+    so far sit side by side, trajectory-major, so each family costs one
+    segment product and one product per member, and every column is
+    renormalized on its own.
     """
     state = model.initial_state
     segments = _collapse_segments(model)
@@ -244,21 +247,20 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
         return _collapse_walk(model, state.state_vector(), segments)
     cols = state.columns
     weights = np.sum(cols.real ** 2 + cols.imag ** 2, axis=0)
-    units = cols / np.sqrt(weights)
-    families = model.families
-    trajectories = []
-    for idx in itertools.product(*[range(len(f)) for f in families]):
-        block = units
-        probs = np.ones(weights.size)
-        for fam, seg, j in zip(families, segments, idx):
-            block = fam.projectors[j] @ (seg @ block)
-            p_step = np.sum(block.real ** 2 + block.imag ** 2, axis=0)
-            probs *= p_step
-            live = p_step > 1e-300
-            block[:, live] /= np.sqrt(p_step[live])
-            block[:, ~live] = 0.0
-        labels = tuple(f.labels[j] for f, j in zip(families, idx))
-        trajectories.append(CollapseTrajectory(labels, float(weights @ probs)))
+    d, r = cols.shape
+    blocks = (cols / np.sqrt(weights))[:, None]  # (d, trajectories, r)
+    probs = np.ones((1, r))
+    for fam, seg in zip(model.families, segments):
+        flat = seg @ blocks.reshape(d, -1)
+        blocks = np.stack([(p @ flat).reshape(blocks.shape) for p in fam.projectors], axis=2)
+        blocks = blocks.reshape(d, -1, r)  # a trajectory's members follow it, in order
+        p_step = np.sum(blocks.real ** 2 + blocks.imag ** 2, axis=0)
+        probs = (probs[:, None] * p_step.reshape(len(probs), len(fam), r)).reshape(-1, r)
+        live = p_step > 1e-300
+        np.divide(blocks, np.sqrt(p_step), out=blocks, where=live)
+        blocks[:, ~live] = 0.0
+    labels = itertools.product(*[f.labels for f in model.families])
+    trajectories = [CollapseTrajectory(h, float(weights @ p)) for h, p in zip(labels, probs)]
     return sorted(trajectories, key=lambda t: t.labels)
 
 

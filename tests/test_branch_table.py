@@ -12,13 +12,18 @@ import numpy as np
 import pytest
 import reference_evaluator as ref
 
+from decohist import histories
 from decohist.histories import (
+    CoarseGraining,
     TolerancePolicy,
+    _branch_table,
     _functional_matrix,
+    both_conditions_theorem_check,
     candidate_probability_backwards,
     candidate_probability_forwards,
     check_decoherence,
     check_two_state_decoherence,
+    coarse_grain_check,
     decoherence_functional,
     two_state_functional,
 )
@@ -219,3 +224,103 @@ def test_zero_threshold_gives_infinite_ratio():
     assert pair.threshold == 0.0
     assert pair.ratio == math.inf
     assert pair.passed
+
+
+def _count_walks(monkeypatch):
+    """Record (model, backwards) for every walk the branch tables start."""
+    calls = []
+    walk = histories._walk
+
+    def counting(model, cols, backwards=False, members=None):
+        calls.append((model, backwards))
+        return walk(model, cols, backwards, members)
+
+    monkeypatch.setattr(histories, "_walk", counting)
+    return calls
+
+
+def _merge_first_family(model):
+    return CoarseGraining(tuple(
+        {"all": fam.labels} if k == 0 else {label: (label,) for label in fam.labels}
+        for k, fam in enumerate(model.families)))
+
+
+def test_each_model_walks_once_per_direction(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    model = commuting_random_model(5, dim=5, n_families=3)
+    rho_f = _final_operator(model.dim, 5)
+    graining = _merge_first_family(model)
+    requests = [
+        lambda: check_decoherence(model, "forwards"),
+        lambda: check_decoherence(model, "backwards", "strong"),
+        lambda: check_two_state_decoherence(model.initial_state, rho_f, model),
+        lambda: coarse_grain_check(model, graining, "forwards"),
+        lambda: coarse_grain_check(model, graining, "backwards"),
+        lambda: both_conditions_theorem_check(model),
+    ]
+    for request in requests:
+        out = request()
+        assert len(model._tables) <= 2
+    assert out.applicable  # so the check read the chain values from the table
+    assert sorted(backwards for _, backwards in calls) == [False, True]
+    assert all(m is model for m, _ in calls)
+    # single paths and foreign columns walk every time, and are not kept
+    candidate_probability_forwards(model, model.history_labels()[0])
+    _branch_table(model, model.initial_state.columns.copy())
+    assert len(calls) == 4 and len(model._tables) == 2
+
+
+def test_derived_and_coarse_models_walk_their_own_tables(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    model = random_model(6, dim=4, n_families=2, pure=False)
+    check_decoherence(model)
+    derived = model._derive(model.families)
+    coarse = _merge_first_family(model).coarse_model(model)
+    for other in (derived, coarse):
+        assert other._tables == {}
+        for _ in range(2):
+            assert np.max(np.abs(_functional_matrix(other, "forwards")[1]
+                                 - ref.functional_matrix(other))) <= ATOL
+    assert [m for m, _ in calls] == [model, derived, coarse]
+
+
+def test_content_equal_state_gets_no_memo_hit(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    model = random_model(7, dim=4, n_families=2, pure=False)
+    rho_f = _final_operator(model.dim, 7)
+    twin = StateOperator(model.initial_state.rho)
+    assert twin is not model.initial_state
+    assert np.array_equal(twin.columns, model.initial_state.columns)
+    mine = check_two_state_decoherence(model.initial_state, rho_f, model)
+    for _ in range(2):
+        other = check_two_state_decoherence(twin, rho_f, model)
+        assert other.diagonals == mine.diagonals
+    assert len(calls) == 3
+    assert list(model._tables) == [False]
+
+
+@pytest.mark.parametrize("backwards", [False, True])
+@pytest.mark.parametrize("model", [random_model(8, dim=4, n_families=2, pure=False),
+                                   random_model(5, dim=3, n_families=0)],
+                         ids=["random", "no-families"])
+def test_memoised_table_is_read_only(model, backwards):
+    table = _branch_table(model, model.initial_state.columns, backwards)
+    assert _branch_table(model, model.initial_state.columns, backwards) is table
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    with pytest.raises(ValueError):
+        table.reshape(-1)[0] = 1.0
+
+
+@pytest.mark.parametrize("two_state_first", [False, True], ids=["forwards-first", "two-state-first"])
+@pytest.mark.parametrize("kind,n,seed", CASES[1::3])
+def test_memoised_functionals_match_reference_in_either_order(kind, n, seed, two_state_first):
+    model = _case(kind, n, seed)
+    rho_f = _final_operator(model.dim, seed)
+    order = [("forwards", {}), ("backwards", {}),
+             ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f})]
+    if two_state_first:
+        order.reverse()
+    for direction, extra in order * 2:  # the second round reads the memo
+        _, d = _functional_matrix(model, direction, **extra)
+        assert np.max(np.abs(d - ref.functional_matrix(model, direction, **extra))) <= ATOL

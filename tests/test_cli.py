@@ -450,6 +450,34 @@ def test_module_entry_point_runs():
     assert "spin-symmetric" in proc.stdout
 
 
+
+def test_verdicts_and_pair_rows_agree_across_blas_thread_counts():
+    """The README's promise: another thread count keeps verdicts and pair rows.
+
+    Rows whose measures are at rounding level may change place, and floats
+    their last digits, so rows are compared as a set of (left, right, passed).
+    """
+    argv = ["-m", "decohist.cli", "check", "--both", "--scenario", "random",
+            "seed=5", "dim=128", "n=2", "pure=0"]
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        runs.append((proc.returncode, json.loads(proc.stdout)["result"]))
+    (code_1, one), (code_2, two) = runs
+    assert code_1 == code_2
+    for direction in ("forwards", "backwards"):
+        assert one[direction]["classification"] == two[direction]["classification"]
+        rows = [{(tuple(r["left"]), tuple(r["right"]), r["passed"]) for r in report[direction]["pair_table"]}
+                for report in (one, two)]
+        assert len(rows[0]) == len(one[direction]["pair_table"]) == 66
+        assert rows[0] == rows[1], direction
+    assert (one["applicable"], one["passed"]) == (two["applicable"], two["passed"])
+
 def test_cli_import_is_lazy_and_package_names_resolve():
     proc = run_python("-c", (
         "import sys, decohist.cli, decohist\n"
