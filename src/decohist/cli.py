@@ -10,7 +10,8 @@ verdicts).
 
 Exit codes: 0 decoherent / check passed, 1 not decoherent / check failed,
 2 marginal, 64 model-file parse errors, bad scenario parameters and
-out-of-range options, 65 model invariant violations, 70 unexpected errors.
+out-of-range options (among them negative or non-finite tolerances), 65
+model invariant violations, 70 unexpected errors.
 """
 
 from __future__ import annotations
@@ -288,9 +289,8 @@ def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     psi0 = _pure_state_vector(model)
     if final is None:
         final = model.grid.cumulative(model.grid.n_times - 1) @ psi0
-    trajectories = reverse_collapse_chain(model, final)
     body = {"trajectories": []}
-    for t in sorted(trajectories, key=lambda t: t.labels):
+    for t in reverse_collapse_chain(model, final):  # sorted by labels
         reconstructed = t.states[-1]
         fidelity = float(abs(np.vdot(psi0, reconstructed)) ** 2) if t.probability > 0 else 0.0
         body["trajectories"].append({
@@ -541,8 +541,11 @@ def _run(argv) -> int:
             body, code = _cmd_scenario(args)
             _emit(body, args.out if args.action == "list" else None)
             return code
+        try:
+            tol = TolerancePolicy(rel=args.tol_rel, abs=args.tol_abs)
+        except ValueError as exc:
+            raise _CliError(str(exc), EXIT_USAGE) from None
         model, extras = _resolve_model(args, args.seed)
-        tol = TolerancePolicy(rel=args.tol_rel, abs=args.tol_abs)
         body, code = _DISPATCH[args.command](args, model, extras, tol)
         report = {
             "command": args.command,

@@ -24,7 +24,8 @@ per node).  Every functional is then one Gram product of the resulting
 branch table, and the walk's levels are the truncated history sets.
 A model's own table (its state's columns, every history) is walked once per
 direction and kept read-only on the model, so the functionals, coarse
-graining and the both-conditions check of one model share it.  Apart from
+graining, the both-conditions check and the single-history values of one
+model share it; a single-history value is a read of its row.  Apart from
 that memo, whose tables are the same whichever call fills it, all functions
 here are pure; histories may be evaluated concurrently and the reports
 assemble in a fixed lexicographic order regardless of evaluation order.
@@ -98,6 +99,11 @@ class TolerancePolicy:
     rel: float = 1e-9
     abs: float = 1e-12
 
+    def __post_init__(self):
+        for name, value in (("rel", self.rel), ("abs", self.abs)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"tolerance {name} = {value!r} must be finite and non-negative")
+
     def pair_threshold(self, p: float, q: float) -> float:
         return max(self.abs, self.rel * math.sqrt(max(p, 0.0) * max(q, 0.0)))
 
@@ -165,15 +171,14 @@ class DecoherenceReport:
         return float(self._arrays.measure.max(initial=0.0))
 
 
-def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False, members=None):
+def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
     """Schrodinger-picture prefix walk over the families, one level per family.
 
     Each level has shape (nodes, r, d): one node per history prefix, in
     lexicographic order, holding the transposed columns P_k U_k ... P_1 U_1 C
     at the family's time, where U_k is the segment of steps between
     consecutive family times.  Backwards walks the families latest first,
-    from W(t_n) C through the adjoint segments.  ``members`` lists the member
-    indices to expand per family, all by default.
+    from W(t_n) C through the adjoint segments.
     """
     grid = model.grid
     order = range(model.n_families)
@@ -188,27 +193,25 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False, member
         else:
             step = grid.segment(prev, t).T
         flat = nodes.reshape(-1, nodes.shape[-1]) @ step
-        picks = range(len(fam)) if members is None else members[k]
         # the family met last varies fastest forwards and slowest backwards
-        nodes = np.stack([(flat @ fam.projectors[j].T).reshape(nodes.shape) for j in picks],
+        nodes = np.stack([(flat @ p.T).reshape(nodes.shape) for p in fam.projectors],
                          axis=0 if backwards else 1)
         nodes, prev = nodes.reshape(-1, *nodes.shape[2:]), t
         yield nodes
 
 
-def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False,
-                  members=None) -> np.ndarray:
+def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False) -> np.ndarray:
     """Rows of L_h C (L_h^dagger C backwards), one (r, d) block per history.
 
     The last level of the walk pulled back to the initial time, by W(t_n)^dagger
-    (W(t_1)^dagger backwards).  The model's own table, all members of its
-    state's ``columns``, is memoised on the model per direction, read-only.
+    (W(t_1)^dagger backwards).  The model's own table, that of its state's
+    ``columns`` object, is memoised on the model per direction, read-only.
     """
-    own = members is None and cols is model.initial_state.columns
+    own = cols is model.initial_state.columns
     if own and backwards in model._tables:
         return model._tables[backwards]
     table = cols.T[None]
-    for table in _walk(model, cols, backwards, members):
+    for table in _walk(model, cols, backwards):
         pass
     if model.families:
         w = model.grid.cumulative(model.families[0 if backwards else -1].time_index)
@@ -256,22 +259,20 @@ def _functional_matrix(model: QuantumModel, direction: str,
     return model.history_labels(), _gram(a, b)
 
 
-def _path_table(model: QuantumModel, history, cols: np.ndarray,
-                backwards: bool = False) -> np.ndarray:
-    """The branch-table row of one history, from a walk down its single path."""
-    path = [[j] for j in model.history_indices(tuple(history))]
-    return _branch_table(model, cols, backwards, path)
+def _row(model: QuantumModel, history) -> int:
+    """Branch-table row of one history: its member indices, the last family fastest."""
+    return np.ravel_multi_index(model.history_indices(history), [len(f) for f in model.families])
 
 
 def candidate_probability_forwards(model: QuantumModel, history) -> float:
     """Diagonal of the forwards functional: Tr(L_h rho L_h^dagger), in [0, 1]."""
-    a = _path_table(model, history, model.initial_state.columns)
+    a = _branch_table(model, model.initial_state.columns)[_row(model, history)]
     return _clamp_probability(np.vdot(a, a), f"forwards probability of {tuple(history)}")
 
 
 def candidate_probability_backwards(model: QuantumModel, history) -> float:
     """Diagonal of the backwards functional: Tr(L_h^dagger rho L_h), in [0, 1]."""
-    a = _path_table(model, history, model.initial_state.columns, backwards=True)
+    a = _branch_table(model, model.initial_state.columns, backwards=True)[_row(model, history)]
     return _clamp_probability(np.vdot(a, a), f"backwards probability of {tuple(history)}")
 
 
@@ -283,11 +284,8 @@ def decoherence_functional(model: QuantumModel, h, h_prime, direction: str = "fo
     """
     if direction not in ("forwards", "backwards"):
         raise ValueError(f"direction must be 'forwards' or 'backwards', got {direction!r}")
-    backwards = direction == "backwards"
-    cols = model.initial_state.columns
-    a = _path_table(model, h, cols, backwards)
-    b = _path_table(model, h_prime, cols, backwards)
-    return complex(np.vdot(b, a))
+    table = _branch_table(model, model.initial_state.columns, direction == "backwards")
+    return complex(np.vdot(table[_row(model, h_prime)], table[_row(model, h)]))
 
 
 class _PairArrays(NamedTuple):
@@ -423,10 +421,8 @@ def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> compl
         rho_i = StateOperator(rho_i)
     rho_f = _coerce_final_operator(rho_f, model.dim)
     _two_state_normalization(rho_i, rho_f)
-    cols = rho_i.columns
-    a = _path_table(model, h, cols)
-    b = _path_table(model, h_prime, cols)
-    return complex(np.vdot(b, a @ rho_f.T))
+    table = _branch_table(model, rho_i.columns)  # a foreign rho_i walks the whole table
+    return complex(np.vdot(table[_row(model, h_prime)], table[_row(model, h)] @ rho_f.T))
 
 
 def two_state_probability_table(rho_i, rho_f, model: QuantumModel,

@@ -24,6 +24,7 @@ from .histories import (
     DecoherenceReport,
     TolerancePolicy,
     _branch_table,
+    _classify,
     _gram,
     _pair_arrays,
     _walk,
@@ -147,10 +148,12 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
                       tolerance: TolerancePolicy | None = None) -> RecordSet:
     """Build record projectors at grid time ``time_index`` (default: last).
 
-    Requires strong forwards decoherence; each branch vector is evolved to the
-    record time, normalized, and turned into a rank-one projector.  The
-    record family is verified to be perfectly correlated with the histories
-    and to extend the history set without breaking strong decoherence.
+    Requires strong forwards decoherence, judged on the Gram matrix of the
+    branch vectors, which for the pure state is the forwards functional, so
+    the model is walked once.  Each branch vector is evolved to the record
+    time, normalized, and turned into a rank-one projector.  The record
+    family is verified to be perfectly correlated with the histories and to
+    extend the history set without breaking strong decoherence.
     """
     psi = _require_pure(model, psi)
     tolerance = tolerance or TolerancePolicy()
@@ -163,14 +166,15 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
             f"record time index {time_index} precedes the last family "
             f"(index {model.families[-1].time_index})"
         )
-    base = check_decoherence(model, "forwards", "strong", tolerance)
+    histories = model.history_labels()
+    table = _branch_table(model, psi[:, None])
+    base = _classify(histories, _gram(table), 1.0, "strong", tolerance, "forwards")
     if not base.decoherent:
         raise ConditionNotSatisfiedError(
             f"strong forwards decoherence does not hold (classification: {base.classification}); "
             "records exist only for strongly decoherent sets"
         )
-    histories = model.history_labels()
-    branches = _branch_table(model, psi[:, None])[:, 0]
+    branches = table[:, 0]
     evolved = branches @ model.grid.cumulative(time_index).T
     probabilities = {h: float(np.vdot(v, v).real) for h, v in zip(histories, branches)}
     norms = np.linalg.norm(evolved, axis=1)

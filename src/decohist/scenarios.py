@@ -9,9 +9,10 @@ package: it decoheres forwards but not backwards (unless |alpha|^2 = 1/2),
 its branches are orthogonal pointer states, and with real amplitudes its
 mirror extension recoheres.
 
-``collapse_chain_enumerate`` walks every outcome sequence with explicit
-project-and-renormalize steps; it is deliberately independent of the chain
-machinery in :mod:`decohist.histories` so the two can check each other.
+``collapse_chain_enumerate`` and ``reverse_collapse_chain`` run every
+outcome sequence, level by level, with explicit project-and-renormalize
+steps; they are deliberately independent of the chain machinery in
+:mod:`decohist.histories` so the two can check each other.
 """
 
 from __future__ import annotations
@@ -174,84 +175,45 @@ class CollapseTrajectory:
     states: list[np.ndarray] | None = None
 
 
-def _collapse_segments(model: QuantumModel, backwards: bool = False) -> list[np.ndarray]:
-    """Per family met, the product of the steps reaching its time; then the tail.
+def _collapse_levels(model: QuantumModel, cols: np.ndarray, pure: bool,
+                     backwards: bool = False) -> list[CollapseTrajectory]:
+    """Project and renormalize along every outcome sequence, one level per family.
 
-    Forwards the steps run from the first grid time to the last; backwards
-    their adjoints run from the last grid time to the first.  Each product
-    starts from its first step (an adjoint is stored contiguous).  The
-    products are multiplied out here rather than taken from the grid, so the
-    oracle stays independent of the code it checks.
+    A mixed run starts each column c of the d x r factor ``cols`` from
+    c / ||c|| with weight ||c||^2; a pure run (r = 1) starts from its vector
+    as given, with weight 1, and keeps each trajectory's states, ending with
+    the trailing evolution.  The d x r blocks of unit columns of every
+    trajectory so far sit side by side, trajectory-major, so each family
+    costs one segment product and one product per member, and every column
+    is renormalized on its own.  Each segment is the product of the steps
+    reaching the family's time, multiplied out here from its first step (an
+    adjoint is stored contiguous) rather than taken from the grid, so the
+    oracle stays independent of the code it checks.  Forwards the steps run
+    from the first grid time to the last; backwards their adjoints run from
+    the last to the first and the families are met latest first.  The
+    trajectories come back sorted by their time-ordered labels.
     """
     steps = model.grid.step_unitaries
     families = model.families[::-1] if backwards else model.families
     last = model.grid.n_times - 1
-    stops = [fam.time_index for fam in families] + [0 if backwards else last]
-    segments = []
+    d, r = cols.shape
+    weights = np.ones(1) if pure else np.sum(cols.real ** 2 + cols.imag ** 2, axis=0)
+    blocks = (cols if pure else cols / np.sqrt(weights))[:, None]  # (d, trajectories, r)
+    probs = np.ones((1, r))
+    levels = []  # a pure run's blocks after each family, then after the tail
     pos = last if backwards else 0
-    for stop in stops:
+    for fam in (*families, None) if pure else families:
+        stop = (0 if backwards else last) if fam is None else fam.time_index
         idx = reversed(range(stop, pos)) if backwards else range(pos, stop)
         factors = [steps[i].conj().T if backwards else steps[i] for i in idx]
-        w = np.ascontiguousarray(factors[0])
+        seg = np.ascontiguousarray(factors[0])
         for u in factors[1:]:
-            w = u @ w
-        segments.append(w)
+            seg = u @ seg
         pos = stop
-    return segments
-
-
-def _collapse_walk(model: QuantumModel, psi: np.ndarray, segments: list[np.ndarray],
-                   backwards: bool = False) -> list[CollapseTrajectory]:
-    """Project-and-renormalize along every outcome sequence.
-
-    ``segments`` come from :func:`_collapse_segments` in the same direction;
-    backwards the families are met latest first.  Labels are reported
-    time-ordered either way.
-    """
-    families = model.families[::-1] if backwards else model.families
-    *segments, tail = segments
-    trajectories = []
-    for idx in itertools.product(*[range(len(f)) for f in families]):
-        state = psi.copy()
-        prob = 1.0
-        states = []
-        for fam, seg, j in zip(families, segments, idx):
-            state = fam.projectors[j] @ (seg @ state)
-            p_step = float(np.vdot(state, state).real)
-            prob *= p_step
-            state = state / np.sqrt(p_step) if p_step > 1e-300 else np.zeros_like(state)
-            states.append(state.copy())
-        states.append(tail @ state)
-        labels = tuple(f.labels[j] for f, j in zip(families, idx))
-        trajectories.append(CollapseTrajectory(labels[::-1] if backwards else labels, prob, states))
-    return trajectories
-
-
-def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
-    """All collapse trajectories with stepwise-product probabilities.
-
-    This is the oracle for the forwards candidate probabilities: the product
-    of stepwise collapse probabilities equals the chain-product trace formula,
-    so the two tables must agree on every model.  A mixed initial state is
-    handled as a mixture of pure runs, one per column c of its factor
-    ``columns``, run from c / ||c|| with weight ||c||^2 (trajectory states
-    omitted), and a trajectory's probability is sum_c ||c||^2 p_c.  The runs
-    go level by level: the d x r blocks of unit columns of every trajectory
-    so far sit side by side, trajectory-major, so each family costs one
-    segment product and one product per member, and every column is
-    renormalized on its own.
-    """
-    state = model.initial_state
-    segments = _collapse_segments(model)
-    if state.is_pure():
-        return _collapse_walk(model, state.state_vector(), segments)
-    cols = state.columns
-    weights = np.sum(cols.real ** 2 + cols.imag ** 2, axis=0)
-    d, r = cols.shape
-    blocks = (cols / np.sqrt(weights))[:, None]  # (d, trajectories, r)
-    probs = np.ones((1, r))
-    for fam, seg in zip(model.families, segments):
         flat = seg @ blocks.reshape(d, -1)
+        if fam is None:
+            levels.append(flat.reshape(blocks.shape))
+            break
         blocks = np.stack([(p @ flat).reshape(blocks.shape) for p in fam.projectors], axis=2)
         blocks = blocks.reshape(d, -1, r)  # a trajectory's members follow it, in order
         p_step = np.sum(blocks.real ** 2 + blocks.imag ** 2, axis=0)
@@ -259,9 +221,33 @@ def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
         live = p_step > 1e-300
         np.divide(blocks, np.sqrt(p_step), out=blocks, where=live)
         blocks[:, ~live] = 0.0
-    labels = itertools.product(*[f.labels for f in model.families])
-    trajectories = [CollapseTrajectory(h, float(weights @ p)) for h, p in zip(labels, probs)]
+        if pure:
+            levels.append(blocks)
+    trajectories = []
+    for t, (labels, p) in enumerate(zip(itertools.product(*[f.labels for f in families]), probs)):
+        # the trajectory's prefix at each level: its index with the later families dropped
+        states = [level[:, t * level.shape[1] // len(probs), 0].copy() for level in levels]
+        trajectories.append(CollapseTrajectory(labels[::-1] if backwards else labels,
+                                               float(weights @ p), states if pure else None))
     return sorted(trajectories, key=lambda t: t.labels)
+
+
+def collapse_chain_enumerate(model: QuantumModel) -> list[CollapseTrajectory]:
+    """All collapse trajectories with stepwise-product probabilities, sorted by labels.
+
+    This is the oracle for the forwards candidate probabilities: the product
+    of stepwise collapse probabilities equals the chain-product trace formula,
+    so the two tables must agree on every model.  A mixed initial state is
+    handled as a mixture of pure runs, one per column c of its factor
+    ``columns``, run from c / ||c|| with weight ||c||^2 (trajectory states
+    omitted), and a trajectory's probability is sum_c ||c||^2 p_c.  A pure
+    state runs from its state vector and keeps the states.  All runs go
+    level by level through one walk (see :func:`_collapse_levels`).
+    """
+    state = model.initial_state
+    if state.is_pure():
+        return _collapse_levels(model, state.state_vector()[:, None], pure=True)
+    return _collapse_levels(model, state.columns, pure=False)
 
 
 def collapse_probability_table(model: QuantumModel) -> dict[tuple, float]:
@@ -273,14 +259,15 @@ def reverse_collapse_chain(model: QuantumModel, final_state) -> list[CollapseTra
 
     Steps are applied as adjoints from the last grid time down to the first,
     with the family projections encountered in reverse order.  Labels are
-    reported time-ordered; the last recorded state is the reconstructed
+    reported time-ordered, and the trajectories sorted by them; the last
+    recorded state is the reconstructed
     earliest-time state, which in general differs from the model's own
     initial state.
     """
     psi_f = linalg.as_vector(final_state, "final state")
     if abs(float(np.linalg.norm(psi_f)) - 1.0) > 1e-10:
         raise ValueError("final state must be normalized")
-    return _collapse_walk(model, psi_f, _collapse_segments(model, backwards=True), backwards=True)
+    return _collapse_levels(model, psi_f[:, None], pure=True, backwards=True)
 
 
 def abl_probability(psi_initial, psi_final, model: QuantumModel, history) -> float:

@@ -7,12 +7,14 @@ one-``vdot``-per-pair evaluation in ``reference_evaluator``.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import reference_evaluator as ref
 
 from decohist import histories
+from decohist.cli import main
 from decohist.histories import (
     CoarseGraining,
     TolerancePolicy,
@@ -231,9 +233,9 @@ def _count_walks(monkeypatch):
     calls = []
     walk = histories._walk
 
-    def counting(model, cols, backwards=False, members=None):
+    def counting(model, cols, backwards=False):
         calls.append((model, backwards))
-        return walk(model, cols, backwards, members)
+        return walk(model, cols, backwards)
 
     monkeypatch.setattr(histories, "_walk", counting)
     return calls
@@ -264,10 +266,23 @@ def test_each_model_walks_once_per_direction(monkeypatch):
     assert out.applicable  # so the check read the chain values from the table
     assert sorted(backwards for _, backwards in calls) == [False, True]
     assert all(m is model for m, _ in calls)
-    # single paths and foreign columns walk every time, and are not kept
+    # a single-history value reads the memo; foreign columns walk every time, and are not kept
     candidate_probability_forwards(model, model.history_labels()[0])
+    assert len(calls) == 2
     _branch_table(model, model.initial_state.columns.copy())
-    assert len(calls) == 4 and len(model._tables) == 2
+    assert len(calls) == 3 and len(model._tables) == 2
+
+
+def test_records_walks_the_model_and_its_extension_once(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs  # the benchmark's register-model generator
+
+    path = tmp_path / "reg4.json"
+    inputs.write_model_file(inputs.register_model(4, np.random.default_rng(4)), path)
+    calls = _count_walks(monkeypatch)
+    assert main(["records", "--model", str(path)]) == 0
+    capsys.readouterr()
+    assert [(m.n_families, backwards) for m, backwards in calls] == [(4, False), (5, False)]
 
 
 def test_derived_and_coarse_models_walk_their_own_tables(monkeypatch):

@@ -129,6 +129,17 @@ def test_records_tf_out_of_range_exit_64_names_the_range(capsys, tf):
     assert f"--tf {tf} is outside the allowed range [2, 3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--tol-abs", "inf"), ("--tol-abs", "nan"),
+                                           ("--tol-rel", "-1"), ("--tol-rel", "inf"),
+                                           ("--tol-abs", "-1e-12")])
+def test_non_finite_or_negative_tolerance_exit_64(capsys, option, value):
+    code = main(["check", "--backwards", f"{option}={value}", "--scenario", "spin"])
+    out, err = capsys.readouterr()
+    assert code == 64
+    assert out == ""
+    assert "must be finite and non-negative" in err
+
+
 def test_abl_impossible_selection_exit_65(tmp_path, capsys):
     # |z+> before and |z-> after: every history has amplitude zero
     data = model_to_dict(spin_post_selection()[0], np.diag([0.0, 1.0]))

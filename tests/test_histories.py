@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -533,6 +534,18 @@ def test_both_conditions_commuting_models():
 
 
 # ------------------------------------------------ input validation
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+@pytest.mark.parametrize("name", ["rel", "abs"])
+def test_tolerance_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ValueError, match=f"tolerance {name} .* must be finite and non-negative"):
+        TolerancePolicy(**{name: value})
+
+
+def test_zero_tolerances_are_allowed():
+    tol = TolerancePolicy(rel=0.0, abs=0.0)
+    assert tol.pair_threshold(0.5, 0.5) == 0.0
 
 
 def test_unknown_history_label_raises():
