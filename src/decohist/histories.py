@@ -186,13 +186,13 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
     for k in (reversed(order) if backwards else order):
         fam = model.families[k]
         t = fam.time_index
+        flat = nodes.reshape(-1, nodes.shape[-1])
         if prev is None:
-            step = grid.cumulative(t).T
+            flat = flat @ grid.cumulative(t).T
         elif backwards:
-            step = grid.segment(t, prev).conj()
+            flat = _times_conj(flat, grid.segment(t, prev))
         else:
-            step = grid.segment(prev, t).T
-        flat = nodes.reshape(-1, nodes.shape[-1]) @ step
+            flat = flat @ grid.segment(prev, t).T
         # the family met last varies fastest forwards and slowest backwards
         nodes = np.stack([(flat @ p.T).reshape(nodes.shape) for p in fam.projectors],
                          axis=0 if backwards else 1)
@@ -215,10 +215,18 @@ def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False
         pass
     if model.families:
         w = model.grid.cumulative(model.families[0 if backwards else -1].time_index)
-        table = (table.reshape(-1, model.dim) @ w.conj()).reshape(table.shape)
+        table = _times_conj(table.reshape(-1, model.dim), w).reshape(table.shape)
     if own:
         model._tables[backwards] = _freeze(table)
     return table
+
+
+def _times_conj(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a @ u^*, conjugating the smaller operand: (a^* u)^* is a u^* bit for bit."""
+    if a.size >= u.size:
+        return a @ u.conj()
+    out = a.conj() @ u
+    return np.conjugate(out, out=out)
 
 
 def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -366,15 +374,30 @@ def check_decoherence(model: QuantumModel, direction: str = "forwards",
     return _classify(histories, d, 1.0, strength, tolerance, direction)
 
 
+def _coerce_initial_state(rho_i, dim: int) -> StateOperator:
+    """``rho_i`` as a :class:`StateOperator` of the model's dimension."""
+    state = rho_i if isinstance(rho_i, StateOperator) else StateOperator(rho_i)
+    if state.dim != dim:
+        raise ModelValidationError(
+            f"initial state dimension {state.dim} does not match model dimension {dim}"
+        )
+    return state
+
+
 def _coerce_final_operator(rho_f, dim: int) -> np.ndarray:
-    """Validate a final operator: Hermitian PSD, any trace (identity allowed)."""
-    if isinstance(rho_f, StateOperator):
-        return rho_f.rho
-    m = linalg.as_matrix(rho_f, "final operator")
+    """Validate a final operator: Hermitian PSD, any trace (identity allowed).
+
+    The operator is read where it lies (a complex array is not copied), since
+    nothing keeps it; a :class:`StateOperator` is already validated.
+    """
+    state = isinstance(rho_f, StateOperator)
+    m = rho_f.rho if state else linalg.read_matrix(rho_f, "final operator")
     if m.shape != (dim, dim):
         raise ModelValidationError(f"final operator shape {m.shape} does not match dimension {dim}")
+    if state:
+        return m
     h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
-    if linalg.max_abs(m - h) > 1e-10:
+    if linalg.max_abs(m - h) > ATOL_MODEL:
         raise ModelValidationError("final operator must be Hermitian")
     h += m
     h /= 2.0
@@ -402,8 +425,7 @@ def check_two_state_decoherence(rho_i, rho_f, model: QuantumModel,
     """
     if strength not in ("weak", "strong"):
         raise ValueError(f"strength must be 'weak' or 'strong', got {strength!r}")
-    if not isinstance(rho_i, StateOperator):
-        rho_i = StateOperator(rho_i)
+    rho_i = _coerce_initial_state(rho_i, model.dim)
     rho_f = _coerce_final_operator(rho_f, model.dim)
     norm = _two_state_normalization(rho_i, rho_f)
     histories, d = _functional_matrix(model, "two_state", rho_i=rho_i, rho_f=rho_f)
@@ -416,12 +438,17 @@ def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> compl
     ``rho_f`` must be Hermitian positive semidefinite but need not be
     normalized (the identity is a valid choice, reducing the functional to
     the forwards one).  Raises if Tr(rho_f rho_i) vanishes.
+
+    Each call validates ``rho_f``, and an ``rho_i`` other than the model's own
+    state object walks the whole branch table: at m = 1024 histories and
+    rank 64 a call takes about 226 ms, where walking only the two histories'
+    paths took 3.7 ms.  Callers that need many values build the whole
+    functional once with :func:`check_two_state_decoherence`.
     """
-    if not isinstance(rho_i, StateOperator):
-        rho_i = StateOperator(rho_i)
+    rho_i = _coerce_initial_state(rho_i, model.dim)
     rho_f = _coerce_final_operator(rho_f, model.dim)
     _two_state_normalization(rho_i, rho_f)
-    table = _branch_table(model, rho_i.columns)  # a foreign rho_i walks the whole table
+    table = _branch_table(model, rho_i.columns)
     return complex(np.vdot(table[_row(model, h_prime)], table[_row(model, h)] @ rho_f.T))
 
 
@@ -716,8 +743,7 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
 
     Preconditions must hold to ``ATOL_MODEL`` and the tables agree to ``TABLE_ATOL``.
     """
-    if not isinstance(rho_i, StateOperator):
-        rho_i = StateOperator(rho_i)
+    rho_i = _coerce_initial_state(rho_i, model.dim)
     rho_f = _coerce_final_operator(rho_f, model.dim)
     b = model.conjugation_basis
     d_i = linalg.max_abs(rho_i.rho - _reverse_in_basis(rho_i.rho, b))

@@ -19,6 +19,7 @@ __all__ = [
     "is_unitary",
     "kron",
     "max_abs",
+    "read_matrix",
     "trace",
 ]
 
@@ -30,7 +31,15 @@ ATOL_UNITARY = 1e-10
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex array (always a fresh copy)."""
-    m = np.array(a, dtype=complex)
+    return _finite_matrix(np.array(a, dtype=complex), name)
+
+
+def read_matrix(a, name: str = "matrix") -> np.ndarray:
+    """:func:`as_matrix` for an input that is read and not kept: no copy of a complex array."""
+    return _finite_matrix(np.asarray(a, dtype=complex), name)
+
+
+def _finite_matrix(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

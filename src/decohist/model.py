@@ -7,8 +7,12 @@ the unitary basis in which the antiunitary time reversal conjugates.
 
 All objects validate their invariants at construction and are immutable
 afterwards (stored arrays are marked read-only), so they are safe to share
-across threads.  The lazily computed values, a state's spectrum and a
-model's own branch tables (one per direction, memoised by
+across threads.  A model keeps one copy of each stored input (state, step
+unitaries, projectors, a conjugation basis given to it); the identities,
+W(t_0) = 1 and the default conjugation basis, are built when first read,
+and final operators, which no model keeps, are read where they lie.  The
+lazily computed values, the identities, a state's spectrum and a model's
+own branch tables (one per direction, memoised by
 :mod:`decohist.histories`), are deterministic: threads that read one first
 at the same moment may each compute it, and they obtain identical arrays.
 """
@@ -127,7 +131,9 @@ def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     c_norm = float(np.linalg.norm(c))
     if h.shape[0] * _UNIT_ROUNDOFF * c_norm ** 2 > ATOL_MODEL / 2:
         return None
-    s_norm = float(np.linalg.norm(h - c.T @ c.conj()))
+    s = c.T @ c.conj()
+    s -= h  # -S in place: the norm of h - C C^dagger, bit for bit
+    s_norm = float(np.linalg.norm(s))
     a = np.abs(c)
     norm_1, norm_inf = a.sum(axis=1).max(initial=0.0), a.sum(axis=0).max(initial=0.0)
     abs_norm = min(c_norm, math.sqrt(norm_1 * norm_inf))
@@ -282,8 +288,7 @@ class TimeGrid:
             _check(linalg.max_abs(u @ u.conj().T - np.eye(dim)), f"step unitary {i} unitarity")
         self.times = _freeze(t)
         self.step_unitaries = tuple(_freeze(u) for u in steps)
-        self._cumulative: list[np.ndarray] = [_freeze(np.eye(dim, dtype=complex)),
-                                              self.step_unitaries[0]]
+        self._cumulative: list[np.ndarray] = [self.step_unitaries[0]]  # W(t_k) at k - 1
 
     @classmethod
     def from_generators(cls, times, generators) -> "TimeGrid":
@@ -308,16 +313,21 @@ class TimeGrid:
     def cumulative(self, k: int) -> np.ndarray:
         """W(t_k <- t_0), the ordered product of the first k step unitaries.
 
-        W(t_1) is the first step itself; later products are computed once
-        and kept read-only.
+        W(t_0) is the identity, built on first read; W(t_1) is the first step
+        itself; later products are computed once.  All are kept read-only.
         """
         if not 0 <= k < self.n_times:
             raise IndexError(f"grid index {k} out of range [0, {self.n_times})")
-        while len(self._cumulative) <= k:
-            j = len(self._cumulative)
-            w = self.step_unitaries[j - 1] @ self._cumulative[j - 1]
+        if k == 0:
+            return self._identity
+        while len(self._cumulative) < k:
+            w = self.step_unitaries[len(self._cumulative)] @ self._cumulative[-1]
             self._cumulative.append(_freeze(w))
-        return self._cumulative[k]
+        return self._cumulative[k - 1]
+
+    @functools.cached_property
+    def _identity(self) -> np.ndarray:
+        return _freeze(np.eye(self.dim, dtype=complex))
 
     def segment(self, a: int, b: int) -> np.ndarray:
         """W(t_b <- t_a), the ordered product of the steps between grid indices a < b.
@@ -459,10 +469,10 @@ class QuantumModel:
 
     ``families`` sit at strictly increasing interior grid times.  The
     ``conjugation_basis`` declares the basis in which time reversal conjugates
-    (defaults to the computational basis, i.e. the identity); it must be a
-    symmetric or antisymmetric unitary, so that time reversal is an
-    involution.  ``factors`` optionally records a tensor-factor structure of
-    the Hilbert space.
+    (defaults to the computational basis, i.e. the identity, built when first
+    read); it must be a symmetric or antisymmetric unitary, so that time
+    reversal is an involution.  ``factors`` optionally records a tensor-factor
+    structure of the Hilbert space.
     """
 
     def __init__(self, initial_state: StateOperator, grid: TimeGrid, families,
@@ -489,9 +499,7 @@ class QuantumModel:
             if previous is not None and f.time_index <= previous:
                 raise ModelValidationError("family time indices must be strictly increasing")
             previous = f.time_index
-        if conjugation_basis is None:
-            basis = np.eye(grid.dim, dtype=complex)
-        else:
+        if conjugation_basis is not None:
             basis = linalg.as_matrix(conjugation_basis, "conjugation basis")
             if basis.shape != (grid.dim, grid.dim):
                 raise ModelValidationError(
@@ -502,6 +510,7 @@ class QuantumModel:
             # Time reversal is an involution only when B B^* = +-1.
             _check(min(linalg.max_abs(basis - basis.T), linalg.max_abs(basis + basis.T)),
                    "conjugation basis symmetry (B = B^T or B = -B^T)")
+            self.conjugation_basis = _freeze(basis)  # shadows the default identity
         if factors is not None:
             factors = tuple(int(d) for d in factors)
             if int(np.prod(factors)) != grid.dim:
@@ -511,9 +520,13 @@ class QuantumModel:
         self.initial_state = initial_state
         self.grid = grid
         self.families = families
-        self.conjugation_basis = _freeze(basis)
         self.factors = factors
         self._tables: dict[bool, np.ndarray] = {}  # read-only branch tables, keyed by backwards
+
+    @functools.cached_property
+    def conjugation_basis(self) -> np.ndarray:
+        """The default basis, the identity, built on first read and kept read-only."""
+        return _freeze(np.eye(self.dim, dtype=complex))
 
     def _derive(self, families, grid: TimeGrid | None = None) -> "QuantumModel":
         """A model with this one's state, conjugation basis and factors.

@@ -30,7 +30,7 @@ from .histories import (
     _walk,
     check_decoherence,
 )
-from .model import ProjectorFamily, QuantumModel, TimeGrid
+from .model import ATOL_MODEL, ProjectorFamily, QuantumModel, TimeGrid
 
 __all__ = [
     "BranchVector",
@@ -64,7 +64,7 @@ def _require_pure(model: QuantumModel, psi) -> np.ndarray:
             f"model state has purity {model.initial_state.purity():.6f}; records need a pure state"
         )
     defect = linalg.max_abs(model.initial_state.rho - np.outer(psi, psi.conj()))
-    if defect > 1e-10:
+    if defect > ATOL_MODEL:
         raise ValueError(f"psi does not match the model's initial state (defect {defect:.3e})")
     return psi
 

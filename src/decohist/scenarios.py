@@ -36,6 +36,7 @@ from .histories import (
     time_reversed_history_set,
 )
 from .model import (
+    ATOL_MODEL,
     ProjectorFamily,
     QuantumModel,
     StateOperator,
@@ -351,7 +352,7 @@ def _mirror_extension(base: QuantumModel) -> QuantumModel:
     b = base.conjugation_basis
     rho_c = evolve_state(base, base.grid.n_times - 1).rho
     defect = linalg.max_abs(rho_c - _reverse_in_basis(rho_c, b))
-    if defect > 1e-10:
+    if defect > ATOL_MODEL:
         raise ModelValidationError(
             f"state at time 0 is not time-symmetric (defect {defect:.3e}); "
             "choose a central state fixed by time reversal"

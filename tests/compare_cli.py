@@ -25,6 +25,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 TIMING = re.compile(r'\n\s*"timing_s": [^\n]*')
 
@@ -51,7 +53,7 @@ def write_fixtures(tree: Path, where: Path) -> None:
     The register models come from the benchmark generator in this script's
     own checkout (``perfbench/inputs.py``), so ``tree`` needs only ``src/``.
     """
-    for name, params in (("spin", ["a=0.6"]), ("spin-post", [])):
+    for name, params in (("spin", ["a=0.6"]), ("spin-post", []), ("spin-symmetric", [])):
         proc = run(tree, ["scenario", "emit", name, *params, "--out", f"base-{name}.json"], where)
         if proc.returncode != 0:
             raise SystemExit(f"cannot emit the {name} fixture:\n{proc.stderr}")
@@ -65,6 +67,10 @@ def write_fixtures(tree: Path, where: Path) -> None:
         "spin-post-nonherm": [[0.5, 0.2], [0.0, 0.5]],
     }
     files = {"label-order": spin}
+    # Time reversal in the antisymmetric basis i sigma_y (x) 1_9, so B B^* = -1.
+    symmetric = json.loads((where / "base-spin-symmetric.json").read_text(encoding="utf-8"))
+    files["spin-symmetric-sigma-y"] = dict(
+        symmetric, conjugation_basis=_pairs(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(9))))
     for name, rho_f in finals.items():
         files[name] = dict(post, rho_final=_pairs(rho_f))
     files["mixed-rank2"] = dict(post, initial_state=_pairs([[0.6, 0.1], [0.1, 0.4]]),
@@ -83,7 +89,6 @@ def write_fixtures(tree: Path, where: Path) -> None:
     for name, data in files.items():
         (where / f"{name}.json").write_text(json.dumps(data, indent=2), encoding="utf-8")
     sys.path.insert(0, str(HERE.parent / "perfbench"))
-    import numpy as np
     import inputs  # the benchmark's numpy-only generator
 
     rng = np.random.default_rng([1, 3])

@@ -7,7 +7,9 @@ order within a block), and compares, in both directions:
 
 * ``direct`` with the block sums of ``reference_evaluator.functional_matrix``
   and with the diagonals of ``check_decoherence`` on ``coarse_model``;
-* ``summed`` with the sums of the fine diagonals.
+* ``summed`` with the sums of the fine diagonals;
+* every off-diagonal pair value of ``check_decoherence`` on ``coarse_model``
+  with the sum of the reference functional over its two blocks.
 """
 
 from __future__ import annotations
@@ -53,11 +55,15 @@ def test_coarse_grain_matches_reference_and_coarse_model(case, direction):
     d = ref.functional_matrix(model, direction)
     position = {h: i for i, h in enumerate(model.history_labels())}
     fine = check_decoherence(model, direction).diagonals
-    coarse = check_decoherence(graining.coarse_model(model), direction).diagonals
+    coarse_report = check_decoherence(graining.coarse_model(model), direction)
+    coarse = coarse_report.diagonals
     assert list(rep.per_history) == list(coarse)
+    blocks = {ch: [position[h] for h in graining.fine_histories_of(ch)] for ch in coarse}
     for ch, (direct, summed) in rep.per_history.items():
-        members = [position[h] for h in graining.fine_histories_of(ch)]
-        block_sum = d[np.ix_(members, members)].sum()
+        block_sum = d[np.ix_(blocks[ch], blocks[ch])].sum()
         assert direct == pytest.approx(block_sum.real, abs=ATOL)
         assert direct == pytest.approx(coarse[ch], abs=ATOL)
         assert summed == pytest.approx(sum(fine[h] for h in graining.fine_histories_of(ch)), abs=ATOL)
+    for pair in coarse_report.pairs:
+        cross_sum = d[np.ix_(blocks[pair.left], blocks[pair.right])].sum()
+        assert abs(pair.value - cross_sum) <= ATOL

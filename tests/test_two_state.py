@@ -6,6 +6,7 @@ import pytest
 from decohist.exceptions import (
     ConditionNotSatisfiedError,
     DegenerateNormalizationError,
+    ModelValidationError,
 )
 from decohist.histories import (
     both_conditions_theorem_check,
@@ -131,6 +132,24 @@ def test_final_operator_must_be_hermitian_psd():
         two_state_functional(m.initial_state, bad, m, ("x+", "z+"), ("x+", "z+"))
     with pytest.raises(Exception, match="positive semidefinite"):
         two_state_functional(m.initial_state, -np.eye(18), m, ("x+", "z+"), ("x+", "z+"))
+
+
+_QUTRIT = StateOperator(np.eye(3) / 3.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, rho: check_two_state_decoherence(_QUTRIT, rho, m),
+    lambda m, rho: two_state_functional(_QUTRIT, rho, m, ("z+",), ("z-",)),
+    lambda m, rho: page_symmetric_cosmology_check(_QUTRIT, rho, m),
+    lambda m, rho: check_two_state_decoherence(m.initial_state, _QUTRIT, m),
+    lambda m, rho: two_state_functional(m.initial_state, _QUTRIT, m, ("z+",), ("z-",)),
+    lambda m, rho: page_symmetric_cosmology_check(m.initial_state, _QUTRIT, m),
+], ids=["check-rho_i", "functional-rho_i", "page-rho_i",
+        "check-state-rho_f", "functional-state-rho_f", "page-state-rho_f"])
+def test_boundary_operator_of_the_wrong_dimension_names_both(call):
+    model, _, psi_f = spin_post_selection()
+    with pytest.raises(ModelValidationError, match=r"3\b.* does not match .*dimension 2$"):
+        call(model, np.outer(psi_f, psi_f.conj()))
 
 
 # ------------------------------------------------ two-state probabilities
