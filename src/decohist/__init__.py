@@ -6,101 +6,32 @@ generalized records for strongly decoherent pure-state sets, evaluates
 two-boundary and pre/post-selected probabilities, and demonstrates
 recoherence on mirror-extended models.
 
-The names below are imported from their modules on first access (PEP 562),
-so importing the package, or one of its modules, loads only what it uses.
+Each public name is declared once, in the ``__all__`` of its module, and is
+imported from there on first access (PEP 562), so importing the package, or
+one of its modules, loads only what it uses.
 """
 
 import importlib
 
-_EXPORTS = {
-    "exceptions": (
-        "ConditionNotSatisfiedError",
-        "DegenerateNormalizationError",
-        "MixedStateError",
-        "ModelFileError",
-        "ModelValidationError",
-    ),
-    "histories": (
-        "BothConditionsReport",
-        "CoarseGrainReport",
-        "CoarseGraining",
-        "DecoherenceReport",
-        "PageReport",
-        "PairCheck",
-        "TimeReversedSet",
-        "TolerancePolicy",
-        "TrivialityReport",
-        "both_conditions_theorem_check",
-        "candidate_probability_backwards",
-        "candidate_probability_forwards",
-        "check_decoherence",
-        "check_two_state_decoherence",
-        "coarse_grain_check",
-        "decoherence_functional",
-        "page_symmetric_cosmology_check",
-        "pure_two_state_triviality_check",
-        "time_reversed_history_set",
-        "two_state_functional",
-        "two_state_probability",
-        "two_state_probability_table",
-    ),
-    "linalg": ("exp_generator", "herm_eig", "kron", "trace"),
-    "model": (
-        "ProjectorFamily",
-        "QuantumModel",
-        "StateOperator",
-        "TimeGrid",
-        "TimeSymmetryResult",
-        "evolve_state",
-        "heisenberg_projector",
-        "is_time_symmetric",
-        "partial_trace",
-        "time_reverse_state",
-        "time_reverse_vector",
-    ),
-    "modelfile": ("dump_model", "load_model", "model_from_dict", "model_to_dict"),
-    "records": (
-        "BranchVector",
-        "OrthogonalityEquivalenceReport",
-        "RecordSet",
-        "branch_vectors",
-        "construct_records",
-        "strong_decoherence_iff_orthogonality",
-    ),
-    "scenarios": (
-        "CollapseTrajectory",
-        "RecoherenceAnalysis",
-        "abl_probability",
-        "abl_table",
-        "collapse_chain_enumerate",
-        "collapse_probability_table",
-        "commuting_random_model",
-        "haar_unitary",
-        "random_model",
-        "recoherence_scenario",
-        "reverse_collapse_chain",
-        "spin_model",
-        "spin_post_selection",
-        "spin_recoherence_base",
-        "spin_symmetric_scenario",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_MODULE_OF)
+# The modules whose ``__all__`` the package exports, each after its imports.
+_MODULES = ("exceptions", "linalg", "model", "modelfile", "histories", "records", "scenarios")
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # a module, as when every module was imported eagerly
+    if name in _MODULES or name == "cli":
         return importlib.import_module(f"{__name__}.{name}")
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    modules = (importlib.import_module(f"{__name__}.{m}") for m in _MODULES)  # one by one
+    if name == "__all__":
+        value = sorted(n for module in modules for n in module.__all__)
+    else:
+        module = next((m for m in modules if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_MODULE_OF))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConditionNotSatisfiedError",
+    "DegenerateNormalizationError",
+    "MixedStateError",
+    "ModelFileError",
+    "ModelValidationError",
+]
+
 
 class ModelValidationError(ValueError):
     """A model object violates one of its structural invariants."""

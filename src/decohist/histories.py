@@ -648,7 +648,7 @@ def pure_two_state_triviality_check(model: QuantumModel, psi,
     """
     psi = linalg.as_vector(psi, "psi")
     state = StateOperator.from_vector(psi)
-    report = check_two_state_decoherence(state, state.rho, model, "weak", tolerance)
+    report = check_two_state_decoherence(state, state, model, "weak", tolerance)
     amps = _branch_table(model, psi[:, None])[:, 0] @ psi.conj()
     amplitudes = dict(zip(model.history_labels(), amps.tolist()))
     probabilities = {h: abs(amp) ** 2 for h, amp in amplitudes.items()}

@@ -9,19 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ATOL_HERMITIAN",
-    "ATOL_UNITARY",
-    "as_matrix",
-    "as_vector",
-    "exp_generator",
-    "herm_eig",
-    "is_unitary",
-    "kron",
-    "max_abs",
-    "read_matrix",
-    "trace",
-]
+__all__ = ["exp_generator", "herm_eig", "kron", "trace"]
 
 # Elementwise tolerance admitted on |A - A^dagger| for "Hermitian" inputs.
 ATOL_HERMITIAN = 1e-12

@@ -36,12 +36,10 @@ __all__ = [
     "StateOperator",
     "TimeGrid",
     "TimeSymmetryResult",
-    "as_state_vector",
     "evolve_state",
     "heisenberg_projector",
     "is_time_symmetric",
     "partial_trace",
-    "time_reverse_operator",
     "time_reverse_state",
     "time_reverse_vector",
 ]

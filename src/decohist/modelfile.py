@@ -93,18 +93,18 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
     if not isinstance(data, dict):
         raise ModelFileError(f"top level: expected an object, got {type(data).__name__}")
     factors = None
+    if "dim" in data and not (_is_int(data["dim"]) and data["dim"] > 0):
+        raise ModelFileError("dim: expected a positive integer")
     if "factors" in data:
         if not (isinstance(data["factors"], list)
-                and all(isinstance(d, int) and d > 0 for d in data["factors"])):
+                and all(_is_int(d) and d > 0 for d in data["factors"])):
             raise ModelFileError("factors: expected a list of positive integers")
         factors = tuple(data["factors"])
         dim = int(np.prod(factors))
-        if "dim" in data and int(data["dim"]) != dim:
+        if "dim" in data and data["dim"] != dim:
             raise ModelFileError(f"dim: {data['dim']} contradicts factors {factors}")
     elif "dim" in data:
-        if not (isinstance(data["dim"], int) and data["dim"] > 0):
-            raise ModelFileError("dim: expected a positive integer")
-        dim = int(data["dim"])
+        dim = data["dim"]
     else:
         raise ModelFileError("top level: needs 'dim' or 'factors'")
     for key in ("initial_state", "grid", "steps", "families"):
@@ -112,7 +112,7 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
             raise ModelFileError(f"top level: missing required key {key!r}")
     times = data["grid"]
     if not (isinstance(times, list) and len(times) >= 2
-            and all(isinstance(t, (int, float)) and abs(t) <= sys.float_info.max
+            and all((_is_int(t) or isinstance(t, float)) and abs(t) <= sys.float_info.max
                     for t in times)):
         raise ModelFileError("grid: expected a list of at least two finite numbers")
     if not isinstance(data["steps"], list) or len(data["steps"]) != len(times) - 1:
@@ -142,7 +142,7 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
         where = f"families[{i}]"
         if not isinstance(entry, dict) or "time_index" not in entry or "projectors" not in entry:
             raise ModelFileError(f"{where}: expected 'time_index' and 'projectors'")
-        if not isinstance(entry["time_index"], int):
+        if not _is_int(entry["time_index"]):
             raise ModelFileError(f"{where}.time_index: expected an integer")
         members = []
         for j, proj in enumerate(entry["projectors"]):
@@ -154,7 +154,7 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
                 members.append((label, _complex_array(proj["matrix"], f"{pwhere}.matrix")))
             elif "basis_indices" in proj:
                 idx = proj["basis_indices"]
-                if not (isinstance(idx, list) and all(isinstance(k, int) for k in idx)):
+                if not (isinstance(idx, list) and all(_is_int(k) for k in idx)):
                     raise ModelFileError(f"{pwhere}.basis_indices: expected a list of integers")
                 if any(not 0 <= k < dim for k in idx):
                     raise ModelFileError(f"{pwhere}.basis_indices: index outside dimension {dim}")
@@ -174,6 +174,11 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
     if "rho_final" in data:
         rho_final = _complex_array(data["rho_final"], "rho_final")
     return model, rho_final
+
+
+def _is_int(x) -> bool:
+    """An integer that is not a JSON boolean (``isinstance(True, int)`` holds)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def model_to_dict(model: QuantumModel, rho_final: np.ndarray | None = None) -> dict:

@@ -298,18 +298,19 @@ def abl_table(psi_initial, psi_final, model: QuantumModel) -> dict[tuple, float]
     return {h: numerators[h] / denom for h in numerators}
 
 
-def spin_recoherence_base(alpha: float, beta: float | None = None) -> QuantumModel:
+def spin_recoherence_base(alpha: float) -> QuantumModel:
     """Spin premeasurement model arranged so a mirror extension erases it.
 
-    Unlike :func:`spin_model`, each projection happens first and the pointer
+    The particle starts in alpha |+x> + sqrt(1 - alpha^2) |-x>.  Unlike
+    :func:`spin_model`, each projection happens first and the pointer
     copy follows inside the next interval; both couplings then sit strictly
     between the first family time and the central time 0, so the reflected
     half undoes them all by the mirror image of the first family time.
-    Amplitudes must be real, otherwise the central state cannot be fixed by
-    time reversal.
+    The amplitudes are real, since otherwise no time reversal could fix the
+    central state.
     """
     alpha = float(alpha)
-    beta = float(np.sqrt(max(0.0, 1.0 - alpha**2))) if beta is None else float(beta)
+    beta = float(np.sqrt(max(0.0, 1.0 - alpha**2)))
     if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
         raise ModelValidationError("amplitudes not normalized")
     psi0, u1, u2, families = _spin_parts(alpha, beta)
@@ -363,7 +364,7 @@ def _mirror_extension(base: QuantumModel) -> QuantumModel:
     return base._derive(base.families, TimeGrid(ext_times, ext_steps))
 
 
-def recoherence_scenario(base: QuantumModel, keep=(0,),
+def recoherence_scenario(base: QuantumModel,
                          tolerance: TolerancePolicy | None = None) -> RecoherenceAnalysis:
     """Extend a pre-zero model through its own mirror image and analyze it.
 
@@ -373,9 +374,9 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
     grid symmetric about 0.  The analysis checks forwards decoherence of the
     first half, tracks how off-diagonal functional weight returns as the
     history set is pushed into the mirrored half, and verifies that the
-    purity-based recoherence witness (the final reduced purity back at its
-    initial value to ``TABLE_ATOL``) matches backwards decoherence of the
-    time-reversed set.
+    purity-based recoherence witness (the first factor's final reduced purity
+    back at its initial value to ``TABLE_ATOL``) matches backwards decoherence
+    of the time-reversed set.
     """
     extended = _mirror_extension(base)
     first_half = check_decoherence(extended, "forwards", "weak", tolerance)
@@ -385,7 +386,7 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
     if extended.factors is not None:
         purity_curve = []
         for k in range(extended.grid.n_times):
-            reduced = partial_trace(evolve_state(extended, k), extended.factors, keep)
+            reduced = partial_trace(evolve_state(extended, k), extended.factors, (0,))
             purity_curve.append((float(extended.grid.times[k]), reduced.purity()))
         initial_purity = purity_curve[0][1]
         final_purity = purity_curve[-1][1]
@@ -421,7 +422,7 @@ def recoherence_scenario(base: QuantumModel, keep=(0,),
 
 def spin_symmetric_scenario(alpha: float = 1.0 / np.sqrt(2.0)) -> RecoherenceAnalysis:
     """Mirror-extended spin model with real amplitudes (default balanced)."""
-    return recoherence_scenario(spin_recoherence_base(alpha), keep=(0,))
+    return recoherence_scenario(spin_recoherence_base(alpha))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

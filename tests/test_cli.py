@@ -308,6 +308,34 @@ def test_non_finite_grid_time_exit_64(tmp_path, capsys, time):
     assert "grid: expected a list of at least two finite numbers" in capsys.readouterr().err
 
 
+def _dim_true(data):
+    del data["factors"]
+    data["dim"] = True
+
+
+def _basis_indices_false(data):
+    data["families"][0]["projectors"] = [{"label": "z+", "basis_indices": [False]},
+                                         {"label": "z-", "basis_indices": [1]}]
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_dim_true, "dim: expected a positive integer"),
+    (lambda data: data.update(factors=[True, 2]), "factors: expected a list of positive integers"),
+    (lambda data: data.update(grid=[False, True, 2.0]), "grid: expected a list"),
+    (lambda data: data["families"][0].update(time_index=True),
+     "families[0].time_index: expected an integer"),
+    (_basis_indices_false, "families[0].projectors[0].basis_indices: expected a list of integers"),
+], ids=["dim", "factors", "grid", "time_index", "basis_indices"])
+def test_json_boolean_exit_64_names_key_path(tmp_path, capsys, edit, where):
+    # isinstance(True, int) holds, so each would otherwise load as 0 or 1
+    data = model_to_dict(spin_post_selection()[0])
+    edit(data)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--model", str(path)]) == 64
+    assert where in capsys.readouterr().err
+
+
 def test_scenario_emit_and_reload(tmp_path, capsys):
     path = tmp_path / "emitted.json"
     code, _ = run_cli(capsys, "scenario", "emit", "spin", "a=0.6", "--out", str(path))

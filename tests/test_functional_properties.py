@@ -12,10 +12,12 @@ random and commuting models with pure and mixed states, and gapped grids.
 The functionals are read from the model's memoised branch tables, as the
 checks read them.
 
-Two of the paper's statements are tested the same way: on commuting models,
-where both weak conditions hold, the forwards and backwards probabilities
-coincide and equal Re Tr(L_h rho); and reversing a reversed history set
-gives back the set, for a conjugation basis with B B^* = +1 or -1.
+Three of the paper's statements are tested the same way: on commuting
+models, where both weak conditions hold, the forwards and backwards
+probabilities coincide and equal Re Tr(L_h rho); reversing a reversed history
+set gives back the set, for a conjugation basis with B B^* = +1 or -1; and on
+a mirror extension the backwards functional of the reversed set is the
+complex conjugate of the forwards functional of the set, pair by pair.
 """
 
 import numpy as np
@@ -29,7 +31,13 @@ from decohist.histories import (
     time_reversed_history_set,
 )
 from decohist.model import QuantumModel, StateOperator, TimeGrid
-from decohist.scenarios import _random_family, commuting_random_model, haar_unitary, random_model
+from decohist.scenarios import (
+    _random_family,
+    commuting_random_model,
+    haar_unitary,
+    random_model,
+    recoherence_scenario,
+)
 
 ATOL = 1e-12
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=50)
@@ -141,3 +149,47 @@ def test_reversing_a_reversed_set_gives_back_the_set(case):
         assert again.labels == fam.labels
         for p, q in zip(fam.projectors, again.projectors):
             assert np.max(np.abs(p - q)) <= ATOL
+
+
+@st.composite
+def mirror_bases(draw):
+    """A recoherence base: Haar steps on a grid ending at 0, 1-3 families before 0.
+
+    The state at 0 is rho_c = (X + B X^* B^dagger) / 2, normalized, which the
+    reversal fixes, pulled back to the first time; B is 1, or i sigma_y (x) 1
+    at even dimension.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    odd = seed % 2 == 1  # B B^* = -1
+    dim = 2 * draw(st.integers(1, 2)) if odd else draw(st.integers(2, 5))
+    n = draw(st.integers(1, 3))
+    half = n + draw(st.integers(1, 2))
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.arange(-half, 1, dtype=float), [haar_unitary(dim, rng) for _ in range(half)])
+    b = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dim // 2)) if odd else np.eye(dim)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = x @ x.conj().T
+    rho_c = x + b @ x.conj() @ b.conj().T
+    w = grid.cumulative(half)
+    rho_0 = w.conj().T @ (rho_c / np.trace(rho_c).real) @ w
+    times = sorted(rng.choice(np.arange(1, half), size=n, replace=False).tolist())
+    return QuantumModel(StateOperator(rho_0), grid, [_random_family(dim, t, rng) for t in times],
+                        conjugation_basis=b)
+
+
+@SETTINGS
+@given(mirror_bases())
+def test_reversed_backwards_functional_is_the_conjugate_of_the_forwards_one(base):
+    analysis = recoherence_scenario(base)
+    forwards, backwards = analysis.first_half_forwards, analysis.reversed_backwards
+    flip = analysis.reversed_set.reversed_history
+    values = {}
+    for pair in forwards.pairs:
+        values[pair.left, pair.right] = pair.value
+        values[pair.right, pair.left] = pair.value.conjugate()
+    assert len(backwards.pairs) * 2 == len(values)
+    for pair in backwards.pairs:
+        assert abs(pair.value - values[flip(pair.left), flip(pair.right)].conjugate()) <= ATOL
+    assert backwards.diagonals.keys() == {flip(h) for h in forwards.diagonals}
+    for h, p in forwards.diagonals.items():
+        assert abs(backwards.diagonals[flip(h)] - p) <= ATOL

@@ -262,7 +262,7 @@ def test_recoherence_requires_symmetric_center_state():
     plus_y = np.array([1.0, 1.0j]) / np.sqrt(2.0)
     m = QuantumModel(StateOperator.from_vector(plus_y), grid, [fam])
     with pytest.raises(ModelValidationError, match="time-symmetric"):
-        recoherence_scenario(m, keep=(0,))
+        recoherence_scenario(m)
 
 
 def test_mirrored_spin_purity_curve():
@@ -317,7 +317,7 @@ def test_trivial_dynamics_base_never_entangles():
     fam = ProjectorFamily.from_basis(1, np.eye(dim), {"a": [0, 1], "b": [2, 3]})
     psi = _basis_state(dim, 0)
     base = QuantumModel(StateOperator.from_vector(psi), grid, [fam], factors=(2, 2))
-    analysis = recoherence_scenario(base, keep=(0,))
+    analysis = recoherence_scenario(base)
     assert analysis.first_half_forwards.decoherent
     assert all(p == pytest.approx(1.0, abs=1e-12) for _, p in analysis.purity_curve)
     assert analysis.recoherence_witness is True

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from decohist import histories, linalg
 from decohist.exceptions import (
     ConditionNotSatisfiedError,
     DegenerateNormalizationError,
@@ -234,6 +235,21 @@ def test_triviality_generic_model_condition_fails_quietly():
     rep = pure_two_state_triviality_check(m, v[:, -1])
     assert not rep.condition_holds
     assert rep.all_zero_or_one is None
+
+
+def test_triviality_passes_its_validated_state_as_the_final_operator(monkeypatch):
+    # the state built from psi is already validated: no second Hermiticity
+    # pass or PSD certificate on its matrix as a final operator
+    seen, reads = [], []
+    coerce, read = histories._coerce_final_operator, linalg.read_matrix
+    monkeypatch.setattr(histories, "_coerce_final_operator",
+                        lambda rho_f, dim: seen.append(rho_f) or coerce(rho_f, dim))
+    monkeypatch.setattr(linalg, "read_matrix", lambda *a: reads.append(a) or read(*a))
+    m, psi = _eigenfamily_model(dim=4, which=1, n_families=2)
+    rep = pure_two_state_triviality_check(m, psi)
+    assert rep.all_zero_or_one
+    assert len(seen) == 1 and isinstance(seen[0], StateOperator)
+    assert reads == []
 
 
 # ------------------------------------------------ time-reversed history sets
