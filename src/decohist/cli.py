@@ -2,11 +2,11 @@
 
 Commands: ``check``, ``probs``, ``abl``, ``records``, ``reverse``,
 ``recohere``, ``page``, ``scenario list``, ``scenario emit``.  Reports are
-JSON on standard output (or ``--out``); apart from the ``timing_s`` field
-they are deterministic for identical inputs and seeds at a fixed BLAS thread
-count (another thread count can change the last digits of floats, and so
-the order of pair-table rows whose values are at rounding level, but not the
-verdicts).
+compact JSON, the text of ``json.dumps(report)``, on standard output (or
+``--out``); apart from the ``timing_s`` field they are deterministic for
+identical inputs and seeds at a fixed BLAS thread count (another thread
+count can change the last digits of floats, and so the order of pair-table
+rows whose values are at rounding level, but not the verdicts).
 
 Exit codes: 0 decoherent / check passed, 1 not decoherent / check failed,
 2 marginal, 64 model-file parse errors, bad scenario parameters and
@@ -238,10 +238,7 @@ def _cmd_abl(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
                 "with a rank-one rho_final", EXIT_USAGE,
             )
         psi_f = _rank_one_vector(model, rho_final, "abl")
-    try:
-        table = scenarios.abl_table(psi_i, psi_f, model)
-    except ZeroDivisionError as exc:  # the selection pair has probability zero
-        raise DegenerateNormalizationError(str(exc)) from exc
+    table = scenarios.abl_table(psi_i, psi_f, model)
     body = {
         "table": _sorted_table(table),
         "sum": float(sum(table.values())),
@@ -351,94 +348,8 @@ def _cmd_scenario(args):
     return data, EXIT_DECOHERENT
 
 
-# A list of JSON scalars in one C-encoder pass, one per line: "[a\nb\n...]".
-# No scalar's JSON text holds a raw newline, so splitting on it is exact.
-_encode_lines = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-    None, ": ", "\n", False, False, True,
-)
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-_ARRAY_TYPES = frozenset((list, tuple))
-
-
-def _scalar_texts(values) -> list[str]:
-    if not values:
-        return []
-    return "".join(_encode_lines(values, 0))[1:-1].split("\n")
-
-
-def _key_texts(obj: dict) -> list[str]:
-    """The keys of a non-empty object as JSON text, converted as json converts keys."""
-    text = "".join(_encode_lines(dict.fromkeys(obj, 0), 0))
-    return [line[:-3] for line in text[1:-1].split("\n")]  # each line is 'key: 0'
-
-
-def _array_texts(arrays, n: int, level: int) -> list[str]:
-    """Arrays of n items each: their items as one column, one template fill per array."""
-    if n == 0:
-        return ["[]"] * len(arrays)
-    items = _texts([x for a in arrays for x in a], level + 1)
-    template = "[" + ",".join(["\n" + "  " * (level + 1) + "%s"] * n) + "\n" + "  " * level + "]"
-    return [template % row for row in zip(*[iter(items)] * n)]
-
-
-def _object_texts(objects, level: int) -> list[str]:
-    """Objects with one key sequence: a column per key, one template fill per object."""
-    if not objects[0]:
-        return ["{}"] * len(objects)
-    pad = "\n" + "  " * (level + 1)
-    template = "{" + ",".join(pad + key.replace("%", "%%") + ": %s"
-                              for key in _key_texts(objects[0])) + "\n" + "  " * level + "}"
-    columns = [_texts(column, level + 1) for column in zip(*map(dict.values, objects))]
-    return [template % row for row in zip(*columns)]
-
-
-def _texts(values, level: int) -> list[str]:
-    """``json.dumps(v, indent=2)`` of each value, nested ``level`` deep.
-
-    Values of one shape are encoded together: scalars in one C-encoder pass,
-    arrays of one length as the column of their items, and objects with one
-    key sequence of strings as one column per key.  An object that appears
-    several times (a history shared by many pair rows) is encoded once.  In
-    a column of mixed shapes each value is encoded on its own, by the
-    writer for its kind; a bare ``_texts`` recursion would never end on a
-    scalar of another type (``np.float64``) or an object with non-string
-    keys.
-    """
-    types = set(map(type, values))
-    if types <= _SCALAR_TYPES:
-        return _scalar_texts(values)
-    distinct = dict(zip(map(id, values), values))
-    if len(distinct) < len(values):
-        texts = dict(zip(distinct, _texts(list(distinct.values()), level)))
-        return list(map(texts.__getitem__, map(id, values)))
-    if types <= _ARRAY_TYPES:
-        lengths = set(map(len, values))
-        if len(lengths) == 1:
-            return _array_texts(values, lengths.pop(), level)
-    elif types == {dict}:
-        keys = set(map(tuple, values))
-        # equal str keys have equal text; other keys (1 and True) may not
-        if len(keys) == 1 and all(isinstance(k, str) for k in next(iter(keys))):
-            return _object_texts(values, level)
-    out = []
-    for v in values:
-        if isinstance(v, dict):
-            out += _object_texts([v], level)
-        elif isinstance(v, (list, tuple)):
-            out += _array_texts([v], len(v), level)
-        else:
-            out += _scalar_texts([v])
-    return out
-
-
-def _dumps(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2)``."""
-    return _texts([obj], 0)[0]
-
-
 def _emit(report: dict, out_path: str | None) -> None:
-    text = _dumps(report)
+    text = json.dumps(report)  # the one-shot C encoder; json.dump would iterate in Python
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -96,7 +96,7 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
     if "dim" in data and not (_is_int(data["dim"]) and data["dim"] > 0):
         raise ModelFileError("dim: expected a positive integer")
     if "factors" in data:
-        if not (isinstance(data["factors"], list)
+        if not (isinstance(data["factors"], list) and data["factors"]
                 and all(_is_int(d) and d > 0 for d in data["factors"])):
             raise ModelFileError("factors: expected a list of positive integers")
         factors = tuple(data["factors"])
@@ -144,6 +144,8 @@ def model_from_dict(data: dict) -> tuple[QuantumModel, np.ndarray | None]:
             raise ModelFileError(f"{where}: expected 'time_index' and 'projectors'")
         if not _is_int(entry["time_index"]):
             raise ModelFileError(f"{where}.time_index: expected an integer")
+        if not isinstance(entry["projectors"], list):
+            raise ModelFileError(f"{where}.projectors: expected a list")
         members = []
         for j, proj in enumerate(entry["projectors"]):
             pwhere = f"{where}.projectors[{j}]"
@@ -228,5 +230,5 @@ def load_model(path) -> tuple[QuantumModel, np.ndarray | None]:
 
 def dump_model(model: QuantumModel, path, rho_final: np.ndarray | None = None) -> None:
     Path(path).write_text(
-        json.dumps(model_to_dict(model, rho_final), indent=2) + "\n", encoding="utf-8"
+        json.dumps(model_to_dict(model, rho_final)) + "\n", encoding="utf-8"
     )

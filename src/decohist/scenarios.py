@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import ModelValidationError
+from .exceptions import DegenerateNormalizationError, ModelValidationError
 from .histories import (
     TABLE_ATOL,
     DecoherenceReport,
@@ -277,7 +277,7 @@ def abl_probability(psi_initial, psi_final, model: QuantumModel, history) -> flo
     Both conditioning states are pure; the numerator is the squared chain
     amplitude between them and the denominator sums the numerators over all
     histories.  A denominator at or below 1e-14 means the selection pair is
-    impossible and raises.
+    impossible and raises :class:`DegenerateNormalizationError`.
     """
     table = abl_table(psi_initial, psi_final, model)
     return table[tuple(history)]
@@ -292,7 +292,7 @@ def abl_table(psi_initial, psi_final, model: QuantumModel) -> dict[tuple, float]
     numerators = {h: abs(amp) ** 2 for h, amp in zip(model.history_labels(), amps.tolist())}
     denom = sum(numerators.values())
     if denom <= 1e-14:
-        raise ZeroDivisionError(
+        raise DegenerateNormalizationError(
             f"pre/post-selection pair is impossible: denominator {denom!r}"
         )
     return {h: numerators[h] / denom for h in numerators}

@@ -6,10 +6,14 @@ Each tree is a checkout with ``src/decohist``.  Every command of the list
 (``tests/cli_commands.txt`` by default) runs as ``python -m decohist.cli``
 with that tree's ``src`` first on ``PYTHONPATH``, one BLAS thread, and its
 own working directory holding the fixture files, so the two runs see the
-same relative paths.  A command differs when its exit code, its stderr
-(with the tree's ``src`` path replaced), or its stdout with the ``timing_s``
-field removed differ, or when a file it wrote with ``--out`` differs.  The script prints one line per differing
-command and a summary, and exits 1 if any command differs.
+same relative paths.  A command differs when its exit code, its stderr, its
+stdout or a file it wrote with ``--out`` differ.  Stdout and ``--out`` files
+are compared by content, not layout: text that parses as JSON loses its
+top-level ``timing_s`` and is compared as ``json.dumps(obj, indent=2)``, and
+other text as it is.  In stderr the tree's ``src`` path becomes ``<src>`` and
+the line number after a source file name is dropped, so that moving a line
+that a warning names is no difference.  The script prints one line per
+differing command and a summary, and exits 1 if any command differs.
 """
 
 from __future__ import annotations
@@ -28,7 +32,18 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
-TIMING = re.compile(r'\n\s*"timing_s": [^\n]*')
+SOURCE_LINE = re.compile(r"(<src>\S*?\.py):\d+:")
+
+
+def canonical(text: str) -> str:
+    """JSON text re-indented without its top-level ``timing_s``; other text as it is."""
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        return text
+    if isinstance(obj, dict):
+        obj.pop("timing_s", None)
+    return json.dumps(obj, indent=2)
 
 
 def read_commands(path: Path) -> list[list[str]]:
@@ -101,9 +116,9 @@ def outcome(tree: Path, argv: list[str], cwd: Path) -> tuple:
     written = None
     if "--out" in argv:
         out = cwd / argv[argv.index("--out") + 1]
-        written = TIMING.sub("", out.read_text(encoding="utf-8")) if out.exists() else None
-    stderr = proc.stderr.replace(str(tree / "src"), "<src>")  # warnings name their source file
-    return proc.returncode, stderr, TIMING.sub("", proc.stdout), written
+        written = canonical(out.read_text(encoding="utf-8")) if out.exists() else None
+    stderr = SOURCE_LINE.sub(r"\1:", proc.stderr.replace(str(tree / "src"), "<src>"))
+    return proc.returncode, stderr, canonical(proc.stdout), written
 
 
 def main(argv=None) -> int:

@@ -336,6 +336,23 @@ def test_json_boolean_exit_64_names_key_path(tmp_path, capsys, edit, where):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, where", [
+    ("projectors", 2, "families[0].projectors: expected a list"),
+    ("projectors", None, "families[0].projectors: expected a list"),
+    ("projectors", "z+", "families[0].projectors: expected a list"),  # not read by character
+    ("projectors", {"label": "z+"}, "families[0].projectors: expected a list"),  # nor by key
+    ("factors", [], "factors: expected a list of positive integers"),
+], ids=["projectors-number", "projectors-null", "projectors-string", "projectors-object",
+        "factors-empty"])
+def test_model_file_shape_error_exit_64_names_key_path(tmp_path, capsys, key, value, where):
+    data = model_to_dict(spin_post_selection()[0])
+    (data["families"][0] if key == "projectors" else data)[key] = value
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--model", str(path)]) == 64
+    assert where in capsys.readouterr().err
+
+
 def test_scenario_emit_and_reload(tmp_path, capsys):
     path = tmp_path / "emitted.json"
     code, _ = run_cli(capsys, "scenario", "emit", "spin", "a=0.6", "--out", str(path))
@@ -488,6 +505,13 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert "spin-symmetric" in proc.stdout
 
+
+def test_reports_without_the_c_encoder():
+    """Reports use only public ``json``: they are written without its C encoder."""
+    proc = run_python("-c", "import json.encoder, sys; json.encoder.c_make_encoder = None; "
+                      "from decohist.cli import main; sys.exit(main(['check', '--scenario', 'spin']))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["classification"] == "decoherent"
 
 
 def test_verdicts_and_pair_rows_agree_across_blas_thread_counts():

@@ -1,8 +1,6 @@
-"""CLI reports: the JSON writer and the order of pair-table rows.
+"""CLI reports: compact JSON text and the order of pair-table rows.
 
-``cli._dumps`` must give exactly the text of ``json.dumps(obj, indent=2)``;
-hypothesis draws nests of every JSON shape, including the special strings,
-floats and key orders that a table writer could get wrong.  Pair tables are
+Every command prints the text of ``json.dumps(report)``.  Pair tables are
 worst first: ratio descending, then both histories by label tuple.
 """
 
@@ -11,58 +9,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from decohist import cli
 from decohist.cli import main
 from decohist.histories import check_decoherence
 from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
 from decohist.modelfile import dump_model, load_model
-
-special = st.sampled_from('"\\\n\t%sé☃\U0001f600\x00\x7f a1')
-texts = st.text(special | st.characters(), max_size=6)
-keys = texts | st.integers(-3, 3) | st.floats() | st.booleans() | st.none()
-scalars = (st.none() | st.booleans() | st.integers(-2**80, 2**80) | texts
-           | st.floats(allow_nan=True, allow_infinity=True)
-           | st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
-
-
-@st.composite
-def tables(draw, values):
-    """Objects with one key set, each in its own key order."""
-    names = draw(st.lists(texts, max_size=4, unique=True))
-    return [{k: draw(values) for k in draw(st.permutations(names))}
-            for _ in range(draw(st.integers(0, 4)))]
-
-
-@st.composite
-def rectangles(draw, values):
-    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    return [[draw(values) for _ in range(cols)] for _ in range(rows)]
-
-
-def _nests(inner):
-    return (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-            | st.dictionaries(keys, inner, max_size=4) | tables(inner) | rectangles(inner)
-            | st.builds(lambda v, n: [v] * n, inner, st.integers(0, 3)))  # one shared object
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(st.recursive(scalars, _nests, max_leaves=30))
-@example([{"a": 1, "b": [1.5, "x"]}, {"b": [2.5, "y"], "a": 2}])
-@example([{"1": "str key"}, {1: "int key"}, {True: "bool key"}, {-0.0: 0}, {0.0: 0}])
-@example([{1: "equal keys"}, {True: "with other texts"}, {1.0: "each"}])
-@example([{-0.0: 0}, {0.0: 0}])
-@example({"%s": "%d", "100%": ["%", {"%%": float("nan")}], "": [[], [[]], {}]})
-def test_dumps_equals_json_dumps_indent_2(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2)
-
-
-def test_dumps_rejects_what_json_rejects():
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        cli._dumps({"a": [1, {2, 3}]})
-
 
 # ------------------------------------------------ pair order
 
@@ -171,4 +123,5 @@ def test_commands_cover_the_dispatch_table():
 def test_stdout_is_json_dumps_indent_2(capsys, name):
     main(COMMANDS[name])
     out = capsys.readouterr().out
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert out == json.dumps(json.loads(out)) + "\n"
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from reference_evaluator import single_chain
 
-from decohist.exceptions import ModelValidationError
+from decohist.exceptions import DegenerateNormalizationError, ModelValidationError
 from decohist.histories import check_decoherence
 from decohist.linalg import max_abs
 from decohist.model import (
@@ -218,7 +218,7 @@ def test_abl_impossible_selection_raises():
     grid = TimeGrid([0.0, 1.0, 2.0], [eye, eye])
     fam = ProjectorFamily(1, [("z+", np.diag([1.0, 0.0])), ("z-", np.diag([0.0, 1.0]))])
     m = QuantumModel(StateOperator.from_vector([1.0, 0.0]), grid, [fam])
-    with pytest.raises(ZeroDivisionError, match="impossible"):
+    with pytest.raises(DegenerateNormalizationError, match="impossible"):
         abl_table([1.0, 0.0], [0.0, 1.0], m)
 
 
