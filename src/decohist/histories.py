@@ -768,8 +768,10 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
         failed = [name for name, (flag, _) in preconditions.items() if not flag]
         return PageReport(preconditions, False, reason=f"precondition failed: {', '.join(failed)}")
     reversed_set = time_reversed_history_set(model)
-    original = check_two_state_decoherence(rho_i, rho_f, model, "weak", tolerance)
-    mirrored = check_two_state_decoherence(rho_i, rho_f, reversed_set.model, "weak", tolerance)
+    norm = _two_state_normalization(rho_i, rho_f)  # both sets from the operators checked above
+    original, mirrored = (_classify(*_functional_matrix(m, "two_state", rho_i=rho_i, rho_f=rho_f),
+                                    norm, "weak", tolerance, "two_state")
+                          for m in (model, reversed_set.model))
     if not (original.decoherent and mirrored.decoherent):
         which = []
         if not original.decoherent:

@@ -324,9 +324,10 @@ class RecoherenceAnalysis:
     """Everything the mirror extension demonstrates.
 
     The witness for recoherence is the reduced purity of the kept factors
-    returning, by the final time, to its initial value; the central claim is
-    that this witness agrees with backwards decoherence of the time-reversed
-    history set (and not with backwards decoherence of the original set).
+    returning, by the final time, to its initial value.  The time-reversed set
+    decoheres backwards exactly when the first half decoheres forwards (its
+    backwards functional is the complex conjugate of the first half's forwards
+    one); ``equivalence_holds`` records whether the witness agrees with that.
     """
 
     extended_model: QuantumModel
@@ -373,10 +374,12 @@ def recoherence_scenario(base: QuantumModel,
     reflected times with each step replaced by its reflected image, giving a
     grid symmetric about 0.  The analysis checks forwards decoherence of the
     first half, tracks how off-diagonal functional weight returns as the
-    history set is pushed into the mirrored half, and verifies that the
+    history set is pushed into the mirrored half, and computes the
     purity-based recoherence witness (the first factor's final reduced purity
-    back at its initial value to ``TABLE_ATOL``) matches backwards decoherence
-    of the time-reversed set.
+    back at its initial value to ``TABLE_ATOL``).  ``equivalence_holds``
+    says whether the witness agrees with backwards decoherence of the
+    time-reversed set, which holds exactly when the first half decoheres
+    forwards: a property of the base, not a check of the witness.
     """
     extended = _mirror_extension(base)
     first_half = check_decoherence(extended, "forwards", "weak", tolerance)

@@ -13,8 +13,15 @@ from decohist.cli import build_parser, main
 from decohist.modelfile import dump_model, load_model, model_from_dict, model_to_dict
 from decohist.exceptions import ModelFileError
 from decohist.histories import TolerancePolicy
-from decohist.model import QuantumModel
-from decohist.scenarios import random_model, spin_model, spin_post_selection, spin_recoherence_base
+from decohist.model import QuantumModel, StateOperator, TimeGrid
+from decohist.scenarios import (
+    _random_family,
+    haar_unitary,
+    random_model,
+    spin_model,
+    spin_post_selection,
+    spin_recoherence_base,
+)
 
 FULL_SQRT_HALF = repr(float(1.0 / np.sqrt(2.0)))
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -197,7 +204,41 @@ def test_recohere_tolerances_reach_mirror_scenarios(capsys, monkeypatch, name, a
     assert res["original_set_backwards"] == api.original_backwards.classification
     assert res["recoherence_witness"] == api.recoherence_witness
     assert res["equivalence_holds"] == api.equivalence_holds
-    assert code == (0 if api.recoherence_witness and api.equivalence_holds else 1)
+    assert code == (0 if api.recoherence_witness else 1)
+
+
+def _mirror_base(factors=(2, 2), seed=0, dim=4, n=2, half=3):
+    """A recoherence base drawn as the property tests' ``mirror_bases`` draws one, with B = 1.
+
+    Haar steps on a grid ending at 0, ``n`` random families before 0, and the
+    state at 0 the real part of a random density matrix, pulled back to the start.
+    """
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.arange(-half, 1, dtype=float), [haar_unitary(dim, rng) for _ in range(half)])
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = x @ x.conj().T
+    rho_c = x + x.conj()
+    w = grid.cumulative(half)
+    rho_0 = w.conj().T @ (rho_c / np.trace(rho_c).real) @ w
+    times = sorted(rng.choice(np.arange(1, half), size=n, replace=False).tolist())
+    families = [_random_family(dim, t, rng) for t in times]
+    return QuantumModel(StateOperator(rho_0), grid, families, factors=factors)
+
+
+@pytest.mark.parametrize("factors, witness, code", [((2, 2), True, 0), (None, None, 1)],
+                         ids=["factored", "no-factors"])
+def test_recohere_exits_on_its_witness(tmp_path, capsys, factors, witness, code):
+    # the first half does not decohere forwards, so neither does the reversed
+    # set backwards; the purity comes back all the same
+    path = tmp_path / "base.json"
+    dump_model(_mirror_base(factors), path)
+    got, report = run_cli(capsys, "recohere", "--model", str(path))
+    res = report["result"]
+    assert res["first_half_classification"] == "not_decoherent"
+    assert res["reversed_set_backwards"] == "not_decoherent"
+    assert res["recoherence_witness"] is witness
+    assert res["equivalence_holds"] is (None if witness is None else False)
+    assert got == code
 
 
 @pytest.mark.parametrize("argv", [
@@ -362,6 +403,25 @@ def test_scenario_emit_and_reload(tmp_path, capsys):
     assert rho_final is None
 
 
+ROUND_TRIP_SCENARIOS = [["spin", "a=0.6"], ["spin-post"], ["spin-symmetric"], ["recoherence"],
+                        ["random", "seed=3", "dim=6"], ["random", "seed=2", "dim=6", "pure=0"]]
+ROUND_TRIP_FORMS = [["check", "--forwards"], ["check", "--backwards"], ["check", "--both"],
+                    ["probs"], ["abl"], ["records"], ["reverse"], ["recohere"], ["page"]]
+
+
+@pytest.mark.parametrize("form", ROUND_TRIP_FORMS, ids=" ".join)
+@pytest.mark.parametrize("scenario", ROUND_TRIP_SCENARIOS, ids=" ".join)
+def test_scenario_runs_as_its_emitted_model_file(tmp_path, capsys, scenario, form):
+    path = tmp_path / "emitted.json"
+    assert run_cli(capsys, "scenario", "emit", *scenario, "--out", str(path))[0] == 0
+    outcomes = []
+    for source in (["--scenario", *scenario], ["--model", str(path)]):
+        code, report = run_cli(capsys, *form, *source)
+        outcomes.append((code, None) if report is None else (code, report["result"]))
+        assert report is None or report["exit_code"] == code
+    assert outcomes[0] == outcomes[1]
+
+
 def test_command_list_parses():
     # a malformed line would exit 2 on every tree and so compare as identical
     commands = read_commands(Path(__file__).resolve().parent / "cli_commands.txt")
@@ -498,6 +558,88 @@ def test_bad_scenario_parameter_exit_64_names_it(capsys, params, name):
     assert code == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["check", "--scenario", "random", "seed=1", "dims=8"],
+     "scenario 'random' has no parameter 'dims'; accepted: seed, dim, n, pure"),
+    (["check", "--scenario", "spin-post", "a=1"], "no parameter 'a'; accepted: none"),
+    (["recohere", "--scenario", "spin-symmetric", "b=0.6"], "no parameter 'b'; accepted: a, alpha"),
+    (["scenario", "emit", "random", "dims=8"], "no parameter 'dims'"),
+    (["check", "--scenario", "spin", "alpha=0.6", "a=0.8"], "a and alpha spell one parameter"),
+    (["check", "--scenario", "spin", "beta=0.8", "b=0.6"], "b and beta spell one parameter"),
+    (["scenario", "emit", "recoherence", "a=0.6", "alpha=0.8"], "a and alpha spell one"),
+], ids=["unknown", "spin-post", "mirror", "emit", "alpha-twice", "beta-twice", "emit-twice"])
+def test_scenario_parameter_outside_its_keys_exit_64(capsys, argv, fragment):
+    # each ran with the key ignored, or with one spelling winning, and exited 0
+    assert main(argv) == 64
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    (["check", "--scenario", "spin", "a"], 64, "scenario parameter 'a' is not key=value"),
+    (["check", "--scenario", "spin", "a=x"], 64, "cannot parse a='x' as a number"),
+    (["check", "--scenario", "random", "dim=x"], 64, "cannot parse dim='x' as an integer"),
+    (["check", "--scenario", "recoherence", "a=0.6+0.1j"], 64, "mirror scenarios need real"),
+    (["check", "--scenario", "spin-mirror"], 64, "unknown scenario 'spin-mirror'; available:"),
+    (["abl", "--scenario", "spin"], 64, "abl needs a final state"),
+    (["records", "--scenario", "random", "pure=0"], 65, "needs a pure initial state"),
+    (["scenario", "emit"], 64, "scenario emit needs a scenario name"),
+], ids=["not-key-value", "complex", "int", "mirror-complex", "unknown-scenario", "abl-no-final",
+        "mixed-state", "emit-no-name"])
+def test_cli_error_exits(capsys, argv, code, fragment):
+    assert main(argv) == code
+    assert fragment in capsys.readouterr().err
+
+
+_DROP = object()
+_EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("command, path, value, code, fragment", [
+    ("abl", ("rho_final",), [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]], 65,
+     "abl needs rho_final of rank one"),
+    ("check", ("initial_state",), "mixed:0",
+     64, "initial_state: named states must look like 'pure:<index>'"),
+    ("check", ("initial_state",), "pure:x", 64, "initial_state: bad basis index in 'pure:x'"),
+    ("check", (), [], 64, "top level: expected an object, got list"),
+    ("check", ("dim",), 3, 64, "dim: 3 contradicts factors (2,)"),
+    ("check", ("factors",), _DROP, 64, "top level: needs 'dim' or 'factors'"),
+    ("check", ("steps", 1), _DROP, 64, "steps: expected 2 entries for 3 grid times"),
+    ("check", ("steps", 0, "generator"), _EYE2,
+     64, "steps[0]: expected exactly one of 'unitary' or 'generator'"),
+    ("check", ("steps", 0), {"matrix": _EYE2}, 64, "steps[0]: expected 'unitary' or 'generator'"),
+    ("check", ("steps", 0), {"generator": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+     64, "steps[0].generator: "),
+    ("check", ("families",), {}, 64, "families: expected a list"),
+    ("check", ("families", 0, "time_index"), _DROP,
+     64, "families[0]: expected 'time_index' and 'projectors'"),
+    ("check", ("families", 0, "projectors", 0, "label"), _DROP,
+     64, "families[0].projectors[0]: expected an object with a 'label'"),
+    ("check", ("families", 0, "projectors", 0), {"label": "z+", "basis_indices": [2]},
+     64, "families[0].projectors[0].basis_indices: index outside dimension 2"),
+    ("check", ("families", 0, "projectors", 0, "matrix"), _DROP,
+     64, "families[0].projectors[0]: expected 'matrix' or 'basis_indices'"),
+], ids=["rank-two-final", "named-state-prefix", "named-state-index", "top-level", "dim-factors",
+        "no-dim", "step-count", "step-two-keys", "step-key", "non-hermitian-generator",
+        "families", "family-keys", "label", "basis-index", "projector-keys"])
+def test_model_file_error_exits_name_the_key_path(tmp_path, capsys, command, path, value, code,
+                                                  fragment):
+    data = model_to_dict(spin_post_selection()[0])
+    if path:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    else:
+        data = value
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(data))
+    assert main([command, "--model", str(file)]) == code
+    assert fragment in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

@@ -358,6 +358,17 @@ def test_page_check_balanced_mirror_identity_final():
     assert rep.max_table_difference <= 1e-9
 
 
+def test_page_check_validates_the_final_operator_once(monkeypatch):
+    # both history sets are classified from the operator checked on entry
+    seen, coerce = [], histories._coerce_final_operator
+    monkeypatch.setattr(histories, "_coerce_final_operator",
+                        lambda rho_f, dim: seen.append(rho_f) or coerce(rho_f, dim))
+    em = spin_symmetric_scenario().extended_model
+    rep = page_symmetric_cosmology_check(em.initial_state, np.eye(em.dim), em)
+    assert rep.passed
+    assert len(seen) == 1
+
+
 def test_page_check_reports_failed_state_symmetry():
     m = _mirrored_random_model(17)
     plus_y = np.zeros(m.dim, dtype=complex)
