@@ -129,8 +129,11 @@ def _build_scenario(name: str, params: dict, seed: int):
         least = 2 if n else 1  # every family has at least two members
         if dim < least:
             raise _CliError(f"dim={dim}: must be at least {least} for n={n} families", EXIT_USAGE)
+        seed = _param_int(params, "seed", seed)
+        if seed < 0:
+            raise _CliError(f"seed={seed}: must be non-negative", EXIT_USAGE)
         model = scenarios.random_model(
-            seed=_param_int(params, "seed", seed),
+            seed=seed,
             dim=dim,
             n_families=n,
             pure=bool(_param_int(params, "pure", 1)),
@@ -222,7 +225,7 @@ def _cmd_probs(args, model: QuantumModel, rho_final: np.ndarray | None, tol: Tol
 
 def _rank_one_vector(model: QuantumModel, rho_final: np.ndarray, command: str) -> np.ndarray:
     """The state vector of a valid rank-one rho_final; anything else exits 65."""
-    w, v = np.linalg.eigh(_coerce_final_operator(rho_final, model.dim))
+    w, v = np.linalg.eigh(_coerce_final_operator(rho_final, model.dim)[0])
     if np.sum(w > 1e-10) != 1:
         raise _CliError(f"{command} needs rho_final of rank one", EXIT_INVARIANT)
     return v[:, -1]

@@ -17,11 +17,11 @@ judged by the absolute floor.
 
 Evaluation factorizes the state through ``StateOperator.columns``: with
 rho = C C^dagger, D(h, h') is the Hilbert-Schmidt inner product of L_h C and
-L_h' C.  A Schrodinger-picture prefix walk builds these for all histories at
-once, applying each step segment and then each member projector to every
-node of a level, so shared prefixes are computed once (one O(d^2 r) product
-per node).  Every functional is then one Gram product of the resulting
-branch table, and the walk's levels are the truncated history sets.
+L_h' C (two-state: of F^dagger L_h C and F^dagger L_h' C, rho_f = F F^dagger).
+A Schrodinger-picture prefix walk builds the L_h C for all histories at once,
+applying each step segment and then each member projector to every node of
+a level, so shared prefixes are computed once (one O(d^2 r) product per node).
+Every functional is one Gram product; the walk's levels are the truncated sets.
 A model's own table (its state's columns, every history) is walked once per
 direction and kept read-only on the model, so the functionals, coarse
 graining, the both-conditions check and the single-history values of one
@@ -54,6 +54,7 @@ from .model import (
     QuantumModel,
     StateOperator,
     _dynamics_symmetry_defect,
+    _eigh,
     _freeze,
     _psd_columns,
     _reverse_in_basis,
@@ -90,6 +91,14 @@ PROBABILITY_SLACK = 1e-10  # candidate values may poke this far outside [0, 1]
 NORMALIZATION_FLOOR = 1e-14  # below this, Tr(rho_f rho_i) counts as zero
 MARGINAL_FACTOR = 1e3  # failed pairs within this factor of threshold are marginal
 TABLE_ATOL = 1e-9  # two probability tables (or values) this close agree
+# A history set whose estimated peak exceeds MEMORY_BUDGET bytes is refused:
+# the walk holds about TABLE_BYTES per branch-table entry (the last level, its
+# projected members and their stack, 16 bytes per complex number each), and
+# the whole-matrix pair work about PAIR_BYTES per pair i < j (the Gram matrix
+# and its mirror, 32, and the pair arrays with their temporaries).
+MEMORY_BUDGET = 2 * 2**30
+TABLE_BYTES = 48
+PAIR_BYTES = 112
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,17 @@ class DecoherenceReport:
         return float(self._arrays.measure.max(initial=0.0))
 
 
+def _check_memory(m: int, row: int, pair_work: bool = True) -> None:
+    """Refuse m histories of ``row`` entries each (and their pairs if ``pair_work``) over budget."""
+    pairs = m * (m - 1) // 2
+    estimate = TABLE_BYTES * m * row + (PAIR_BYTES * pairs if pair_work else 0)
+    if estimate > MEMORY_BUDGET:
+        raise ModelValidationError(
+            f"{m} histories ({pairs} pairs) need an estimated {estimate / 2**30:.3g} GiB "
+            f"for {'pair work' if pair_work else 'the branch table'}, "
+            f"above the memory budget of {MEMORY_BUDGET / 2**30:.3g} GiB")
+
+
 def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
     """Schrodinger-picture prefix walk over the families, one level per family.
 
@@ -178,8 +198,10 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
     lexicographic order, holding the transposed columns P_k U_k ... P_1 U_1 C
     at the family's time, where U_k is the segment of steps between
     consecutive family times.  Backwards walks the families latest first,
-    from W(t_n) C through the adjoint segments.
+    from W(t_n) C through the adjoint segments.  A set whose branch table is
+    over the memory budget is refused before the first level.
     """
+    _check_memory(math.prod(map(len, model.families)), cols.size, pair_work=False)
     grid = model.grid
     order = range(model.n_families)
     nodes, prev = cols.T[None], None
@@ -229,15 +251,15 @@ def _times_conj(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.conjugate(out, out=out)
 
 
-def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """D[i, j] = <a_j, b_i> from one product B A^dagger of the flattened rows.
+def _gram(a: np.ndarray) -> np.ndarray:
+    """D[i, j] = <a_j, a_i> from one product A A^dagger of the flattened rows.
 
-    ``b`` defaults to ``a``.  The upper triangle is mirrored and the diagonal
-    made real, so the result is exactly Hermitian.
+    The upper triangle is mirrored and the diagonal made real, so the result
+    is exactly Hermitian.  Pair work over the memory budget is refused first.
     """
     a = a.reshape(a.shape[0], -1)
-    b = a if b is None else b.reshape(a.shape)
-    g = b @ a.conj().T
+    _check_memory(*a.shape)
+    g = a @ a.conj().T
     d = np.triu(g, 1)
     d += d.conj().T
     d[np.diag_indices_from(d)] = g.diagonal().real
@@ -255,16 +277,14 @@ def _clamp_probability(value: complex, what: str) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _functional_matrix(model: QuantumModel, direction: str,
-                       rho_i: StateOperator | None = None,
-                       rho_f: np.ndarray | None = None):
-    """Histories and the full matrix D[i, j] = functional(h_i, h_j)."""
-    if direction not in ("forwards", "backwards", "two_state"):
-        raise ValueError(f"unknown direction {direction!r}")
-    state = rho_i if rho_i is not None else model.initial_state
-    a = _branch_table(model, state.columns, direction == "backwards")
-    b = a.reshape(-1, model.dim) @ rho_f.T if direction == "two_state" else None
-    return model.history_labels(), _gram(a, b)
+def _functional_matrix(model: QuantumModel, backwards: bool = False,
+                       rho_i: StateOperator | None = None, factor: np.ndarray | None = None):
+    """Histories and the Gram matrix of rows L_h C (L_h^dagger C backwards) or F^dagger L_h C."""
+    a = _branch_table(model, (model.initial_state if rho_i is None else rho_i).columns, backwards)
+    if factor is not None:  # two-state rows a @ F^*, rho_f = F F^dagger
+        a = (a.reshape(-1, model.dim) @ factor.conj()).reshape(*a.shape[:2], -1)
+    d = _gram(a)  # refused over budget before the labels are built
+    return model.history_labels(), d
 
 
 def _row(model: QuantumModel, history) -> int:
@@ -370,7 +390,7 @@ def check_decoherence(model: QuantumModel, direction: str = "forwards",
         raise ValueError(f"direction must be 'forwards' or 'backwards', got {direction!r}")
     if strength not in ("weak", "strong"):
         raise ValueError(f"strength must be 'weak' or 'strong', got {strength!r}")
-    histories, d = _functional_matrix(model, direction)
+    histories, d = _functional_matrix(model, direction == "backwards")
     return _classify(histories, d, 1.0, strength, tolerance, direction)
 
 
@@ -384,26 +404,29 @@ def _coerce_initial_state(rho_i, dim: int) -> StateOperator:
     return state
 
 
-def _coerce_final_operator(rho_f, dim: int) -> np.ndarray:
-    """Validate a final operator: Hermitian PSD, any trace (identity allowed).
+def _coerce_final_operator(rho_f, dim: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Validate a final operator (Hermitian PSD, any trace); return it, read where it lies, and F.
 
-    The operator is read where it lies (a complex array is not copied), since
-    nothing keeps it; a :class:`StateOperator` is already validated.
+    F, with rho_f = F F^dagger, is None for the identity (whose rows are the branch table), a
+    :class:`StateOperator`'s ``columns``, the certified factor, or else the spectral columns.
     """
     state = isinstance(rho_f, StateOperator)
     m = rho_f.rho if state else linalg.read_matrix(rho_f, "final operator")
     if m.shape != (dim, dim):
         raise ModelValidationError(f"final operator shape {m.shape} does not match dimension {dim}")
     if state:
-        return m
+        return m, rho_f.columns
     h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
     if linalg.max_abs(m - h) > ATOL_MODEL:
         raise ModelValidationError("final operator must be Hermitian")
     h += m
     h /= 2.0
-    if _psd_columns(h) is None and float(np.linalg.eigvalsh(h)[0]) < -ATOL_MODEL:
-        raise ModelValidationError("final operator must be positive semidefinite")
-    return m
+    if np.array_equal(h, np.eye(dim)):
+        return m, None
+    factor = _psd_columns(h)
+    if factor is None:
+        factor = _eigh(h, "final operator must be positive semidefinite")[2]
+    return m, factor
 
 
 def _two_state_normalization(rho_i: StateOperator, rho_f: np.ndarray) -> float:
@@ -426,9 +449,9 @@ def check_two_state_decoherence(rho_i, rho_f, model: QuantumModel,
     if strength not in ("weak", "strong"):
         raise ValueError(f"strength must be 'weak' or 'strong', got {strength!r}")
     rho_i = _coerce_initial_state(rho_i, model.dim)
-    rho_f = _coerce_final_operator(rho_f, model.dim)
+    rho_f, factor = _coerce_final_operator(rho_f, model.dim)
     norm = _two_state_normalization(rho_i, rho_f)
-    histories, d = _functional_matrix(model, "two_state", rho_i=rho_i, rho_f=rho_f)
+    histories, d = _functional_matrix(model, rho_i=rho_i, factor=factor)
     return _classify(histories, d, norm, strength, tolerance, "two_state")
 
 
@@ -439,17 +462,18 @@ def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> compl
     normalized (the identity is a valid choice, reducing the functional to
     the forwards one).  Raises if Tr(rho_f rho_i) vanishes.
 
-    Each call validates ``rho_f``, and an ``rho_i`` other than the model's own
-    state object walks the whole branch table: at m = 1024 histories and
-    rank 64 a call takes about 226 ms, where walking only the two histories'
-    paths took 3.7 ms.  Callers that need many values build the whole
-    functional once with :func:`check_two_state_decoherence`.
+    The value is the inner product of the two histories' rows F^dagger L C.
+    Each call factors ``rho_f``, and an ``rho_i`` other than the model's own
+    state object walks the whole branch table, so callers that need many
+    values build the whole functional once with
+    :func:`check_two_state_decoherence`.
     """
     rho_i = _coerce_initial_state(rho_i, model.dim)
-    rho_f = _coerce_final_operator(rho_f, model.dim)
+    rho_f, factor = _coerce_final_operator(rho_f, model.dim)
     _two_state_normalization(rho_i, rho_f)
-    table = _branch_table(model, rho_i.columns)
-    return complex(np.vdot(table[_row(model, h_prime)], table[_row(model, h)] @ rho_f.T))
+    rows = _branch_table(model, rho_i.columns)[[_row(model, h), _row(model, h_prime)]]
+    a, b = rows if factor is None else rows @ factor.conj()
+    return complex(np.vdot(b, a))
 
 
 def two_state_probability_table(rho_i, rho_f, model: QuantumModel,
@@ -643,22 +667,20 @@ def pure_two_state_triviality_check(model: QuantumModel, psi,
     """Check the restrictive rho_i = rho_f = |psi><psi| condition and its 0/1 law.
 
     Both boundary slots are filled with the given pure state; the model
-    contributes only its families and dynamics.  Values within
-    ``TABLE_ATOL`` of 0 or 1, and of their amplitudes, count as such.
+    contributes only its families and dynamics; the rows <psi|L_h|psi> give D = amp amp^dagger.
+    Values within ``TABLE_ATOL`` of 0 or 1, and of their amplitudes, count as such.
     """
-    psi = linalg.as_vector(psi, "psi")
-    state = StateOperator.from_vector(psi)
-    report = check_two_state_decoherence(state, state, model, "weak", tolerance)
-    amps = _branch_table(model, psi[:, None])[:, 0] @ psi.conj()
-    amplitudes = dict(zip(model.history_labels(), amps.tolist()))
-    probabilities = {h: abs(amp) ** 2 for h, amp in amplitudes.items()}
+    state = StateOperator.from_vector(linalg.as_vector(psi, "psi"))
+    amps = _branch_table(model, state.columns)[:, 0] @ state.columns[:, 0].conj()  # F = C = psi
+    d = _gram(amps[:, None])  # refused over budget before the labels are built
+    report = _classify(model.history_labels(), d, _two_state_normalization(state, state.rho),
+                       "weak", tolerance, "two_state")
+    probs = np.abs(amps) ** 2
+    amplitudes, probabilities = (dict(zip(report.histories, a.tolist())) for a in (amps, probs))
     if not report.decoherent:
         return TrivialityReport(False, report.classification, probabilities, amplitudes)
-    defect = max(
-        max(abs(probabilities[h] - amplitudes[h].real), abs(amplitudes[h].imag))
-        for h in amplitudes
-    )
-    trivial = all(min(p, abs(1.0 - p)) <= TABLE_ATOL for p in probabilities.values())
+    defect = float(np.maximum(np.abs(probs - amps.real), np.abs(amps.imag)).max())
+    trivial = bool(np.all(np.minimum(probs, np.abs(1.0 - probs)) <= TABLE_ATOL))
     return TrivialityReport(True, report.classification, probabilities, amplitudes,
                             max_amplitude_defect=defect,
                             all_zero_or_one=(trivial and defect <= TABLE_ATOL))
@@ -744,7 +766,7 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
     Preconditions must hold to ``ATOL_MODEL`` and the tables agree to ``TABLE_ATOL``.
     """
     rho_i = _coerce_initial_state(rho_i, model.dim)
-    rho_f = _coerce_final_operator(rho_f, model.dim)
+    rho_f, factor = _coerce_final_operator(rho_f, model.dim)
     b = model.conjugation_basis
     d_i = linalg.max_abs(rho_i.rho - _reverse_in_basis(rho_i.rho, b))
     d_f = linalg.max_abs(rho_f - _reverse_in_basis(rho_f, b))
@@ -769,7 +791,7 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
         return PageReport(preconditions, False, reason=f"precondition failed: {', '.join(failed)}")
     reversed_set = time_reversed_history_set(model)
     norm = _two_state_normalization(rho_i, rho_f)  # both sets from the operators checked above
-    original, mirrored = (_classify(*_functional_matrix(m, "two_state", rho_i=rho_i, rho_f=rho_f),
+    original, mirrored = (_classify(*_functional_matrix(m, False, rho_i, factor),
                                     norm, "weak", tolerance, "two_state")
                           for m in (model, reversed_set.model))
     if not (original.decoherent and mirrored.decoherent):

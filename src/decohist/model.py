@@ -140,10 +140,18 @@ def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     return c.T if s_norm + allowance <= ATOL_MODEL / 2 else None
 
 
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenvalues (ascending) and eigenvectors of the Hermitian ``h``."""
+def _eigh(h: np.ndarray,
+          error: str = "state operator is not positive semidefinite (min eigenvalue {:.3e})"):
+    """Read-only eigenvalues (ascending), eigenvectors and ``eigen_columns`` of the Hermitian ``h``.
+
+    The eigenvalue rule decides positivity: a smallest eigenvalue below
+    -ATOL_MODEL raises ``error``, formatted with it.
+    """
     w, v = np.linalg.eigh(h)
-    return _freeze(w), _freeze(v)
+    if w[0] < -ATOL_MODEL:
+        raise ModelValidationError(error.format(w[0]))
+    keep = w > SPECTRAL_CUTOFF
+    return _freeze(w), _freeze(v), _freeze(v[:, keep] * np.sqrt(w[keep]))
 
 
 def as_state_vector(psi) -> np.ndarray:
@@ -174,7 +182,9 @@ class StateOperator:
     def __init__(self, rho):
         h = self._validate(rho)
         cols = _psd_columns(h)
-        self.columns = _freeze(self._eigen_rule(h) if cols is None else cols)
+        if cols is None:
+            self._spectrum = _eigh(h)
+        self.columns = _freeze(self.eigen_columns() if cols is None else cols)
         self.vector: np.ndarray | None = None  # set when built from a vector
 
     @classmethod
@@ -186,7 +196,8 @@ class StateOperator:
         """
         v = as_state_vector(psi)
         state = cls.__new__(cls)
-        state.columns = state._eigen_rule(state._validate(np.outer(v, v.conj())))
+        state._spectrum = _eigh(state._validate(np.outer(v, v.conj())))
+        state.columns = state.eigen_columns()
         state.vector = v
         return state
 
@@ -203,21 +214,11 @@ class StateOperator:
         h /= 2.0
         return h
 
-    def _eigen_rule(self, h: np.ndarray) -> np.ndarray:
-        """Spectral columns of ``h``, rejecting a smallest eigenvalue below -ATOL_MODEL."""
-        self._spectrum = _eigh(h)
-        w = self.eigenvalues
-        if w[0] < -ATOL_MODEL:
-            raise ModelValidationError(
-                f"state operator is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-            )
-        return self.eigen_columns()
-
     def _hermitian(self) -> np.ndarray:
         return (self.rho + self.rho.conj().T) / 2.0
 
     @functools.cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _eigh(self._hermitian())
 
     @property
@@ -258,8 +259,7 @@ class StateOperator:
         directions.  A validated state has unit trace, so at least one
         column remains.
         """
-        keep = self.eigenvalues > SPECTRAL_CUTOFF
-        return _freeze(self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep]))
+        return self._spectrum[2]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StateOperator(dim={self.dim}, purity={self.purity():.6f})"

@@ -24,6 +24,7 @@ from .histories import (
     DecoherenceReport,
     TolerancePolicy,
     _branch_table,
+    _check_memory,
     _classify,
     _gram,
     _pair_arrays,
@@ -234,6 +235,7 @@ def _extension_check(model, time_index, histories, projections, residual,
     ]
     if linalg.max_abs(residual) > 1e-12:
         members.append(("rec:none", residual))
+    _check_memory(len(histories) * len(members), model.initial_state.columns.size)
     record_family = ProjectorFamily(time_index + 1, members)
     extended = model._derive(list(model.families) + [record_family], TimeGrid(times, steps))
     report = check_decoherence(extended, "forwards", "strong", tolerance)

@@ -86,6 +86,15 @@ def write_fixtures(tree: Path, where: Path) -> None:
     symmetric = json.loads((where / "base-spin-symmetric.json").read_text(encoding="utf-8"))
     files["spin-symmetric-sigma-y"] = dict(
         symmetric, conjugation_basis=_pairs(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(9))))
+    # Final operators other than 1 that pass every page precondition: the
+    # state itself (rank one, a certified factor) and 1e6 times it (factored
+    # by eigenvalues, since the certificate's rounding allowance grows with
+    # the trace).
+    psi = np.array(symmetric["initial_state"], dtype=float)  # the file stores the vector
+    psi = psi[:, 0] + 1j * psi[:, 1]
+    rho_i = np.outer(psi, psi.conj())
+    for name, scale in (("spin-symmetric-final-state", 1.0), ("spin-symmetric-final-large", 1e6)):
+        files[name] = dict(symmetric, rho_final=_pairs(scale * rho_i))
     for name, rho_f in finals.items():
         files[name] = dict(post, rho_final=_pairs(rho_f))
     files["mixed-rank2"] = dict(post, initial_state=_pairs([[0.6, 0.1], [0.1, 0.4]]),

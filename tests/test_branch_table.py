@@ -19,6 +19,7 @@ from decohist.histories import (
     CoarseGraining,
     TolerancePolicy,
     _branch_table,
+    _coerce_final_operator,
     _functional_matrix,
     both_conditions_theorem_check,
     candidate_probability_backwards,
@@ -27,6 +28,7 @@ from decohist.histories import (
     check_two_state_decoherence,
     coarse_grain_check,
     decoherence_functional,
+    pure_two_state_triviality_check,
     two_state_functional,
 )
 from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
@@ -80,9 +82,12 @@ def _final_operator(dim, seed):
 def test_functional_matrices_match_reference(kind, n, seed):
     model = _case(kind, n, seed)
     rho_f = _final_operator(model.dim, seed)
-    for direction, extra in (("forwards", {}), ("backwards", {}),
-                             ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f})):
-        histories, d = _functional_matrix(model, direction, **extra)
+    factor = _coerce_final_operator(rho_f, model.dim)[1]
+    for direction, extra, core in (
+            ("forwards", {}, ()), ("backwards", {}, (True,)),
+            ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f},
+             (False, model.initial_state, factor))):
+        histories, d = _functional_matrix(model, *core)
         expected = ref.functional_matrix(model, direction, **extra)
         assert histories == model.history_labels()
         assert np.max(np.abs(d - expected)) <= ATOL, direction
@@ -285,6 +290,15 @@ def test_records_walks_the_model_and_its_extension_once(monkeypatch, tmp_path, c
     assert [(m.n_families, backwards) for m, backwards in calls] == [(4, False), (5, False)]
 
 
+def test_triviality_check_walks_once(monkeypatch):
+    # the rows that give D = amp amp^dagger are the amplitudes themselves
+    calls = _count_walks(monkeypatch)
+    model = random_model(9, dim=5, n_families=3)
+    rep = pure_two_state_triviality_check(model, model.initial_state.state_vector())
+    assert len(rep.amplitudes) == len(model.history_labels())
+    assert [m for m, _ in calls] == [model]
+
+
 def test_derived_and_coarse_models_walk_their_own_tables(monkeypatch):
     calls = _count_walks(monkeypatch)
     model = random_model(6, dim=4, n_families=2, pure=False)
@@ -294,7 +308,7 @@ def test_derived_and_coarse_models_walk_their_own_tables(monkeypatch):
     for other in (derived, coarse):
         assert other._tables == {}
         for _ in range(2):
-            assert np.max(np.abs(_functional_matrix(other, "forwards")[1]
+            assert np.max(np.abs(_functional_matrix(other)[1]
                                  - ref.functional_matrix(other))) <= ATOL
     assert [m for m, _ in calls] == [model, derived, coarse]
 
@@ -332,10 +346,12 @@ def test_memoised_table_is_read_only(model, backwards):
 def test_memoised_functionals_match_reference_in_either_order(kind, n, seed, two_state_first):
     model = _case(kind, n, seed)
     rho_f = _final_operator(model.dim, seed)
-    order = [("forwards", {}), ("backwards", {}),
-             ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f})]
+    factor = _coerce_final_operator(rho_f, model.dim)[1]
+    order = [("forwards", {}, ()), ("backwards", {}, (True,)),
+             ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f},
+              (False, model.initial_state, factor))]
     if two_state_first:
         order.reverse()
-    for direction, extra in order * 2:  # the second round reads the memo
-        _, d = _functional_matrix(model, direction, **extra)
+    for direction, extra, core in order * 2:  # the second round reads the memo
+        _, d = _functional_matrix(model, *core)
         assert np.max(np.abs(d - ref.functional_matrix(model, direction, **extra))) <= ATOL

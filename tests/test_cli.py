@@ -585,8 +585,12 @@ def test_scenario_parameter_outside_its_keys_exit_64(capsys, argv, fragment):
     (["abl", "--scenario", "spin"], 64, "abl needs a final state"),
     (["records", "--scenario", "random", "pure=0"], 65, "needs a pure initial state"),
     (["scenario", "emit"], 64, "scenario emit needs a scenario name"),
+    (["check", "--scenario", "random", "seed=-1"], 64, "seed=-1: must be non-negative"),
+    (["check", "--seed", "-3", "--scenario", "random"], 64, "seed=-3: must be non-negative"),
+    (["check", "--scenario", "random", "dim=3", "n=40"], 65,
+     "histories (1320246374206787737430356131840 pairs) need an estimated"),
 ], ids=["not-key-value", "complex", "int", "mirror-complex", "unknown-scenario", "abl-no-final",
-        "mixed-state", "emit-no-name"])
+        "mixed-state", "emit-no-name", "negative-seed", "negative-seed-option", "over-budget"])
 def test_cli_error_exits(capsys, argv, code, fragment):
     assert main(argv) == code
     assert fragment in capsys.readouterr().err

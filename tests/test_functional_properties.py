@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from test_grid_gaps import _build, layouts
 
 from decohist.histories import (
+    _coerce_final_operator,
     _functional_matrix,
     both_conditions_theorem_check,
     time_reversed_history_set,
@@ -66,7 +67,7 @@ def models(draw):
 
 def _directions(model):
     for direction in ("forwards", "backwards"):
-        yield direction, _functional_matrix(model, direction)[1]
+        yield direction, _functional_matrix(model, direction == "backwards")[1]
 
 
 @SETTINGS
@@ -92,7 +93,8 @@ def test_functional_is_hermitian_with_nonnegative_diagonal(case):
     for direction, d in _directions(model):
         assert np.array_equal(d, d.conj().T), direction
         assert np.all(d.diagonal().real >= 0.0), direction
-    _, d = _functional_matrix(model, "two_state", rho_i=model.initial_state, rho_f=rho_f)
+    factor = _coerce_final_operator(rho_f, model.dim)[1]
+    _, d = _functional_matrix(model, False, model.initial_state, factor)
     assert np.array_equal(d, d.conj().T)
 
 
@@ -100,7 +102,8 @@ def test_functional_is_hermitian_with_nonnegative_diagonal(case):
 @given(models())
 def test_two_state_functional_sums_to_boundary_overlap(case):
     model, rho_f = case
-    _, d = _functional_matrix(model, "two_state", rho_i=model.initial_state, rho_f=rho_f)
+    factor = _coerce_final_operator(rho_f, model.dim)[1]
+    _, d = _functional_matrix(model, False, model.initial_state, factor)
     overlap = np.trace(rho_f @ model.initial_state.rho)
     assert abs(d.sum() - overlap) <= ATOL * max(1.0, abs(overlap))
 

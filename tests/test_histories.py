@@ -8,6 +8,7 @@ from decohist.exceptions import ModelValidationError
 from decohist.histories import (
     CoarseGraining,
     TolerancePolicy,
+    _check_memory,
     both_conditions_theorem_check,
     candidate_probability_backwards,
     candidate_probability_forwards,
@@ -16,6 +17,7 @@ from decohist.histories import (
     decoherence_functional,
     page_symmetric_cosmology_check,
     time_reversed_history_set,
+    two_state_functional,
 )
 from decohist import linalg
 from decohist.linalg import max_abs
@@ -566,3 +568,41 @@ def test_probability_outside_unit_interval_rejected():
     for h in m.history_labels():
         p = candidate_probability_forwards(m, h)
         assert 0.0 <= p <= 1.0
+
+
+# ------------------------------------------------ memory budget
+
+
+@pytest.mark.parametrize("m, dim, fits", [
+    (4096, 256, True),  # a pure check at dim 256, m = 4096: about 0.93 GB at its peak
+    (64 * 64, 64, True),  # the 6-qubit register's record extension: about 0.85 GB
+    (128 * 128, 128, False),  # the 7-qubit register's record extension, m^4 Gram entries
+    (2**40, 3, False),
+])
+def test_memory_budget_admits_and_refuses_pure_sets(m, dim, fits):
+    if fits:
+        _check_memory(m, dim)
+    else:
+        with pytest.raises(ModelValidationError, match=rf"^{m} histories \({m * (m - 1) // 2} pairs\)"):
+            _check_memory(m, dim)
+
+
+def test_set_over_the_memory_budget_is_refused_before_the_walk(monkeypatch):
+    model = random_model(2, dim=3, n_families=40, members_per_family=2)
+    walked = []
+    monkeypatch.setattr(model.grid, "cumulative", lambda k: walked.append(k))
+    with pytest.raises(ModelValidationError, match=r"GiB for the branch table, above the memory budget of 2 GiB"):
+        check_decoherence(model)
+    assert walked == []
+
+
+def test_single_values_of_a_set_over_the_pair_budget_are_computed():
+    # 8192 histories: the table is 0.5 MB, the whole-matrix pair work 3.5 GiB
+    model = random_model(5, dim=4, n_families=13, members_per_family=2)
+    h, h_prime = (tuple(f.labels[k] for f in model.families) for k in (0, 1))
+    assert 0.0 <= candidate_probability_forwards(model, h) <= 1.0
+    assert 0.0 <= candidate_probability_backwards(model, h) <= 1.0
+    assert np.isfinite(decoherence_functional(model, h, h_prime))
+    assert np.isfinite(two_state_functional(model.initial_state, np.eye(4), model, h, h_prime))
+    with pytest.raises(ModelValidationError, match=r"^8192 histories \(33550336 pairs\) .* pair work"):
+        check_decoherence(model)

@@ -70,9 +70,9 @@ def test_check_two_state_decoherence_reads_the_final_operator_in_place(monkeypat
     model = QuantumModel(state, TimeGrid([0.0, 1.0, 2.0, 3.0], steps), families)
     rho_f = np.diag(np.linspace(0.1, 1.0, DIM)).astype(complex)
     seen = []
-    functional = histories._functional_matrix
-    monkeypatch.setattr(histories, "_functional_matrix",
-                        lambda *args, **kw: seen.append(kw["rho_f"]) or functional(*args, **kw))
+    normalization = histories._two_state_normalization
+    monkeypatch.setattr(histories, "_two_state_normalization",
+                        lambda rho_i, rho_f: seen.append(rho_f) or normalization(rho_i, rho_f))
     report = histories.check_two_state_decoherence(state, rho_f, model)
     assert seen[0] is rho_f
     assert report.normalization == pytest.approx(float(np.trace(rho_f @ state.rho).real))

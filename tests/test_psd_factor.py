@@ -115,7 +115,7 @@ def test_final_operators_match_the_eigenvalue_rule(case, scale):
 def test_scaled_identities_are_accepted(dim, scale):
     h = scale * np.eye(dim, dtype=complex)
     _coerce_final_operator(h, dim)
-    # at 1e6 the rounding allowance alone exceeds the budget, and eigvalsh decides
+    # at 1e6 the rounding allowance alone exceeds the budget, and eigh decides
     certified = scale <= 10 and (dim <= _FACTOR_RANK or scale == 0)
     _check_factor(h, None if not certified else dim if scale else 0)
     assert (_psd_columns(h) is None) == (not certified)
@@ -136,9 +136,20 @@ def test_ranks_above_the_limit_are_decided_by_eigenvalues(dim, rank):
     assert _verdict(lambda: _coerce_final_operator(bad, dim)) == _final_verdict_by_eigenvalues(bad)
 
 
+@pytest.mark.parametrize("dim", [4, 64])
+def test_identity_final_operator_needs_no_factor(dim, monkeypatch):
+    """rho_f = 1 gives no factor, so the two-state rows are the branch table: no eigh at any d."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    h = np.eye(dim, dtype=complex)
+    m, factor = _coerce_final_operator(h, dim)
+    assert m is h and factor is None and calls == []
+
+
 @pytest.mark.parametrize("dim,trace", [(64, 10.0), (64, 1e6), (256, 1e4)])
 def test_large_trace_rank_one_final_operators(dim, trace, monkeypatch):
-    """Beyond d u tr(h) <= ATOL_MODEL / 2, eigvalsh decides, as it did before the factor."""
+    """Beyond d u tr(h) <= ATOL_MODEL / 2, one eigh decides and gives the factor's columns."""
     rng = np.random.default_rng(dim)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     h = trace * np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -146,10 +157,14 @@ def test_large_trace_rank_one_final_operators(dim, trace, monkeypatch):
     decided_by_eigenvalues = dim * np.finfo(float).eps / 2 * trace > ATOL_MODEL / 2
     assert (_psd_columns(h) is None) == decided_by_eigenvalues
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-    assert _verdict(lambda: _coerce_final_operator(h, dim)) == _final_verdict_by_eigenvalues(h)
-    assert len(calls) == 1 + decided_by_eigenvalues
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    verdict = _final_verdict_by_eigenvalues(h)
+    assert _verdict(lambda: _coerce_final_operator(h, dim)) == verdict
+    assert len(calls) == decided_by_eigenvalues
+    if verdict is None:
+        m, factor = _coerce_final_operator(h, dim)
+        assert m is h and np.max(np.abs(factor @ factor.conj().T - h)) <= 1e-12 * trace
 
 
 @pytest.mark.parametrize("rank", [3, 33, 40])
@@ -159,9 +174,11 @@ def test_factored_states_match_the_reference(rank):
     assert state.columns.shape == (40, rank)
     model = QuantumModel(state, base.grid, base.families)
     rho_f = _hermitian(40, 7, 0.0, 2.0, rank + 1)
-    for direction, extra in (("forwards", {}), ("backwards", {}),
-                             ("two_state", {"rho_i": state, "rho_f": rho_f})):
-        _, d = _functional_matrix(model, direction, **extra)
+    factor = _coerce_final_operator(rho_f, 40)[1]
+    for direction, extra, core in (("forwards", {}, ()), ("backwards", {}, (True,)),
+                                   ("two_state", {"rho_i": state, "rho_f": rho_f},
+                                    (False, state, factor))):
+        _, d = _functional_matrix(model, *core)
         expected = ref.functional_matrix(model, direction, **extra)
         assert np.max(np.abs(d - expected)) <= 1e-12, direction
 

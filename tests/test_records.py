@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from decohist.exceptions import ConditionNotSatisfiedError, MixedStateError
+from decohist import histories, records
+from decohist.exceptions import ConditionNotSatisfiedError, MixedStateError, ModelValidationError
 from decohist.linalg import max_abs
 from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
 from decohist.records import (
@@ -170,6 +171,18 @@ def test_deterministic_chain_single_record():
     assert nonzero == [("e0",)]
     np.testing.assert_allclose(recs.projections[("e0",)],
                                np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+
+
+def test_record_extension_over_the_memory_budget_is_refused_before_it_is_built(monkeypatch):
+    # the spin set (4 histories) fits the budget; its extension by 5 records does not
+    m = spin_model(0.6)
+    monkeypatch.setattr(histories, "MEMORY_BUDGET", 10_000)
+    built = []
+    family = records.ProjectorFamily
+    monkeypatch.setattr(records, "ProjectorFamily", lambda *a: built.append(a) or family(*a))
+    with pytest.raises(ModelValidationError, match=r"^20 histories \(190 pairs\)"):
+        construct_records(m, _state_vector(m))
+    assert built == []
 
 
 def test_records_refuse_interference_model():
