@@ -3,10 +3,10 @@
 Commands: ``check``, ``probs``, ``abl``, ``records``, ``reverse``,
 ``recohere``, ``page``, ``scenario list``, ``scenario emit``.  Reports are
 compact JSON, the text of ``json.dumps(report)``, on standard output (or
-``--out``); apart from the ``timing_s`` field they are deterministic for
-identical inputs and seeds at a fixed BLAS thread count (another thread
-count can change the last digits of floats, and so the order of pair-table
-rows whose values are at rounding level, but not the verdicts).
+``--out``).  For identical inputs and seeds they give the same verdicts and
+pair-table row order at any BLAS thread count, and identical bytes apart from
+the ``timing_s`` field at a fixed one (another thread count can change the
+last digits of floats).
 
 Exit codes: 0 decoherent / check passed, 1 not decoherent / check failed,
 2 marginal, 64 model-file parse errors, bad scenario parameters and

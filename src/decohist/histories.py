@@ -56,6 +56,7 @@ from .model import (
     _dynamics_symmetry_defect,
     _eigh,
     _freeze,
+    _gamma,
     _psd_columns,
     _reverse_in_basis,
 )
@@ -91,6 +92,7 @@ PROBABILITY_SLACK = 1e-10  # candidate values may poke this far outside [0, 1]
 NORMALIZATION_FLOOR = 1e-14  # below this, Tr(rho_f rho_i) counts as zero
 MARGINAL_FACTOR = 1e3  # failed pairs within this factor of threshold are marginal
 TABLE_ATOL = 1e-9  # two probability tables (or values) this close agree
+RATIO_TIE = 1e-12  # pair-table ratios this close (relative) to the next larger one tie
 # A history set whose estimated peak exceeds MEMORY_BUDGET bytes is refused:
 # the walk holds about TABLE_BYTES per branch-table entry (the last level, its
 # projected members and their stack, 16 bytes per complex number each), and
@@ -157,20 +159,34 @@ class DecoherenceReport:
     @functools.cached_property
     def pairs(self) -> list[PairCheck]:
         """One :class:`PairCheck` per pair i < j, row-major over the histories."""
-        h = self.histories
+        h, a = self.histories, self._arrays
         return [
             PairCheck(h[i], h[j], value, measure, threshold, passed, ratio)
             for i, j, value, measure, threshold, passed, ratio
-            in zip(*(a.tolist() for a in self._arrays))
+            in zip(*(c.tolist() for c in (a.i, a.j, a.value, a.measure, a.threshold,
+                                          a.passed, a.ratio)))
         ]
 
     def _worst_first(self) -> np.ndarray:
-        """Pair positions worst first: ratio descending, then both histories by label."""
+        """Pair positions worst first: ratio descending, ties by both histories' labels.
+
+        Rounding must not decide the order, so two kinds of pairs tie: those
+        at or below their rounding floor, sorted as ratio 0, and ratios that
+        agree to 12 significant digits (each within ``RATIO_TIE``, relative, of
+        the next larger one).
+        """
         h = self.histories
         rank = np.empty(len(h), dtype=np.intp)
         rank[sorted(range(len(h)), key=h.__getitem__)] = np.arange(len(h))
         a = self._arrays
-        return np.lexsort((rank[a.j], rank[a.i], -a.ratio))
+        key = np.where(a.at_floor, 0.0, a.ratio)
+        order = np.argsort(-key)
+        desc = key[order]
+        new = np.ones(desc.size, dtype=bool)  # where a tie class starts
+        new[1:] = desc[1:] < desc[:-1] * (1.0 - RATIO_TIE)
+        tie = np.empty_like(order)
+        tie[order] = np.cumsum(new)
+        return np.lexsort((rank[a.j], rank[a.i], tie))
 
     def worst_pairs(self) -> list[PairCheck]:
         pairs = self.pairs
@@ -317,7 +333,10 @@ def decoherence_functional(model: QuantumModel, h, h_prime, direction: str = "fo
 
 
 class _PairArrays(NamedTuple):
-    """Upper-triangle pairs of a functional matrix, one array entry per pair."""
+    """Upper-triangle pairs of a functional matrix, one array entry per pair.
+
+    ``at_floor`` marks the measures at or below a positive rounding floor.
+    """
 
     i: np.ndarray
     j: np.ndarray
@@ -326,6 +345,7 @@ class _PairArrays(NamedTuple):
     threshold: np.ndarray
     passed: np.ndarray
     ratio: np.ndarray
+    at_floor: np.ndarray
 
     def verdict(self) -> str:
         if self.passed.all():
@@ -333,28 +353,42 @@ class _PairArrays(NamedTuple):
         return "marginal" if self.ratio.max() <= MARGINAL_FACTOR else "not_decoherent"
 
 
+def _floor_gamma(model: QuantumModel, row: int) -> float:
+    """Relative rounding floor of a Gram entry whose rows have ``row`` numbers.
+
+    The entry is an inner product of length ``row`` of rows that the walk
+    built with two products of length d per family, the pull-back and a
+    two-state factor or amplitude adding one each; its error is about
+    gamma_n sqrt(D_ii D_jj) for n the summed lengths (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1).
+    """
+    return _gamma(row + 2 * (model.n_families + 1) * model.dim)
+
+
 def _pair_arrays(d: np.ndarray, scale: float, strength: str,
-                 tolerance: TolerancePolicy) -> _PairArrays:
-    """Measure every pair i < j of D against its threshold.
+                 tolerance: TolerancePolicy, gamma: float) -> _PairArrays:
+    """Measure every pair i < j of D against its threshold and its rounding floor.
 
     Measures and thresholds are on the normalized scale (D / scale), with the
     threshold of :meth:`TolerancePolicy.pair_threshold` and ratio inf where
-    the threshold is zero.
+    the threshold is zero.  The floor is ``gamma`` sqrt(p_h p_h').
     """
     i, j = np.triu_indices(d.shape[0], 1)
     value = d[i, j]
     measure = (np.abs(value.real) if strength == "weak" else np.abs(value)) / scale
     p = np.maximum(d.diagonal().real / scale, 0.0)
-    threshold = np.maximum(tolerance.abs, tolerance.rel * np.sqrt(p[i] * p[j]))
+    root = np.sqrt(p[i] * p[j])
+    threshold = np.maximum(tolerance.abs, tolerance.rel * root)
     ratio = np.divide(measure, threshold, out=np.full_like(measure, np.inf),
                       where=threshold > 0)
-    return _PairArrays(i, j, value, measure, threshold, measure <= threshold, ratio)
+    at_floor = (measure <= gamma * root) & (root > 0)
+    return _PairArrays(i, j, value, measure, threshold, measure <= threshold, ratio, at_floor)
 
 
 def _classify(histories, d, probabilities_scale, strength, tolerance,
-              direction) -> DecoherenceReport:
+              direction, gamma) -> DecoherenceReport:
     tolerance = tolerance or TolerancePolicy()
-    arrays = _pair_arrays(d, probabilities_scale, strength, tolerance)
+    arrays = _pair_arrays(d, probabilities_scale, strength, tolerance, gamma)
     classification = arrays.verdict()
     diagonals = d.diagonal().real
     probabilities = None
@@ -391,7 +425,8 @@ def check_decoherence(model: QuantumModel, direction: str = "forwards",
     if strength not in ("weak", "strong"):
         raise ValueError(f"strength must be 'weak' or 'strong', got {strength!r}")
     histories, d = _functional_matrix(model, direction == "backwards")
-    return _classify(histories, d, 1.0, strength, tolerance, direction)
+    gamma = _floor_gamma(model, model.initial_state.columns.size)
+    return _classify(histories, d, 1.0, strength, tolerance, direction, gamma)
 
 
 def _coerce_initial_state(rho_i, dim: int) -> StateOperator:
@@ -452,7 +487,8 @@ def check_two_state_decoherence(rho_i, rho_f, model: QuantumModel,
     rho_f, factor = _coerce_final_operator(rho_f, model.dim)
     norm = _two_state_normalization(rho_i, rho_f)
     histories, d = _functional_matrix(model, rho_i=rho_i, factor=factor)
-    return _classify(histories, d, norm, strength, tolerance, "two_state")
+    return _classify(histories, d, norm, strength, tolerance, "two_state",
+                     _floor_gamma(model, rho_i.columns.size))
 
 
 def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> complex:
@@ -674,7 +710,7 @@ def pure_two_state_triviality_check(model: QuantumModel, psi,
     amps = _branch_table(model, state.columns)[:, 0] @ state.columns[:, 0].conj()  # F = C = psi
     d = _gram(amps[:, None])  # refused over budget before the labels are built
     report = _classify(model.history_labels(), d, _two_state_normalization(state, state.rho),
-                       "weak", tolerance, "two_state")
+                       "weak", tolerance, "two_state", _floor_gamma(model, 1))
     probs = np.abs(amps) ** 2
     amplitudes, probabilities = (dict(zip(report.histories, a.tolist())) for a in (amps, probs))
     if not report.decoherent:
@@ -791,8 +827,8 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
         return PageReport(preconditions, False, reason=f"precondition failed: {', '.join(failed)}")
     reversed_set = time_reversed_history_set(model)
     norm = _two_state_normalization(rho_i, rho_f)  # both sets from the operators checked above
-    original, mirrored = (_classify(*_functional_matrix(m, False, rho_i, factor),
-                                    norm, "weak", tolerance, "two_state")
+    original, mirrored = (_classify(*_functional_matrix(m, False, rho_i, factor), norm, "weak",
+                                    tolerance, "two_state", _floor_gamma(m, rho_i.columns.size))
                           for m in (model, reversed_set.model))
     if not (original.decoherent and mirrored.decoherent):
         which = []

@@ -26,6 +26,7 @@ from .histories import (
     _branch_table,
     _check_memory,
     _classify,
+    _floor_gamma,
     _gram,
     _pair_arrays,
     _walk,
@@ -111,12 +112,14 @@ def strong_decoherence_iff_orthogonality(
     per_depth = []
     agrees = True
     gram = _gram(psi[None])  # without families the state is the only branch
+    gammas = _floor_gamma(model, psi.size), _floor_gamma(model, cols.size)
     levels = zip(_walk(model, psi[:, None]), _walk(model, cols))
     for depth, (branches, chains) in enumerate(levels, start=1):
         gram = _gram(branches)
-        overlaps = _pair_arrays(gram, 1.0, "strong", tolerance)
+        overlaps = _pair_arrays(gram, 1.0, "strong", tolerance, gammas[0])
         orthogonal = bool(overlaps.passed.all())
-        strong = _pair_arrays(_gram(chains), 1.0, "strong", tolerance).verdict() == "decoherent"
+        strong = _pair_arrays(_gram(chains), 1.0, "strong", tolerance,
+                              gammas[1]).verdict() == "decoherent"
         max_overlap = float(overlaps.measure.max(initial=0.0))
         per_depth.append((depth, max_overlap, strong, orthogonal == strong))
         agrees &= orthogonal == strong
@@ -169,7 +172,8 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
         )
     histories = model.history_labels()
     table = _branch_table(model, psi[:, None])
-    base = _classify(histories, _gram(table), 1.0, "strong", tolerance, "forwards")
+    base = _classify(histories, _gram(table), 1.0, "strong", tolerance, "forwards",
+                     _floor_gamma(model, psi.size))
     if not base.decoherent:
         raise ConditionNotSatisfiedError(
             f"strong forwards decoherence does not hold (classification: {base.classification}); "

@@ -83,7 +83,8 @@ def test_tied_nonzero_ratios_follow_labels(capsys, tmp_path):
     path = tmp_path / "tied.json"
     dump_model(_tied_model(), path)
     forwards = _cli_order(capsys, ["check", "--forwards", "--model", str(path)])[0]
-    assert forwards[:2] == [(("0", "a"), ("1", "a"), 1e9), (("0", "b"), ("1", "b"), 1e9)]
+    assert [labels for *labels, _ in forwards[:2]] == [[("0", "a"), ("1", "a")], [("0", "b"), ("1", "b")]]
+    assert [ratio for *_, ratio in forwards[:2]] == pytest.approx([1e9, 1e9], rel=1e-12)
 
 
 # ------------------------------------------------ every command
