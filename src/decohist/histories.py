@@ -24,11 +24,12 @@ a level, so shared prefixes are computed once (one O(d^2 r) product per node).
 Every functional is one Gram product; the walk's levels are the truncated sets.
 A model's own table (its state's columns, every history) is walked once per
 direction and kept read-only on the model, so the functionals, coarse
-graining, the both-conditions check and the single-history values of one
-model share it; a single-history value is a read of its row.  Apart from
-that memo, whose tables are the same whichever call fills it, all functions
-here are pure; histories may be evaluated concurrently and the reports
-assemble in a fixed lexicographic order regardless of evaluation order.
+graining, the both-conditions check, the single-history values and every
+caller that starts from a pure state's own vector (its one column) share it;
+a single-history value is a read of its row.  Apart from that memo, whose
+tables are the same whichever call fills it, all functions here are pure;
+histories may be evaluated concurrently and the reports assemble in a fixed
+lexicographic order regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -242,10 +243,11 @@ def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False
     """Rows of L_h C (L_h^dagger C backwards), one (r, d) block per history.
 
     The last level of the walk pulled back to the initial time, by W(t_n)^dagger
-    (W(t_1)^dagger backwards).  The model's own table, that of its state's
-    ``columns`` object, is memoised on the model per direction, read-only.
+    (W(t_1)^dagger backwards).  The model's own table, that of columns equal
+    to its state's ``columns`` (for a pure state, its vector), is memoised
+    on the model per direction, read-only.
     """
-    own = cols is model.initial_state.columns
+    own = cols is model.initial_state.columns or np.array_equal(cols, model.initial_state.columns)
     if own and backwards in model._tables:
         return model._tables[backwards]
     table = cols.T[None]
@@ -499,9 +501,9 @@ def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> compl
     the forwards one).  Raises if Tr(rho_f rho_i) vanishes.
 
     The value is the inner product of the two histories' rows F^dagger L C.
-    Each call factors ``rho_f``, and an ``rho_i`` other than the model's own
-    state object walks the whole branch table, so callers that need many
-    values build the whole functional once with
+    Each call factors ``rho_f``, and an ``rho_i`` whose columns differ from
+    the model state's walks the whole branch table, so callers that need
+    many values build the whole functional once with
     :func:`check_two_state_decoherence`.
     """
     rho_i = _coerce_initial_state(rho_i, model.dim)

@@ -68,6 +68,10 @@ def _check(defect: float, what: str, stacklevel: int = 3) -> None:
 SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
 _FACTOR_RANK = 32  # pivots after which an eigendecomposition decides instead
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Allowance for eigh's eigenvalue error, in units of d u max|lambda|: on random PSD
+# operators of rank 1 to d (d = 2 to 256, traces up to 1e12) the most negative
+# eigenvalue was -1.45 units.
+_EIGH_SLACK = 10.0
 # Relative allowance for the rounding of the family bounds' own arithmetic:
 # each sums and multiplies a few nonnegative floats, every one within a
 # relative (d + 4) u of the quantity it stands for.
@@ -145,10 +149,16 @@ def _eigh(h: np.ndarray,
     """Read-only eigenvalues (ascending), eigenvectors and ``eigen_columns`` of the Hermitian ``h``.
 
     The eigenvalue rule decides positivity: a smallest eigenvalue below
-    -ATOL_MODEL raises ``error``, formatted with it.
+    -max(ATOL_MODEL, ``_EIGH_SLACK`` d u max|lambda|) raises ``error``,
+    formatted with it.  The second term is the eigensolver's own error,
+    which grows with ||h||_2 = max|lambda| (a backward stable ``eigh`` is
+    exact for h + E with ||E||_2 about d u ||h||_2, and Weyl's inequality
+    moves each eigenvalue by at most ||E||_2), so a PSD operator of large
+    trace is not rejected for rounding.  For a state, max|lambda| <= 1
+    keeps the floor at ATOL_MODEL.
     """
     w, v = np.linalg.eigh(h)
-    if w[0] < -ATOL_MODEL:
+    if w[0] < -max(ATOL_MODEL, _EIGH_SLACK * h.shape[0] * _UNIT_ROUNDOFF * max(-w[0], w[-1])):
         raise ModelValidationError(error.format(w[0]))
     keep = w > SPECTRAL_CUTOFF
     return _freeze(w), _freeze(v), _freeze(v[:, keep] * np.sqrt(w[keep]))
@@ -171,16 +181,24 @@ class StateOperator:
     rho = C C^dagger and one column per unit of numerical rank: a pivoted
     Cholesky factor whose residual certifies positivity, or, when the rank
     exceeds 32 or the certificate fails, the spectral columns of
-    ``eigen_columns()``.  A state built :meth:`from_vector` keeps its
-    spectral column and stores the vector as ``vector`` (None otherwise).
-    ``eigenvalues`` (ascending), ``eigenvectors`` (columns) and
-    ``eigen_columns()`` come from one ``eigh``, run at construction when
-    the factor fails and otherwise when one of them is first read, and kept
-    read-only.
+    ``eigen_columns()``.  A state built :meth:`from_vector` stores the
+    vector as ``vector`` (None otherwise), and its one column is that vector
+    itself, the same read-only numbers.  ``eigenvalues`` (ascending),
+    ``eigenvectors`` (columns) and ``eigen_columns()`` come from one ``eigh``
+    of (rho + rho^dagger) / 2, run at construction when the factor fails and
+    otherwise when one of them is first read, and kept read-only.
     """
 
     def __init__(self, rho):
-        h = self._validate(rho)
+        m = linalg.as_matrix(rho, "state operator")
+        if m.shape[0] != m.shape[1]:
+            raise ModelValidationError(f"state operator must be square, got {m.shape}")
+        h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
+        _check(linalg.max_abs(m - h), "state operator Hermiticity")
+        _check(abs(complex(np.trace(m)) - 1.0), "state operator trace")
+        self.rho = _freeze(m)
+        h += m
+        h /= 2.0
         cols = _psd_columns(h)
         if cols is None:
             self._spectrum = _eigh(h)
@@ -189,30 +207,29 @@ class StateOperator:
 
     @classmethod
     def from_vector(cls, psi) -> "StateOperator":
-        """The pure state |psi><psi|, with the spectral column as its factor.
+        """The pure state |psi><psi|, whose one column is psi itself.
 
-        The outer product is Hermitian by construction, so the ``eigh`` its
-        spectral column needs also decides positivity; no factor is certified.
+        ``columns`` is ``vector[:, None]`` and rho the computed outer product
+        fl(v v^dagger), with no check and no ``eigh``, since none could fail.
+        Each entry is one complex product, within sqrt(2) gamma_2 |v_i||v_j|
+        of v_i v_j^* (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, lemma 3.5), so rho is Hermitian to within
+        2 sqrt(2) gamma_2 |v_i||v_j|, about 6e-16, and its trace, by the norm
+        check of :func:`as_state_vector` (||v|| within 1e-12 of 1), within
+        2.1e-12 + gamma_{d+2} of 1: both far inside ``ATOL_MODEL``.  The
+        Hermitian part H = (rho + rho^dagger) / 2, whose ``eigh`` gives the
+        spectrum on first read, adds a rounding of u, so each entry of
+        H - v v^dagger is at most (sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2))
+        |v_i||v_j| and, by Weyl's inequality, lambda_min(H) >=
+        -|| |H - v v^dagger| ||_2 >= -4.3e-16 ||v||^2: positive semidefinite
+        well within the eigenvalue rule's tolerance.
         """
         v = as_state_vector(psi)
         state = cls.__new__(cls)
-        state._spectrum = _eigh(state._validate(np.outer(v, v.conj())))
-        state.columns = state.eigen_columns()
+        state.rho = _freeze(np.outer(v, v.conj()))
+        state.columns = _freeze(v[:, None])
         state.vector = v
         return state
-
-    def _validate(self, rho) -> np.ndarray:
-        """Check shape, Hermiticity and trace; keep rho and return (rho + rho^dagger) / 2."""
-        m = linalg.as_matrix(rho, "state operator")
-        if m.shape[0] != m.shape[1]:
-            raise ModelValidationError(f"state operator must be square, got {m.shape}")
-        h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
-        _check(linalg.max_abs(m - h), "state operator Hermiticity", stacklevel=4)
-        _check(abs(complex(np.trace(m)) - 1.0), "state operator trace", stacklevel=4)
-        self.rho = _freeze(m)
-        h += m
-        h /= 2.0
-        return h
 
     def _hermitian(self) -> np.ndarray:
         return (self.rho + self.rho.conj().T) / 2.0

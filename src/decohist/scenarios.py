@@ -18,6 +18,7 @@ steps; they are deliberately independent of the chain machinery in
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .histories import (
     TimeReversedSet,
     TolerancePolicy,
     _branch_table,
+    _check_memory,
     _gram,
     _walk,
     check_decoherence,
@@ -192,12 +194,15 @@ def _collapse_levels(model: QuantumModel, cols: np.ndarray, pure: bool,
     oracle stays independent of the code it checks.  Forwards the steps run
     from the first grid time to the last; backwards their adjoints run from
     the last to the first and the families are met latest first.  The
-    trajectories come back sorted by their time-ordered labels.
+    trajectories come back sorted by their time-ordered labels.  A set whose
+    last level (m trajectories of d x r) is over the core's memory budget is
+    refused before the first level; the size check shares no arithmetic.
     """
     steps = model.grid.step_unitaries
     families = model.families[::-1] if backwards else model.families
     last = model.grid.n_times - 1
     d, r = cols.shape
+    _check_memory(math.prod(map(len, families)), d * r, pair_work=False)
     weights = np.ones(1) if pure else np.sum(cols.real ** 2 + cols.imag ** 2, axis=0)
     blocks = (cols if pure else cols / np.sqrt(weights))[:, None]  # (d, trajectories, r)
     probs = np.ones((1, r))

@@ -14,6 +14,12 @@ other text as it is.  In stderr the tree's ``src`` path becomes ``<src>`` and
 the line number after a source file name is dropped, so that moving a line
 that a warning names is no difference.  The script prints one line per
 differing command and a summary, and exits 1 if any command differs.
+
+Each differing command gets one label.  With equal exit codes and stderr,
+it is "row order only" when its JSON outputs are equal once the rows of
+every list of objects are sorted, and "float values only" when they are
+equal once every float is masked (rows in the same order); anything else,
+and both kinds at once, is "other".
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +51,40 @@ def canonical(text: str) -> str:
     if isinstance(obj, dict):
         obj.pop("timing_s", None)
     return json.dumps(obj, indent=2)
+
+
+def _sorted_rows(obj):
+    """``obj`` with every list of objects sorted by the rows' JSON text."""
+    if isinstance(obj, dict):
+        return {k: _sorted_rows(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        items = [_sorted_rows(v) for v in obj]
+        return sorted(items, key=json.dumps) if all(isinstance(v, dict) for v in items) else items
+    return obj
+
+
+def _floats_masked(obj):
+    """``obj`` with every float replaced by one placeholder."""
+    if isinstance(obj, dict):
+        return {k: _floats_masked(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_floats_masked(v) for v in obj]
+    return "<float>" if isinstance(obj, float) else obj
+
+
+def label(old: tuple, new: tuple) -> str:
+    """How two differing outcomes (exit code, stderr, stdout, --out file) differ."""
+    if old[:2] != new[:2]:
+        return "other"
+    try:
+        a, b = ([json.loads(text) if text else text for text in o[2:]] for o in (old, new))
+    except ValueError:
+        return "other"
+    if _sorted_rows(a) == _sorted_rows(b):
+        return "row order only"
+    if _floats_masked(a) == _floats_masked(b):
+        return "float values only"
+    return "other"
 
 
 def read_commands(path: Path) -> list[list[str]]:
@@ -148,16 +189,19 @@ def main(argv=None) -> int:
         shutil.copytree(fixtures, root / tag, dirs_exist_ok=True)
         dirs.append(root / tag)
     parts = ("exit code", "stderr", "stdout", "--out file")
-    differing = 0
+    labels = Counter()
     for command in commands:
         old = outcome(args.old.resolve(), command, dirs[0])
         new = outcome(args.new.resolve(), command, dirs[1])
         diff = [name for name, a, b in zip(parts, old, new) if a != b]
         if diff:
-            differing += 1
-            print(f"DIFFERS ({', '.join(diff)}): decohist {shlex.join(command)}")
+            kind = label(old, new)
+            labels[kind] += 1
+            print(f"DIFFERS [{kind}] ({', '.join(diff)}): decohist {shlex.join(command)}")
+    differing = sum(labels.values())
+    kinds = ", ".join(f"{n} {kind}" for kind, n in sorted(labels.items()))
     print(f"{len(commands)} commands, {len(commands) - differing} identical, {differing} differing"
-          f" (outputs in {root})")
+          f"{f' ({kinds})' if kinds else ''} (outputs in {root})")
     return 1 if differing else 0
 
 

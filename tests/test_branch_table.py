@@ -32,8 +32,9 @@ from decohist.histories import (
     two_state_functional,
 )
 from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
-from decohist.records import branch_vectors, strong_decoherence_iff_orthogonality
+from decohist.records import branch_vectors, construct_records, strong_decoherence_iff_orthogonality
 from decohist.scenarios import (
+    abl_table,
     commuting_random_model,
     random_model,
     recoherence_scenario,
@@ -271,11 +272,25 @@ def test_each_model_walks_once_per_direction(monkeypatch):
     assert out.applicable  # so the check read the chain values from the table
     assert sorted(backwards for _, backwards in calls) == [False, True]
     assert all(m is model for m, _ in calls)
-    # a single-history value reads the memo; foreign columns walk every time, and are not kept
+    # a single-history value and equal columns read the memo; other columns
+    # walk every time, and are not kept
     candidate_probability_forwards(model, model.history_labels()[0])
-    assert len(calls) == 2
     _branch_table(model, model.initial_state.columns.copy())
+    assert len(calls) == 2
+    _branch_table(model, 1j * model.initial_state.columns)
     assert len(calls) == 3 and len(model._tables) == 2
+    # a pure state's column is its vector, so every caller that starts from it
+    # reads the forwards table: records walk the record extension only
+    calls.clear()
+    pure = spin_model(0.6)
+    psi = pure.initial_state.state_vector()
+    check_decoherence(pure, "forwards", "strong")
+    construct_records(pure, psi)
+    branch_vectors(pure, psi)
+    pure_two_state_triviality_check(pure, psi)
+    abl_table(psi, pure.grid.cumulative(pure.grid.n_times - 1) @ psi, pure)
+    assert [(m is pure, m.n_families, backwards) for m, backwards in calls] == [
+        (True, 2, False), (False, 3, False)]
 
 
 def test_records_walks_the_model_and_its_extension_once(monkeypatch, tmp_path, capsys):
@@ -313,7 +328,7 @@ def test_derived_and_coarse_models_walk_their_own_tables(monkeypatch):
     assert [m for m, _ in calls] == [model, derived, coarse]
 
 
-def test_content_equal_state_gets_no_memo_hit(monkeypatch):
+def test_content_equal_columns_share_the_memo(monkeypatch):
     calls = _count_walks(monkeypatch)
     model = random_model(7, dim=4, n_families=2, pure=False)
     rho_f = _final_operator(model.dim, 7)
@@ -324,7 +339,7 @@ def test_content_equal_state_gets_no_memo_hit(monkeypatch):
     for _ in range(2):
         other = check_two_state_decoherence(twin, rho_f, model)
         assert other.diagonals == mine.diagonals
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert list(model._tables) == [False]
 
 

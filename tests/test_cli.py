@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compare_cli import read_commands
+from compare_cli import label, read_commands
 from decohist import scenarios
 from decohist.cli import build_parser, main
 from decohist.modelfile import dump_model, load_model, model_from_dict, model_to_dict
@@ -440,6 +440,20 @@ def test_command_list_parses():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"cli_commands.txt line does not parse: {' '.join(argv)}")
+
+
+def test_compare_cli_labels_row_moves_and_float_changes():
+    rows = [{"left": ["a"], "ratio": 1.0}, {"left": ["b"], "ratio": 1.0}]
+    base = (0, "", json.dumps({"table": rows}, indent=2), None)
+    moved = (0, "", json.dumps({"table": rows[::-1]}, indent=2), None)
+    nudged = (0, "", json.dumps({"table": [dict(rows[0], ratio=1.0000000000000002), rows[1]]}), None)
+    written = (0, "", "", json.dumps({"table": rows[::-1]}))
+    assert label(base, moved) == "row order only"
+    assert label(base, nudged) == "float values only"
+    assert label((0, "", "", json.dumps({"table": rows})), written) == "row order only"
+    assert label(moved, nudged) == "other"  # both at once
+    assert label(base, (1, *base[1:])) == "other"
+    assert label(base, (0, "warning", *base[2:])) == "other"
 
 
 def test_parse_error_exit_64(tmp_path, capsys):

@@ -14,17 +14,25 @@ zero.  The results must equal those of the per-trajectory loops in
 """
 
 import itertools
+import math
+import time
 
 import numpy as np
+import pytest
 import reference_oracle as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_grid_gaps import _psd
 
+from decohist import histories
+from decohist.cli import main
+from decohist.exceptions import ModelValidationError
+from decohist.histories import check_decoherence
 from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
 from decohist.scenarios import (
     _cut,
     collapse_chain_enumerate,
+    collapse_probability_table,
     commuting_random_model,
     haar_unitary,
     random_model,
@@ -189,3 +197,22 @@ def test_level_walk_matches_per_trajectory_pure_runs(case):
                 assert np.max(np.abs(mine - theirs)) <= ATOL
         if case[0] == "zero":
             assert min(p for _, p, _ in expected) == 0.0
+
+
+def test_oracle_over_the_memory_budget_is_refused(monkeypatch):
+    # the oracle's level blocks are charged to the core's budget before the first level
+    monkeypatch.setattr(histories, "MEMORY_BUDGET", 2**20)
+    model = random_model(1, dim=3, n_families=12)
+    assert math.prod(map(len, model.families)) == 46656
+    psi = model.initial_state.state_vector()
+    for run in (lambda: check_decoherence(model), lambda: collapse_probability_table(model),
+                lambda: reverse_collapse_chain(model, psi)):
+        with pytest.raises(ModelValidationError, match="46656 histories .* above the memory budget"):
+            run()
+
+
+def test_reverse_over_the_budget_exits_65_at_once(capsys):
+    started = time.perf_counter()
+    assert main(["reverse", "--scenario", "random", "dim=3", "n=24"]) == 65
+    assert time.perf_counter() - started < 1.0
+    assert "above the memory budget of 2 GiB" in capsys.readouterr().err

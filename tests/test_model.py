@@ -140,12 +140,12 @@ def test_state_is_diagonalised_once(monkeypatch):
     assert model.initial_state.eigenvectors.shape == (4, 4)
     assert model.initial_state.eigen_columns().shape[1] == int(np.sum(w > 1e-14))
     assert calls == {"eigh": 1, "eigvalsh": 0}
-    # A pure state needs its spectral column: one eigh, and no factor.
+    # A pure state's column is its vector: no factor, and one eigh when the spectrum is read.
     factored = []
     cholesky_rows = model_module._cholesky_rows
     monkeypatch.setattr(model_module, "_cholesky_rows", lambda h: factored.append(h) or cholesky_rows(h))
     pure = StateOperator.from_vector(haar_unitary(4, np.random.default_rng(1))[:, 0])
-    assert calls == {"eigh": 2, "eigvalsh": 0} and factored == []
+    assert calls == {"eigh": 1, "eigvalsh": 0} and factored == []
     assert pure.eigenvalues[-1] == pytest.approx(1.0)
     assert calls == {"eigh": 2, "eigvalsh": 0}
 

@@ -53,7 +53,9 @@ def _state_verdict_by_eigenvalues(h):
 
 
 def _final_verdict_by_eigenvalues(h):
-    if float(np.linalg.eigvalsh(h)[0]) < -1e-10:
+    """The eigenvalue rule: a floor of 1e-10, or 10 d u max|lambda| where that is larger."""
+    w = np.linalg.eigvalsh(h)
+    if w[0] < -max(1e-10, 10 * h.shape[0] * np.finfo(float).eps / 2 * np.abs(w).max()):
         return "final operator must be positive semidefinite"
     return None
 
@@ -149,7 +151,11 @@ def test_identity_final_operator_needs_no_factor(dim, monkeypatch):
 
 @pytest.mark.parametrize("dim,trace", [(64, 10.0), (64, 1e6), (256, 1e4)])
 def test_large_trace_rank_one_final_operators(dim, trace, monkeypatch):
-    """Beyond d u tr(h) <= ATOL_MODEL / 2, one eigh decides and gives the factor's columns."""
+    """Beyond d u tr(h) <= ATOL_MODEL / 2, one eigh decides and gives the factor's columns.
+
+    The eigenvalue floor grows with the operator, so these PSD operators are
+    accepted at every trace.
+    """
     rng = np.random.default_rng(dim)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     h = trace * np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -159,12 +165,29 @@ def test_large_trace_rank_one_final_operators(dim, trace, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-    verdict = _final_verdict_by_eigenvalues(h)
-    assert _verdict(lambda: _coerce_final_operator(h, dim)) == verdict
+    assert _final_verdict_by_eigenvalues(h) is None
+    m, factor = _coerce_final_operator(h, dim)
     assert len(calls) == decided_by_eigenvalues
-    if verdict is None:
-        m, factor = _coerce_final_operator(h, dim)
-        assert m is h and np.max(np.abs(factor @ factor.conj().T - h)) <= 1e-12 * trace
+    assert m is h and np.max(np.abs(factor @ factor.conj().T - h)) <= 1e-12 * trace
+
+
+@pytest.mark.parametrize("dim", [2, 8, 36])
+def test_eigenvalue_floor_scales_with_the_operator(dim):
+    """PSD operators 1e6 v v^dagger pass at any d; lambda_min = -1e-6 lambda_max still fails."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        h = 1e6 * np.outer(v, v.conj())
+        _coerce_final_operator((h + h.conj().T) / 2.0, dim)
+    u = haar_unitary(dim, rng)
+    w = np.zeros(dim)
+    w[-1], w[0] = 1e6, -1.0
+    with pytest.raises(ModelValidationError, match="^final operator must be positive semidefinite$"):
+        _coerce_final_operator((u * w) @ u.conj().T, dim)
+    w[-1], w[0] = 1.0 / (1.0 - 1e-6), -1e-6 / (1.0 - 1e-6)  # unit trace
+    rho = (u * w) @ u.conj().T
+    with pytest.raises(ModelValidationError, match=r"^state operator is not positive semidefinite \(min eigenvalue -1\.000e-06\)$"):
+        StateOperator((rho + rho.conj().T) / 2.0)
 
 
 @pytest.mark.parametrize("rank", [3, 33, 40])
