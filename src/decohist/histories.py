@@ -446,6 +446,9 @@ def _coerce_final_operator(rho_f, dim: int) -> tuple[np.ndarray, np.ndarray | No
 
     F, with rho_f = F F^dagger, is None for the identity (whose rows are the branch table), a
     :class:`StateOperator`'s ``columns``, the certified factor, or else the spectral columns.
+    Hermiticity allows max |m - m^dagger| up to ATOL_MODEL or, if larger, the rounding of a
+    computed outer product fl(v v^dagger), 2 sqrt(2) gamma_2 |v_i||v_j| <= 2 sqrt(2) gamma_2
+    max_i |m_ii|, so an operator of large trace is not rejected for its rounding.
     """
     state = isinstance(rho_f, StateOperator)
     m = rho_f.rho if state else linalg.read_matrix(rho_f, "final operator")
@@ -454,7 +457,8 @@ def _coerce_final_operator(rho_f, dim: int) -> tuple[np.ndarray, np.ndarray | No
     if state:
         return m, rho_f.columns
     h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
-    if linalg.max_abs(m - h) > ATOL_MODEL:
+    floor = 2.0 * math.sqrt(2.0) * _gamma(2) * float(np.abs(m.diagonal()).max(initial=0.0))
+    if linalg.max_abs(m - h) > max(ATOL_MODEL, floor):
         raise ModelValidationError("final operator must be Hermitian")
     h += m
     h /= 2.0

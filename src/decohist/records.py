@@ -105,21 +105,25 @@ def strong_decoherence_iff_orthogonality(
     finite version of the equivalence.  Depth k is level k of the prefix
     walk: orthogonality is read from the Gram matrix of the branches of
     ``psi``, strong decoherence from the functional of the model's state.
+    When the state's columns are ``psi`` itself, as for a state built from
+    that vector, the two are one Gram matrix, and the model is walked once.
     """
     psi = _require_pure(model, psi)
     tolerance = tolerance or TolerancePolicy()
     cols = model.initial_state.columns
+    own = np.array_equal(cols, psi[:, None])
     per_depth = []
     agrees = True
     gram = _gram(psi[None])  # without families the state is the only branch
     gammas = _floor_gamma(model, psi.size), _floor_gamma(model, cols.size)
-    levels = zip(_walk(model, psi[:, None]), _walk(model, cols))
-    for depth, (branches, chains) in enumerate(levels, start=1):
+    chain_levels = None if own else _walk(model, cols)
+    for depth, branches in enumerate(_walk(model, psi[:, None]), start=1):
         gram = _gram(branches)
         overlaps = _pair_arrays(gram, 1.0, "strong", tolerance, gammas[0])
         orthogonal = bool(overlaps.passed.all())
-        strong = _pair_arrays(_gram(chains), 1.0, "strong", tolerance,
-                              gammas[1]).verdict() == "decoherent"
+        chains = overlaps if own else _pair_arrays(_gram(next(chain_levels)), 1.0, "strong",
+                                                   tolerance, gammas[1])
+        strong = chains.verdict() == "decoherent"
         max_overlap = float(overlaps.measure.max(initial=0.0))
         per_depth.append((depth, max_overlap, strong, orthogonal == strong))
         agrees &= orthogonal == strong

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import reference_evaluator as ref
 
-from decohist import histories
+from decohist import histories, records
 from decohist.cli import main
 from decohist.histories import (
     CoarseGraining,
@@ -291,6 +291,28 @@ def test_each_model_walks_once_per_direction(monkeypatch):
     abl_table(psi, pure.grid.cumulative(pure.grid.n_times - 1) @ psi, pure)
     assert [(m is pure, m.n_families, backwards) for m, backwards in calls] == [
         (True, 2, False), (False, 3, False)]
+
+
+def test_orthogonality_check_walks_once_for_the_state_vector(monkeypatch):
+    walks = []
+    walk = records._walk
+
+    def counting(model, cols, backwards=False):
+        walks.append(cols)
+        return walk(model, cols, backwards)
+
+    monkeypatch.setattr(records, "_walk", counting)
+    pure = spin_model(0.6)
+    psi = pure.initial_state.state_vector()
+    mine = strong_decoherence_iff_orthogonality(pure, psi)
+    assert len(walks) == 1  # one Gram matrix per level serves both sides
+    # a vector equal to the state's only up to a phase walks the state's columns too
+    turned = strong_decoherence_iff_orthogonality(pure, np.exp(0.7j) * psi)
+    assert len(walks) == 3
+    assert mine.agrees and turned.agrees
+    assert [row[::2] for row in turned.per_depth] == [row[::2] for row in mine.per_depth]
+    assert [row[1] for row in turned.per_depth] == pytest.approx([row[1] for row in mine.per_depth],
+                                                                 abs=1e-15)
 
 
 def test_records_walks_the_model_and_its_extension_once(monkeypatch, tmp_path, capsys):

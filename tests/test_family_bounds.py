@@ -13,11 +13,17 @@ member that grows along its own range breaks completeness and idempotence
 but no computed product (the P_a C term); a non-Hermitian leak
 |u_b><u_c| moved from member b to member a breaks the idempotence of a only
 through P_a P_c, which for c < a is never computed (the Hermiticity terms).
+A rotation turns member a's range toward member b's and leaves both exact
+projectors, so of the factor certificate's terms only eps, the bound on
+every cross block Q_a^dagger Q_b, sees the overlap P_a P_b.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +37,7 @@ from decohist.model import ATOL_MODEL, ProjectorFamily, QuantumModel, StateOpera
 from reference_family import dense_family_check
 
 SCALES = (0.0, 0.3, 0.9, 1.1, 3.0, 9.0, 11.0, 1e3)
-KINDS = ("hermiticity", "idempotence", "orthogonality", "completeness")
+KINDS = ("hermiticity", "idempotence", "orthogonality", "completeness", "rotation")
 
 
 def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -57,10 +63,13 @@ def _family(case) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
         leak = eps * np.outer(units[b], units[c].conj())
     elif kind == "orthogonality":
         leak = eps * (np.outer(units[a], units[b].conj()) + np.outer(units[b], units[a].conj()))
+    elif kind == "rotation":  # u_a turns by the angle eps toward u_b
+        turned = np.cos(eps) * units[a] + np.sin(eps) * units[b]
+        leak = np.outer(turned, turned.conj()) - np.outer(units[a], units[a].conj())
     else:
         leak = eps * np.outer(units[a], units[a].conj())
     members[a] = members[a] + leak
-    if kind != "completeness" and b != a:
+    if kind not in ("completeness", "rotation") and b != a:
         members[b] = members[b] - leak
     return [(f"m{j}", p) for j, p in enumerate(members)], [k % n for k in blocks[:n]]
 
@@ -97,6 +106,9 @@ cases = st.tuples(
 # A member grown along its own range: only P_a C shows the idempotence defect.
 @example((9, "haar", 3, 3, "completeness", 3.0, (0, 0, 0), [0, 0, 1, 0, 0, 0]))
 @example((4, "identity", 1, 0, "completeness", 11.0, (0, 0, 0), [0, 0, 0, 0, 0, 0]))
+# A member's range turned toward another's, in the warn band: each member is a
+# projector, and only the certificate's eps bounds the overlap.
+@example((8, "computational", 5, 2, "rotation", 3.0, (1, 3, 0), [0, 1, 2, 3, 4, 0]))
 def test_family_verdicts_match_the_dense_rule(case):
     members, assignment = _family(case)
     got = _outcome(lambda: ProjectorFamily(1, members))
@@ -135,8 +147,9 @@ def test_clean_families_skip_idempotence_products(max_abs_calls):
     u = _haar(32, rng)
     members = [(f"m{j}", u[:, 8 * j:8 * j + 8] @ u[:, 8 * j:8 * j + 8].conj().T) for j in range(4)]
     ProjectorFamily(1, members)
-    # 4 Hermiticity defects, 6 orthogonality products, 1 completeness defect
-    assert len(max_abs_calls) == 4 + 6 + 1
+    # 4 Hermiticity defects, no orthogonality product (the factor certificate
+    # bounds all 6 pairs), 1 completeness defect
+    assert len(max_abs_calls) == 4 + 0 + 1
 
 
 def test_idempotence_is_multiplied_out_where_the_bound_fails(max_abs_calls):
@@ -147,3 +160,74 @@ def test_idempotence_is_multiplied_out_where_the_bound_fails(max_abs_calls):
         ProjectorFamily(1, [("a", p), ("b", q)])
     # Hermiticity of a and b, the pair, completeness, and both idempotence products
     assert len(max_abs_calls) == 6
+
+
+def test_rank_one_families_form_no_pair_product(max_abs_calls):
+    u = _haar(16, np.random.default_rng(5))
+    ProjectorFamily(1, [(f"m{j}", np.outer(u[:, j], u[:, j].conj())) for j in range(16)])
+    # 16 Hermiticity defects and the completeness defect: no pair, no idempotence product
+    assert len(max_abs_calls) == 16 + 0 + 1
+
+
+def test_two_member_families_keep_their_product(max_abs_calls):
+    u = _haar(8, np.random.default_rng(6))
+    ProjectorFamily(1, [("lo", u[:, :3] @ u[:, :3].conj().T), ("hi", u[:, 3:] @ u[:, 3:].conj().T)])
+    assert len(max_abs_calls) == 2 + 1 + 1
+
+
+def _zero_member() -> list[tuple[str, np.ndarray]]:
+    eye = np.eye(8, dtype=complex)
+    blocks = [eye[:, :2], eye[:, 2:4], eye[:, :0], eye[:, 4:6], eye[:, 6:]]
+    return [(f"m{j}", b @ b.conj().T) for j, b in enumerate(blocks)]
+
+
+def _equal_pivot_columns() -> list[tuple[str, np.ndarray]]:
+    # The rank-2 member's two largest diagonal entries (1/2, 1/2) sit on equal
+    # columns, so the Cholesky factor of that 2 x 2 block does not exist.
+    vectors = [[(1, 1, 0, 0, 0), (0, 0, 1, 1, 1)], [(1, -1, 0, 0, 0)],
+               [(0, 0, 1, -1, 0)], [(0, 0, 1, 1, -2)]]
+    members = []
+    for j, vs in enumerate(vectors):
+        v = np.array(vs, dtype=complex).T
+        v /= np.linalg.norm(v, axis=0)
+        members.append((f"m{j}", v @ v.conj().T))
+    return members
+
+
+def _short_ranks() -> list[tuple[str, np.ndarray]]:
+    # Four members whose ranks sum to 5 of 6: completeness fails.
+    eye = np.eye(6, dtype=complex)
+    return [(f"m{j}", eye[:, lo:hi] @ eye[:, lo:hi].T) for j, (lo, hi) in enumerate(
+        [(0, 1), (1, 2), (2, 3), (3, 5)])]
+
+
+def _orthogonality_leak(scale: float) -> list[tuple[str, np.ndarray]]:
+    # e_a turned toward e_b by scale * ATOL_MODEL: max |P_a P_b| is about that angle
+    return _family((8, "computational", 5, 0, "rotation", scale, (0, 2, 0), [0] * 6))[0]
+
+
+# max_abs calls: one Hermiticity defect per member, the idempotence products the
+# bounds leave, the pair products the certificate leaves, the completeness defect.
+@pytest.mark.parametrize("members, calls", [
+    (_zero_member(), 5 + 0 + 0 + 1),
+    (_equal_pivot_columns(), 4 + 0 + 6 + 1),
+    (_short_ranks(), 4 + 4 + 6 + 1),
+    (_orthogonality_leak(0.9), None),
+    (_orthogonality_leak(1.1), None),
+], ids=["zero-member", "equal-pivot-columns", "short-ranks", "leak-0.9", "leak-1.1"])
+def test_certificate_edge_cases_match_the_dense_rule(members, calls, max_abs_calls):
+    assert _outcome(lambda: ProjectorFamily(1, members)) == _outcome(lambda: dense_family_check(members))
+    assert calls is None or len(max_abs_calls) == calls
+
+
+def test_count_products_reports_a_certified_family():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "tests" / "count_products.py"), str(root),
+                           "--family", "32", "4"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(None, 2) for line in proc.stdout.splitlines()[2:]]
+    sites = {site: (int(square), int(total)) for square, total, site in rows}
+    # one factor block and one residual product per member, no square product
+    assert sites.pop("total") == (0, 8)
+    assert sorted(site.split()[-1] for site in sites) == ["_factor_bounds", "_factor_columns"]
+    assert set(sites.values()) == {(0, 4)}

@@ -190,6 +190,21 @@ def test_eigenvalue_floor_scales_with_the_operator(dim):
         StateOperator((rho + rho.conj().T) / 2.0)
 
 
+def test_hermiticity_floor_scales_with_the_operator():
+    """Computed outer products 1e6 v v^dagger pass as they are; a unit-scale leak still fails."""
+    rng = np.random.default_rng(0)
+    for dim in (2, 8, 36):
+        for _ in range(200):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            _coerce_final_operator(1e6 * np.outer(v, v.conj()), dim)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    h = np.outer(v, v.conj()) / np.vdot(v, v).real
+    h[0, 1] += 1e-10j  # anti-Hermitian: max |m - m^dagger| = 2e-10
+    h[1, 0] += 1e-10j
+    with pytest.raises(ModelValidationError, match="^final operator must be Hermitian$"):
+        _coerce_final_operator(h, 8)
+
+
 @pytest.mark.parametrize("rank", [3, 33, 40])
 def test_factored_states_match_the_reference(rank):
     base = random_model(5, dim=40, n_families=2, members_per_family=3)
