@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
+from .bounds import _gamma
 from .exceptions import (
     ConditionNotSatisfiedError,
     DegenerateNormalizationError,
@@ -57,7 +58,6 @@ from .model import (
     _dynamics_symmetry_defect,
     _eigh,
     _freeze,
-    _gamma,
     _psd_columns,
     _reverse_in_basis,
 )

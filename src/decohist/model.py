@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .bounds import _BOUND_SLACK, _UNIT_ROUNDOFF, _factor_bounds, _gamma, _square_sums
 from .exceptions import ModelValidationError
 
 __all__ = [
@@ -67,24 +68,13 @@ def _check(defect: float, what: str, stacklevel: int = 3) -> None:
 
 SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
 _FACTOR_RANK = 32  # pivots after which an eigendecomposition decides instead
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Allowance for eigh's eigenvalue error, in units of d u max|lambda|: on random PSD
 # operators of rank 1 to d (d = 2 to 256, traces up to 1e12) the most negative
 # eigenvalue was -1.45 units.
 _EIGH_SLACK = 10.0
-# Relative allowance for the rounding of the family bounds' own arithmetic:
-# each sums and multiplies a few nonnegative floats, every one within a
-# relative (d^2 + 4) u of the quantity it stands for (a Frobenius norm sums
-# d^2 squares).
-_BOUND_SLACK = 1.001
 # Fewest members for which the factor certificate replaces the pair products;
 # with 2 or 3 members the k(k-1)/2 products cost less than k factors.
 _CERTIFIED_FAMILY = 4
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u), the n-operation rounding constant."""
-    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
 def _cholesky_rows(h: np.ndarray) -> np.ndarray | None:
@@ -369,89 +359,6 @@ def _hermiticity_defect(p: np.ndarray) -> float:
     return linalg.max_abs(h)
 
 
-def _square_sums(p: np.ndarray) -> tuple[float, float, float]:
-    """Largest squared row and column 2-norms of ``p``, and its squared Frobenius norm."""
-    s = np.square(p.real) + np.square(p.imag)
-    row = s.sum(axis=1)
-    return row.max(initial=0.0), s.sum(axis=0).max(initial=0.0), row.sum()
-
-
-def _factor_columns(p: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
-    """Q = P[:, idx] L^{-dagger}, L L^dagger = P[idx, idx], built 16 pivots b at a time.
-
-    Each step appends Y L_b^{-dagger} for the residual columns
-    Y = P[:, b] - Q Q[b]^dagger and the Cholesky factor L_b of Y[b]'s
-    Hermitian part.  None if a block is not positive definite or Q not finite.
-    """
-    q = np.empty((p.shape[0], idx.size), dtype=complex)
-    for k in range(0, idx.size, 16):
-        b = idx[k:k + 16]
-        y = p[:, b]
-        if k:
-            y -= q[:, :k] @ q[b, :k].conj().T
-        h = y[b]
-        try:
-            low = np.linalg.cholesky((h + h.conj().T) / 2.0)
-        except np.linalg.LinAlgError:
-            return None
-        block = q[:, k:k + b.size]
-        np.matmul(y, np.linalg.inv(low).conj().T, out=block)
-        if not np.isfinite(block).all():
-            return None
-    return q
-
-
-def _factor_bounds(projectors, rows, cols, c_frob: float, work: np.ndarray) -> np.ndarray | None:
-    """Bounds from one factor per member on each dense check, or None.
-
-    Entry (a, b) bounds max |P_a P_b| and entry (a, a) max |P_a^2 - P_a|, as
-    the dense checks compute them; ``rows``/``cols`` bound the members' row
-    and column 2-norms, ``c_frob`` the exact ||C||_F, C = sum_b P_b - I.
-    Member a is factored through its r_a = round(tr P_a) largest diagonal
-    entries (:func:`_factor_columns`); the proof uses the computed Q_a as it
-    is.  E_a = Q_a Q_a^dagger - P_a, formed in ``work``, has
-    ||E_a||_F <= e_a: its computed norm (1 + 4u) plus
-    sqrt(2) gamma_{r_a+2} ||Q_a||_F^2 (Higham, section 3.1).  When the
-    ranks sum to d, Q = [Q_1 ... Q_n] is square, so
-    ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 = ||C + sum_a E_a||_2 <= eps
-    = ||C||_F + sum_a e_a bounds every block Q_a^dagger Q_b and
-    Q_a^dagger Q_a - I.  With rho_a the largest row 2-norm of Q_a,
-    P_a P_b = Q_a (Q_a^dagger Q_b) Q_b^dagger - Q_a Q_a^dagger E_b
-    - E_a Q_b Q_b^dagger + E_a E_b gives |P_a P_b| <= B_ab = rho_a rho_b eps
-    + (rows_a + e_a) e_b + e_a (cols_b + e_b) + e_a e_b elementwise, and
-    |P_a^2 - P_a| <= B_aa + e_a; each adds sqrt(2) gamma_{d+2} rows_a cols_b
-    for the dense product's rounding.  None when the ranks do not sum to d,
-    a factor fails, or a bound is not finite.
-    """
-    n, d = len(projectors), projectors[0].shape[0]
-    ranks = [round(float(np.trace(p).real)) for p in projectors]
-    if sum(ranks) != d or min(ranks) < 0:
-        return None
-    rho, e = np.zeros(n), np.zeros(n)
-    for a, (p, r) in enumerate(zip(projectors, ranks)):
-        # pivots by Python's stable sort: no other validation step runs numpy's
-        # sort kernels, whose code would add about 0.1 MiB of resident pages
-        diag = p.diagonal().real.tolist()
-        q = _factor_columns(p, np.array(sorted(range(d), key=diag.__getitem__, reverse=True)[:r],
-                                        dtype=np.intp))
-        if q is None:
-            return None
-        q_rows = (np.square(q.real) + np.square(q.imag)).sum(axis=1)
-        np.matmul(q, q.conj().T, out=work)
-        work -= p
-        e[a] = ((1.0 + 4.0 * _UNIT_ROUNDOFF) * float(np.linalg.norm(work))
-                + math.sqrt(2.0) * _gamma(r + 2) * float(q_rows.sum()))
-        rho[a] = math.sqrt(q_rows.max(initial=0.0))
-    eps = c_frob + float(e.sum())
-    if not math.isfinite(eps):
-        return None
-    g = math.sqrt(2.0) * _gamma(d + 2)
-    bounds = (np.outer(rho, rho) * eps + np.outer(rows + e, e) + np.outer(e, cols + e)
-              + np.outer(e, e) + g * np.outer(rows, cols))
-    bounds[np.diag_indices(n)] += e
-    return _BOUND_SLACK * bounds
-
-
 class ProjectorFamily:
     """Labeled orthogonal projectors that sum to the identity.
 
@@ -463,7 +370,7 @@ class ProjectorFamily:
     from one factor Q_a per member, P_a ~ Q_a Q_a^dagger: Q = [Q_1 ... Q_n]
     is square, so ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 bounds every
     cross block Q_a^dagger Q_b without a pair product (see
-    :func:`_factor_bounds`).  Idempotence is proven from that certificate or
+    :func:`decohist.bounds._factor_bounds`).  Idempotence is proven from that certificate or
     from the pair products and the completeness defect (see
     :meth:`_bound_defects`).  A product is formed only where its bounds
     exceed the tolerance.  The checks report in the dense order (Hermiticity
@@ -517,7 +424,7 @@ class ProjectorFamily:
         ``ATOL_MODEL`` would pass the dense check silently.
 
         A family of at least 4 members whose ranks sum to d is first
-        certified by :func:`_factor_bounds` through the square-Q identity
+        certified by :func:`decohist.bounds._factor_bounds` through the square-Q identity
         ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 = ||C + sum_a E_a||_2.
         A pair whose certified bound is at most ``ATOL_MODEL`` records that
         bound as its defect, any other pair a < b max |P_a P_b| as computed,
