@@ -27,13 +27,6 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
-def _square_sums(p: np.ndarray) -> tuple[float, float, float]:
-    """Largest squared row and column 2-norms of ``p``, and its squared Frobenius norm."""
-    s = np.square(p.real) + np.square(p.imag)
-    row = s.sum(axis=1)
-    return row.max(initial=0.0), s.sum(axis=0).max(initial=0.0), row.sum()
-
-
 def _factor_columns(p: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
     """Q = P[:, idx] L^{-dagger}, L L^dagger = P[idx, idx], built 16 pivots b at a time.
 
@@ -59,33 +52,39 @@ def _factor_columns(p: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
     return q
 
 
-def _factor_bounds(projectors, rows, cols, c_frob: float, work: np.ndarray) -> np.ndarray | None:
-    """Bounds from one factor per member on each dense check, or None.
+def _factor_bounds(projectors, c_norm: float,
+                   work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Bounds from one factor per member on each dense check of a family, or None.
 
-    Entry (a, b) bounds max |P_a P_b| and entry (a, a) max |P_a^2 - P_a|, as
-    the dense checks compute them; ``rows``/``cols`` bound the members' row
-    and column 2-norms, ``c_frob`` the exact ||C||_F, C = sum_b P_b - I.
-    Member a is factored through its r_a = round(tr P_a) largest diagonal
-    entries (:func:`_factor_columns`); the proof uses the computed Q_a as it
-    is.  E_a = Q_a Q_a^dagger - P_a, formed in ``work``, has
-    ||E_a||_F <= e_a: its computed norm (1 + 4u) plus
-    sqrt(2) gamma_{r_a+2} ||Q_a||_F^2 (Higham, section 3.1).  When the
+    Returns (B, h, w): B[a, b] bounds max |P_a P_b| and B[a, a]
+    max |P_a^2 - P_a|, h[a] max |P_a - P_a^dagger|, each as the dense check
+    computes it, and w[a] every row and column 2-norm of P_a; ``c_norm`` is
+    the computed ||C||_F, C = sum_b P_b - I.  Member a is factored through
+    its r_a = round(tr P_a) largest diagonal entries (:func:`_factor_columns`);
+    the proof uses the computed Q_a as it is.  E_a = Q_a Q_a^dagger - P_a,
+    formed in ``work``, has ||E_a||_F <= e_a: its computed norm (1 + 4u) plus
+    sqrt(2) gamma_{r_a+2} ||Q_a||_F^2 for the product's rounding.  When the
     ranks sum to d, Q = [Q_1 ... Q_n] is square, so
     ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 = ||C + sum_a E_a||_2 <= eps
-    = ||C||_F + sum_a e_a bounds every block Q_a^dagger Q_b and
-    Q_a^dagger Q_a - I.  With rho_a the largest row 2-norm of Q_a,
-    P_a P_b = Q_a (Q_a^dagger Q_b) Q_b^dagger - Q_a Q_a^dagger E_b
-    - E_a Q_b Q_b^dagger + E_a E_b gives |P_a P_b| <= B_ab = rho_a rho_b eps
-    + (rows_a + e_a) e_b + e_a (cols_b + e_b) + e_a e_b elementwise, and
-    |P_a^2 - P_a| <= B_aa + e_a; each adds sqrt(2) gamma_{d+2} rows_a cols_b
-    for the dense product's rounding.  None when the ranks do not sum to d,
-    a factor fails, or a bound is not finite.
+    = ||C||_F + sum_a e_a, with ||C||_F at most c_norm plus
+    sqrt(2) gamma_n (sum_b ||P_b||_F + sqrt(d)) for the rounding of its sum
+    and ||P_b||_F <= ||Q_b||_F^2 + e_b.  eps bounds every block
+    Q_a^dagger Q_b and Q_a^dagger Q_a - I, so ||Q_a||_2 <= sqrt(1 + eps), and
+    with rho_a the largest row 2-norm of Q_a, s_a = rho_a sqrt(1 + eps)
+    bounds every row and column 2-norm of Q_a Q_a^dagger and w_a = s_a + e_a
+    those of P_a.  Then P_a P_b = Q_a (Q_a^dagger Q_b) Q_b^dagger
+    - Q_a Q_a^dagger E_b - E_a Q_b Q_b^dagger + E_a E_b gives, elementwise,
+    |P_a P_b| <= rho_a rho_b eps + s_a e_b + e_a s_b + e_a e_b; P_a^2 - P_a
+    adds E_a to the same expansion with b = a; each bound adds
+    sqrt(2) gamma_{d+2} w_a w_b for the dense product's rounding.  And
+    P_a - P_a^dagger = E_a^dagger - E_a gives h_a = 2 (1 + u) e_a.  None when
+    the ranks do not sum to d, a factor fails, or a bound is not finite.
     """
     n, d = len(projectors), projectors[0].shape[0]
     ranks = [round(float(np.trace(p).real)) for p in projectors]
     if sum(ranks) != d or min(ranks) < 0:
         return None
-    rho, e = np.zeros(n), np.zeros(n)
+    rho, e, q_frob = np.zeros(n), np.zeros(n), np.zeros(n)
     for a, (p, r) in enumerate(zip(projectors, ranks)):
         # pivots by Python's stable sort: no other validation step runs numpy's
         # sort kernels, whose code would add about 0.1 MiB of resident pages
@@ -97,14 +96,17 @@ def _factor_bounds(projectors, rows, cols, c_frob: float, work: np.ndarray) -> n
         q_rows = (np.square(q.real) + np.square(q.imag)).sum(axis=1)
         np.matmul(q, q.conj().T, out=work)
         work -= p
+        q_frob[a] = q_rows.sum()
         e[a] = ((1.0 + 4.0 * _UNIT_ROUNDOFF) * float(np.linalg.norm(work))
-                + math.sqrt(2.0) * _gamma(r + 2) * float(q_rows.sum()))
+                + math.sqrt(2.0) * _gamma(r + 2) * q_frob[a])
         rho[a] = math.sqrt(q_rows.max(initial=0.0))
+    c_frob = c_norm + math.sqrt(2.0) * _gamma(n) * (float((q_frob + e).sum()) + math.sqrt(d))
     eps = c_frob + float(e.sum())
     if not math.isfinite(eps):
         return None
-    g = math.sqrt(2.0) * _gamma(d + 2)
-    bounds = (np.outer(rho, rho) * eps + np.outer(rows + e, e) + np.outer(e, cols + e)
-              + np.outer(e, e) + g * np.outer(rows, cols))
+    s = rho * math.sqrt(1.0 + eps)
+    w = s + e
+    bounds = (np.outer(rho, rho) * eps + np.outer(s, e) + np.outer(e, s) + np.outer(e, e)
+              + math.sqrt(2.0) * _gamma(d + 2) * np.outer(w, w))
     bounds[np.diag_indices(n)] += e
-    return _BOUND_SLACK * bounds
+    return _BOUND_SLACK * bounds, _BOUND_SLACK * 2.0 * (1.0 + _UNIT_ROUNDOFF) * e, _BOUND_SLACK * w

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bounds import _BOUND_SLACK, _UNIT_ROUNDOFF, _factor_bounds, _gamma, _square_sums
+from .bounds import _BOUND_SLACK, _UNIT_ROUNDOFF, _factor_bounds, _gamma
 from .exceptions import ModelValidationError
 
 __all__ = [
@@ -370,12 +370,14 @@ class ProjectorFamily:
     from one factor Q_a per member, P_a ~ Q_a Q_a^dagger: Q = [Q_1 ... Q_n]
     is square, so ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 bounds every
     cross block Q_a^dagger Q_b without a pair product (see
-    :func:`decohist.bounds._factor_bounds`).  Idempotence is proven from that certificate or
-    from the pair products and the completeness defect (see
-    :meth:`_bound_defects`).  A product is formed only where its bounds
-    exceed the tolerance.  The checks report in the dense order (Hermiticity
-    and idempotence per member, then the pairs, then completeness), so
-    verdicts, messages and warnings are those of forming every product.
+    :func:`decohist.bounds._factor_bounds`); since Q_a Q_a^dagger is
+    Hermitian, the same residual bounds each member's Hermiticity defect.
+    Idempotence is proven from that certificate or from the pair products
+    and the completeness defect (see :meth:`_bound_defects`).  A defect is
+    formed only where its bounds exceed the tolerance.  The checks report in
+    the dense order (Hermiticity and idempotence per member, then the pairs,
+    then completeness), so verdicts, messages and warnings are those of
+    forming every product.
     """
 
     def __init__(self, time_index: int, members):
@@ -391,10 +393,11 @@ class ProjectorFamily:
             raise ModelValidationError(f"duplicate member labels in family: {labels}")
         dim = projectors[0].shape[0]
         n_square = next((a for a, p in enumerate(projectors) if p.shape != (dim, dim)), len(projectors))
-        herm = [_hermiticity_defect(p) for p in projectors[:n_square]]
-        idem = [math.inf] * n_square
         if n_square == len(projectors):
-            idem, orth, complete = self._bound_defects(projectors, herm)
+            herm, idem, orth, complete = self._bound_defects(projectors)
+        else:
+            herm = [_hermiticity_defect(p) for p in projectors[:n_square]]
+            idem = [math.inf] * n_square
         for a, (label, p) in enumerate(zip(labels, projectors)):
             if a == n_square:
                 raise ModelValidationError(f"projector {label!r} has shape {p.shape}, expected {(dim, dim)}")
@@ -409,8 +412,8 @@ class ProjectorFamily:
         self.projectors = tuple(_freeze(p) for p in projectors)
 
     @staticmethod
-    def _bound_defects(projectors, herm):
-        """Idempotence bounds, orthogonality defects and the completeness defect.
+    def _bound_defects(projectors):
+        """Hermiticity defects, idempotence bounds, orthogonality defects and the completeness defect.
 
         With C = sum_b P_b - I, the exact identity
         P_a^2 - P_a = P_a C - sum_{b != a} P_a P_b bounds a member's
@@ -424,25 +427,32 @@ class ProjectorFamily:
         ``ATOL_MODEL`` would pass the dense check silently.
 
         A family of at least 4 members whose ranks sum to d is first
-        certified by :func:`decohist.bounds._factor_bounds` through the square-Q identity
-        ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 = ||C + sum_a E_a||_2.
-        A pair whose certified bound is at most ``ATOL_MODEL`` records that
-        bound as its defect, any other pair a < b max |P_a P_b| as computed,
-        and a member's idempotence bound is the smaller of the two.
+        certified by :func:`decohist.bounds._factor_bounds` through the
+        square-Q identity ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2
+        = ||C + sum_a E_a||_2, which also bounds each member's Hermiticity
+        defect and row and column norms.  A defect whose certified bound is
+        at most ``ATOL_MODEL`` is recorded as that bound; the others are
+        computed as the dense rule computes them, and a member's idempotence
+        bound is the smaller of the two.
         """
         n, d = len(projectors), projectors[0].shape[0]
-        rows, cols, frob = np.sqrt([_square_sums(p) for p in projectors]).T
-        g = math.sqrt(2.0) * _gamma(d + 2)  # rounding of one complex inner product
         c = projectors[0].copy()  # C, summed in the order of sum(projectors) - I
         for p in projectors[1:]:
             c += p
         c[np.diag_indices(d)] -= 1.0
         complete = linalg.max_abs(c)
-        # ||C||_F of the exact C: the computed one's, plus the rounding of its
-        # n-term sum, at most sqrt(2) gamma_n (sum_b |P_b| + I) elementwise.
-        c_frob = float(np.linalg.norm(c)) + math.sqrt(2.0) * _gamma(n) * (frob.sum() + math.sqrt(d))
-        bounds = _factor_bounds(projectors, rows, cols, c_frob, c) if n >= _CERTIFIED_FAMILY else None
+        cert = _factor_bounds(projectors, float(np.linalg.norm(c)), c) if n >= _CERTIFIED_FAMILY else None
         del c
+        if cert is None:
+            bounds, herm = None, [_hermiticity_defect(p) for p in projectors]
+            squares = (np.square(p.real) + np.square(p.imag) for p in projectors)  # one at a time
+            rows, cols = np.sqrt([(s.sum(axis=1).max(initial=0.0), s.sum(axis=0).max(initial=0.0))
+                                  for s in squares]).T
+        else:
+            bounds, herm, rows = cert
+            herm = [float(h) if h <= ATOL_MODEL else _hermiticity_defect(p) for h, p in zip(herm, projectors)]
+            cols = rows
+        g = math.sqrt(2.0) * _gamma(d + 2)  # rounding of one complex inner product
         herm_cols = math.sqrt(d) * np.asarray(herm)  # bounds every row and column 2-norm of H
         others = np.zeros(n)  # per member a, bounds on the exact max |P_a P_b| summed over b != a
         orth = {}
@@ -455,12 +465,13 @@ class ProjectorFamily:
             # P_b P_a = (P_a P_b)^dagger + P_b^dagger H_a + H_b P_a
             others[a] += ab
             others[b] += ab + cols[b] * herm_cols[a] + herm_cols[b] * cols[a]
-        # Column 2-norms of the exact C: the computed one's plus the same rounding.
+        # Column 2-norms of the exact C: the computed one's, plus the rounding of
+        # its n-term sum, at most sqrt(2) gamma_n (sum_b |P_b| + I) elementwise.
         c_cols = math.sqrt(d) * complete + math.sqrt(2.0) * _gamma(n) * (cols.sum() + 1.0)
         idem = _BOUND_SLACK * (rows * c_cols + others + g * rows * cols)
         if bounds is not None:
             idem = np.fmin(idem, bounds.diagonal())
-        return idem, orth, complete
+        return herm, idem, orth, complete
 
     def _index(self, label_or_index) -> int:
         if isinstance(label_or_index, (int, np.integer)):
