@@ -21,7 +21,11 @@ L_h' C (two-state: of F^dagger L_h C and F^dagger L_h' C, rho_f = F F^dagger).
 A Schrodinger-picture prefix walk builds the L_h C for all histories at once,
 applying each step segment and then each member projector to every node of
 a level, so shared prefixes are computed once (one O(d^2 r) product per node).
-Every functional is one Gram product; the walk's levels are the truncated sets.
+Its last level, W L_h C with W the unitary up to the last family's time, is
+the branch table: W cancels from every Gram entry, so every functional is one
+Gram product of the table as it stands, and a factor or column that meets
+the table is carried into W's frame instead.  The walk's levels are the
+truncated sets.
 A model's own table (its state's columns, every history) is walked once per
 direction and kept read-only on the model, so the functionals, coarse
 graining, the both-conditions check, the single-history values and every
@@ -55,9 +59,11 @@ from .model import (
     ProjectorFamily,
     QuantumModel,
     StateOperator,
+    TimeGrid,
     _dynamics_symmetry_defect,
     _eigh,
     _freeze,
+    _hermitian_part,
     _psd_columns,
     _reverse_in_basis,
 )
@@ -213,39 +219,57 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
 
     Each level has shape (nodes, r, d): one node per history prefix, in
     lexicographic order, holding the transposed columns P_k U_k ... P_1 U_1 C
-    at the family's time, where U_k is the segment of steps between
-    consecutive family times.  Backwards walks the families latest first,
-    from W(t_n) C through the adjoint segments.  A set whose branch table is
-    over the memory budget is refused before the first level.
+    at the family's time, where U_k carries the state between consecutive
+    family times (:func:`_carry`).  Backwards walks the families latest
+    first, from W(t_n) C through the adjoint segments.  A set whose branch
+    table is over the memory budget is refused before the first level.
     """
     _check_memory(math.prod(map(len, model.families)), cols.size, pair_work=False)
-    grid = model.grid
     order = range(model.n_families)
-    nodes, prev = cols.T[None], None
+    nodes, prev = cols.T[None], 0
     for k in (reversed(order) if backwards else order):
         fam = model.families[k]
-        t = fam.time_index
-        flat = nodes.reshape(-1, nodes.shape[-1])
-        if prev is None:
-            flat = flat @ grid.cumulative(t).T
-        elif backwards:
-            flat = _times_conj(flat, grid.segment(t, prev))
-        else:
-            flat = flat @ grid.segment(prev, t).T
+        flat = _carry(model.grid, nodes.reshape(-1, nodes.shape[-1]), prev, fam.time_index)
         # the family met last varies fastest forwards and slowest backwards
         nodes = np.stack([(flat @ p.T).reshape(nodes.shape) for p in fam.projectors],
                          axis=0 if backwards else 1)
-        nodes, prev = nodes.reshape(-1, *nodes.shape[2:]), t
+        nodes, prev = nodes.reshape(-1, *nodes.shape[2:]), fam.time_index
         yield nodes
 
 
-def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False) -> np.ndarray:
-    """Rows of L_h C (L_h^dagger C backwards), one (r, d) block per history.
+def _carry(grid: TimeGrid, rows: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows (transposed columns v) at grid index a carried to grid index b.
 
-    The last level of the walk pulled back to the initial time, by W(t_n)^dagger
-    (W(t_1)^dagger backwards).  The model's own table, that of columns equal
-    to its state's ``columns`` (for a pure state, its vector), is memoised
-    on the model per direction, read-only.
+    The columns become W(t_b <- t_a) v for a < b and W(t_a <- t_b)^dagger v
+    for a > b.  A block of at most d rows is carried one step unitary at a
+    time, so no product of steps is formed: over k steps that costs
+    k r d^2, never more than the (k - 1) d^3 + r d^2 of forming the
+    segment.  A larger block, such as a level of many nodes, takes the
+    segment product (:meth:`TimeGrid.segment`).
+    """
+    lo, hi = sorted((a, b))
+    steps = grid.step_unitaries[lo:hi]
+    if len(steps) > 1 and rows.shape[0] > grid.dim:
+        steps = (grid.segment(lo, hi),)
+    for u in (steps if a < b else steps[::-1]):
+        rows = rows @ u.T if a < b else _times_conj(rows, u)
+    return rows
+
+
+def _frame(model: QuantumModel) -> int:
+    """Grid index of the forwards branch table's frame: the last family's time (0 without families)."""
+    return model.families[-1].time_index if model.families else 0
+
+
+def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False) -> np.ndarray:
+    """Rows W L_h C (W L_h^dagger C backwards), one (r, d) block per history.
+
+    The last level of the walk, left in the frame of the last family it
+    meets: W = W(t_n) forwards and W(t_1) backwards.  W is unitary, so it
+    cancels from every inner product of two rows; an overlap with
+    initial-time columns v is <W v, row> (:func:`_in_frame`).  The model's
+    own table, that of columns equal to its state's ``columns`` (for a pure
+    state, its vector), is memoised on the model per direction, read-only.
     """
     own = cols is model.initial_state.columns or np.array_equal(cols, model.initial_state.columns)
     if own and backwards in model._tables:
@@ -253,12 +277,14 @@ def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False
     table = cols.T[None]
     for table in _walk(model, cols, backwards):
         pass
-    if model.families:
-        w = model.grid.cumulative(model.families[0 if backwards else -1].time_index)
-        table = _times_conj(table.reshape(-1, model.dim), w).reshape(table.shape)
     if own:
         model._tables[backwards] = _freeze(table)
     return table
+
+
+def _in_frame(model: QuantumModel, cols: np.ndarray) -> np.ndarray:
+    """Initial-time columns v (at most d) as W v, in the frame of the forwards branch table."""
+    return _carry(model.grid, cols.T, 0, _frame(model)).T
 
 
 def _times_conj(a: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -299,8 +325,8 @@ def _functional_matrix(model: QuantumModel, backwards: bool = False,
                        rho_i: StateOperator | None = None, factor: np.ndarray | None = None):
     """Histories and the Gram matrix of rows L_h C (L_h^dagger C backwards) or F^dagger L_h C."""
     a = _branch_table(model, (model.initial_state if rho_i is None else rho_i).columns, backwards)
-    if factor is not None:  # two-state rows a @ F^*, rho_f = F F^dagger
-        a = (a.reshape(-1, model.dim) @ factor.conj()).reshape(*a.shape[:2], -1)
+    if factor is not None:  # two-state rows a @ (W F)^*, rho_f = F F^dagger
+        a = (a.reshape(-1, model.dim) @ _in_frame(model, factor).conj()).reshape(*a.shape[:2], -1)
     d = _gram(a)  # refused over budget before the labels are built
     return model.history_labels(), d
 
@@ -359,10 +385,10 @@ def _floor_gamma(model: QuantumModel, row: int) -> float:
     """Relative rounding floor of a Gram entry whose rows have ``row`` numbers.
 
     The entry is an inner product of length ``row`` of rows that the walk
-    built with two products of length d per family, the pull-back and a
-    two-state factor or amplitude adding one each; its error is about
-    gamma_n sqrt(D_ii D_jj) for n the summed lengths (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, section 3.1).
+    built with two products of length d per family, a two-state factor or
+    amplitude and its carry into the table's frame adding one each; its
+    error is about gamma_n sqrt(D_ii D_jj) for n the summed lengths (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1).
     """
     return _gamma(row + 2 * (model.n_families + 1) * model.dim)
 
@@ -456,13 +482,11 @@ def _coerce_final_operator(rho_f, dim: int) -> tuple[np.ndarray, np.ndarray | No
         raise ModelValidationError(f"final operator shape {m.shape} does not match dimension {dim}")
     if state:
         return m, rho_f.columns
-    h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
+    h, defect = _hermitian_part(m)
     floor = 2.0 * math.sqrt(2.0) * _gamma(2) * float(np.abs(m.diagonal()).max(initial=0.0))
-    if linalg.max_abs(m - h) > max(ATOL_MODEL, floor):
+    if defect > max(ATOL_MODEL, floor):
         raise ModelValidationError("final operator must be Hermitian")
-    h += m
-    h /= 2.0
-    if np.array_equal(h, np.eye(dim)):
+    if np.count_nonzero(h) == dim and (h.diagonal() == 1.0).all():  # the identity
         return m, None
     factor = _psd_columns(h)
     if factor is None:
@@ -514,7 +538,7 @@ def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> compl
     rho_f, factor = _coerce_final_operator(rho_f, model.dim)
     _two_state_normalization(rho_i, rho_f)
     rows = _branch_table(model, rho_i.columns)[[_row(model, h), _row(model, h_prime)]]
-    a, b = rows if factor is None else rows @ factor.conj()
+    a, b = rows if factor is None else rows @ _in_frame(model, factor).conj()
     return complex(np.vdot(b, a))
 
 
@@ -670,10 +694,10 @@ def both_conditions_theorem_check(model: QuantumModel,
             failed.append("backwards")
         return BothConditionsReport(False, f"not applicable: {' and '.join(failed)} "
                                            "weak decoherence fails", fwd, bwd)
-    # Tr(L_h rho) = <C, L_h C> for rho = C C^dagger
+    # Tr(L_h rho) = <C, L_h C> = <W C, W L_h C> for rho = C C^dagger
     cols = model.initial_state.columns
     table = _branch_table(model, cols)
-    chain = table.reshape(len(table), -1) @ cols.T.conj().reshape(-1)
+    chain = table.reshape(len(table), -1) @ _in_frame(model, cols).T.conj().reshape(-1)
     chain_vals = dict(zip(model.history_labels(), chain.real.tolist()))
     table_diff = max(abs(fwd.probabilities[h] - bwd.probabilities[h]) for h in fwd.probabilities)
     chain_diff = max(
@@ -713,7 +737,8 @@ def pure_two_state_triviality_check(model: QuantumModel, psi,
     Values within ``TABLE_ATOL`` of 0 or 1, and of their amplitudes, count as such.
     """
     state = StateOperator.from_vector(linalg.as_vector(psi, "psi"))
-    amps = _branch_table(model, state.columns)[:, 0] @ state.columns[:, 0].conj()  # F = C = psi
+    # F = C = psi: <W psi, W L_h psi>
+    amps = _branch_table(model, state.columns)[:, 0] @ _in_frame(model, state.columns)[:, 0].conj()
     d = _gram(amps[:, None])  # refused over budget before the labels are built
     report = _classify(model.history_labels(), d, _two_state_normalization(state, state.rho),
                        "weak", tolerance, "two_state", _floor_gamma(model, 1))

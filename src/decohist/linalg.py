@@ -64,11 +64,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def unitarity_defect(u: np.ndarray) -> float:
+    """max |U U^dagger - I| of a square U, the identity taken off the product's diagonal in place."""
+    g = u @ u.conj().T
+    g[np.diag_indices_from(g)] -= 1.0
+    return max_abs(g)
+
+
 def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return max_abs(a @ a.conj().T - np.eye(a.shape[0])) <= ATOL_UNITARY
+    return unitarity_defect(a) <= ATOL_UNITARY
 
 
 def _fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:

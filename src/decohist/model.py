@@ -158,6 +158,22 @@ def _eigh(h: np.ndarray,
     return _freeze(w), _freeze(v), _freeze(v[:, keep] * np.sqrt(w[keep]))
 
 
+def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(m + m^dagger) / 2 and max |m - m^dagger|, in one new d x d array.
+
+    The array first holds m^dagger - m, whose max |.| is that of m - m^dagger
+    since negation is exact, and is then rebuilt as m^dagger, so the
+    Hermitian part is bit for bit that of m^dagger + m.
+    """
+    h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
+    h -= m
+    defect = linalg.max_abs(h)
+    np.conjugate(m.T, out=h)
+    h += m
+    h /= 2.0
+    return h, defect
+
+
 def as_state_vector(psi) -> np.ndarray:
     """Validate a unit-norm complex vector and return a read-only copy."""
     v = linalg.as_vector(psi, "state vector")
@@ -187,12 +203,10 @@ class StateOperator:
         m = linalg.as_matrix(rho, "state operator")
         if m.shape[0] != m.shape[1]:
             raise ModelValidationError(f"state operator must be square, got {m.shape}")
-        h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
-        _check(linalg.max_abs(m - h), "state operator Hermiticity")
+        h, defect = _hermitian_part(m)
+        _check(defect, "state operator Hermiticity")
         _check(abs(complex(np.trace(m)) - 1.0), "state operator trace")
         self.rho = _freeze(m)
-        h += m
-        h /= 2.0
         cols = _psd_columns(h)
         if cols is None:
             self._spectrum = _eigh(h)
@@ -294,7 +308,7 @@ class TimeGrid:
         for i, u in enumerate(steps):
             if u.shape != (dim, dim):
                 raise ModelValidationError(f"step unitary {i} has shape {u.shape}, expected {(dim, dim)}")
-            _check(linalg.max_abs(u @ u.conj().T - np.eye(dim)), f"step unitary {i} unitarity")
+            _check(linalg.unitarity_defect(u), f"step unitary {i} unitarity")
         self.times = _freeze(t)
         self.step_unitaries = tuple(_freeze(u) for u in steps)
         self._cumulative: list[np.ndarray] = [self.step_unitaries[0]]  # W(t_k) at k - 1

@@ -48,7 +48,7 @@ def _complex_array(value, where: str, ndims=(2,)) -> np.ndarray:
     expected = "a matrix" if ndims == (2,) else "a vector or a matrix"
     expected += " of [re, im] pairs"
     try:
-        a = np.array(value)
+        a = np.asarray(value)
         if a.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in a.flat):
             a = a.astype(float)  # numbers mixed with integers wider than 64 bits
     except OverflowError:
@@ -213,11 +213,29 @@ def model_to_dict(model: QuantumModel, rho_final: np.ndarray | None = None) -> d
     return data
 
 
+def _matrices_as_arrays(obj: dict) -> dict:
+    """A parsed JSON object with its step and projector matrices as numeric arrays.
+
+    Called as each object closes, so a model file's nested lists are freed
+    one matrix at a time; a list that is not a numeric array (ragged, or
+    holding other values) stays a list, for :func:`_complex_array` to report.
+    """
+    for key in ("unitary", "generator", "matrix"):
+        if isinstance(obj.get(key), list):
+            try:
+                a = np.array(obj[key])
+            except (ValueError, OverflowError):
+                continue
+            if a.dtype.kind in "biuf":
+                obj[key] = a
+    return obj
+
+
 def load_model(path) -> tuple[QuantumModel, np.ndarray | None]:
     """Read and validate a model file; errors carry file position or key path."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_hook=_matrices_as_arrays)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     try:

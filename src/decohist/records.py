@@ -24,9 +24,11 @@ from .histories import (
     DecoherenceReport,
     TolerancePolicy,
     _branch_table,
+    _carry,
     _check_memory,
     _classify,
     _floor_gamma,
+    _frame,
     _gram,
     _pair_arrays,
     _walk,
@@ -77,8 +79,8 @@ def branch_vectors(model: QuantumModel, psi) -> list[BranchVector]:
     The squared norms are the forwards candidate probabilities and sum to 1.
     """
     psi = _require_pure(model, psi)
-    table = _branch_table(model, psi[:, None])
-    return [BranchVector(h, row) for h, row in zip(model.history_labels(), table[:, 0])]
+    rows = _carry(model.grid, _branch_table(model, psi[:, None])[:, 0], _frame(model), 0)
+    return [BranchVector(h, row) for h, row in zip(model.history_labels(), rows)]
 
 
 @dataclass
@@ -183,8 +185,8 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
             f"strong forwards decoherence does not hold (classification: {base.classification}); "
             "records exist only for strongly decoherent sets"
         )
-    branches = table[:, 0]
-    evolved = branches @ model.grid.cumulative(time_index).T
+    branches = table[:, 0]  # at the last family's time, the frame of the table
+    evolved = _carry(model.grid, branches, _frame(model), time_index)
     probabilities = {h: float(np.vdot(v, v).real) for h, v in zip(histories, branches)}
     norms = np.linalg.norm(evolved, axis=1)
     live = norms > ZERO_BRANCH_NORM

@@ -31,7 +31,9 @@ from .histories import (
     TimeReversedSet,
     TolerancePolicy,
     _branch_table,
+    _carry,
     _check_memory,
+    _frame,
     _gram,
     _walk,
     check_decoherence,
@@ -291,9 +293,10 @@ def abl_probability(psi_initial, psi_final, model: QuantumModel, history) -> flo
 def abl_table(psi_initial, psi_final, model: QuantumModel) -> dict[tuple, float]:
     psi_i = linalg.as_vector(psi_initial, "initial state")
     psi_f = linalg.as_vector(psi_final, "final state")
-    w_end = model.grid.cumulative(model.grid.n_times - 1)
-    # <psi_f| W_end L_h |psi_i> = <W_end^dagger psi_f, L_h psi_i>
-    amps = _branch_table(model, psi_i[:, None])[:, 0] @ (w_end.conj().T @ psi_f).conj()
+    # <psi_f| W_end L_h |psi_i> = <S^dagger psi_f, W L_h psi_i>, with S the steps from the
+    # table's frame W to the end: psi_f is carried back, not the table
+    back = _carry(model.grid, psi_f[None], model.grid.n_times - 1, _frame(model))[0]
+    amps = _branch_table(model, psi_i[:, None])[:, 0] @ back.conj()
     numerators = {h: abs(amp) ** 2 for h, amp in zip(model.history_labels(), amps.tolist())}
     denom = sum(numerators.values())
     if denom <= 1e-14:

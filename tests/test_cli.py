@@ -347,6 +347,26 @@ def test_bad_matrix_entry_exit_64_names_key_path(tmp_path, capsys, index, value,
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index, value, where", [
+    ((1,), [[1.0, 0.0]], "families[0].projectors[1].matrix: ragged"),
+    ((1, 1), "1.0", "families[0].projectors[1].matrix: ragged"),
+    ((1, 1, 0), None, "families[0].projectors[1].matrix: expected a matrix"),
+    ((1, 1, 1), 10 ** 400, "families[0].projectors[1].matrix: number too large for a float"),
+    ((0, 1, 0), float("inf"), "families[0].projectors[1].matrix[0][1][0]: non-finite number inf"),
+], ids=["ragged-row", "string-pair", "null", "oversized", "inf"])
+def test_bad_projector_matrix_exit_64_names_key_path(tmp_path, capsys, index, value, where):
+    # matrices become arrays as the file is parsed; one that cannot must still be reported
+    data = model_to_dict(spin_model(0.6))
+    target = data["families"][0]["projectors"][1]["matrix"]
+    for k in index[:-1]:
+        target = target[k]
+    target[index[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--model", str(path)]) == 64
+    assert where in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("time", [float("inf"), float("nan"), 10 ** 400],
                          ids=["inf", "nan", "oversized"])
 def test_non_finite_grid_time_exit_64(tmp_path, capsys, time):

@@ -19,7 +19,7 @@ from decohist.histories import (
     time_reversed_history_set,
     two_state_functional,
 )
-from decohist import linalg
+from decohist import histories, linalg
 from decohist.linalg import max_abs
 from decohist.model import (
     ProjectorFamily,
@@ -590,7 +590,7 @@ def test_memory_budget_admits_and_refuses_pure_sets(m, dim, fits):
 def test_set_over_the_memory_budget_is_refused_before_the_walk(monkeypatch):
     model = random_model(2, dim=3, n_families=40, members_per_family=2)
     walked = []
-    monkeypatch.setattr(model.grid, "cumulative", lambda k: walked.append(k))
+    monkeypatch.setattr(histories, "_carry", lambda grid, rows, a, b: walked.append((a, b)))
     with pytest.raises(ModelValidationError, match=r"GiB for the branch table, above the memory budget of 2 GiB"):
         check_decoherence(model)
     assert walked == []

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decohist.histories import _branch_table
+from decohist.histories import _branch_table, _carry, _frame
 from decohist.model import StateOperator, _eigh
 from decohist.records import branch_vectors
 from decohist.scenarios import random_model
@@ -58,9 +58,11 @@ def test_a_phased_vector_gets_its_own_branches(seed, dim, n, phi):
     psi = model.initial_state.state_vector()
     own = _branch_table(model, model.initial_state.columns)[:, 0]
     phased = np.exp(1j * phi) * psi
+    table = _branch_table(model, phased[:, None])[:, 0]
+    assert np.max(np.abs(table - np.exp(1j * phi) * own)) <= 1e-12
+    assert not np.array_equal(table, own)
+    # branch vectors are the phased table's rows carried back to the initial time
     branches = np.array([b.vector for b in branch_vectors(model, phased)])
-    assert np.max(np.abs(branches - np.exp(1j * phi) * own)) <= 1e-12
-    assert not np.array_equal(branches, own)
-    assert np.array_equal(_branch_table(model, phased[:, None])[:, 0], branches)
+    assert np.array_equal(branches, _carry(model.grid, table, _frame(model), 0))
     assert list(model._tables) == [False]  # the phased table is not kept
     assert np.array_equal(model._tables[False][:, 0], own)
