@@ -68,6 +68,7 @@ def _check(defect: float, what: str, stacklevel: int = 3) -> None:
 
 SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
 _FACTOR_RANK = 32  # pivots after which an eigendecomposition decides instead
+_RESIDUAL_BLOCK = 2**14  # entries of the residual formed at a time
 # Allowance for eigh's eigenvalue error, in units of d u max|lambda|: on random PSD
 # operators of rank 1 to d (d = 2 to 256, traces up to 1e12) the most negative
 # eigenvalue was -1.45 units.
@@ -108,7 +109,9 @@ def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     """Columns C with h = C C^dagger and a proof that h is PSD, or None.
 
     C comes from :func:`_cholesky_rows`.  For the remainder
-    S = h - C C^dagger, Weyl's inequality gives lambda_min(h) >= -||S||_F.
+    S = h - C C^dagger, formed a block of rows at a time so that no second
+    d x d array is held beside h, Weyl's inequality gives
+    lambda_min(h) >= -||S||_F.
     Forming S in floating point errs by at most
     sqrt(2) gamma_{r+2} || |C| |C|^T ||_F + u ||S||_F for r columns and unit
     roundoff u (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -127,9 +130,13 @@ def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     c_norm = float(np.linalg.norm(c))
     if h.shape[0] * _UNIT_ROUNDOFF * c_norm ** 2 > ATOL_MODEL / 2:
         return None
-    s = c.T @ c.conj()
-    s -= h  # -S in place: the norm of h - C C^dagger, bit for bit
-    s_norm = float(np.linalg.norm(s))
+    s_sq, block, c_conj = 0.0, max(1, _RESIDUAL_BLOCK // h.shape[0]), c.conj()
+    for i in range(0, h.shape[0], block):
+        s = c.T[i:i + block] @ c_conj  # -S, one block of rows
+        s -= h[i:i + block]
+        s_sq += float(np.vdot(s, s).real)
+        del s  # before the next block is formed
+    s_norm = math.sqrt(s_sq)
     a = np.abs(c)
     norm_1, norm_inf = a.sum(axis=1).max(initial=0.0), a.sum(axis=0).max(initial=0.0)
     abs_norm = min(c_norm, math.sqrt(norm_1 * norm_inf))
