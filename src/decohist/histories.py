@@ -63,7 +63,6 @@ from .model import (
     _dynamics_symmetry_defect,
     _eigh,
     _freeze,
-    _hermitian_part,
     _psd_columns,
     _reverse_in_basis,
 )
@@ -482,11 +481,12 @@ def _coerce_final_operator(rho_f, dim: int) -> tuple[np.ndarray, np.ndarray | No
         raise ModelValidationError(f"final operator shape {m.shape} does not match dimension {dim}")
     if state:
         return m, rho_f.columns
-    h, defect = _hermitian_part(m)
     floor = 2.0 * math.sqrt(2.0) * _gamma(2) * float(np.abs(m.diagonal()).max(initial=0.0))
-    if defect > max(ATOL_MODEL, floor):
+    tol = max(ATOL_MODEL, floor)
+    h, defect = linalg.hermitian_part(m, tol)
+    if defect > tol:
         raise ModelValidationError("final operator must be Hermitian")
-    if np.count_nonzero(h) == dim and (h.diagonal() == 1.0).all():  # the identity
+    if (h.diagonal() == 1.0).all() and np.count_nonzero(h) == dim:  # the identity
         return m, None
     factor = _psd_columns(h)
     if factor is None:

@@ -68,7 +68,6 @@ def _check(defect: float, what: str, stacklevel: int = 3) -> None:
 
 SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
 _FACTOR_RANK = 32  # pivots after which an eigendecomposition decides instead
-_RESIDUAL_BLOCK = 2**14  # entries of the residual formed at a time
 # Allowance for eigh's eigenvalue error, in units of d u max|lambda|: on random PSD
 # operators of rank 1 to d (d = 2 to 256, traces up to 1e12) the most negative
 # eigenvalue was -1.45 units.
@@ -130,7 +129,7 @@ def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     c_norm = float(np.linalg.norm(c))
     if h.shape[0] * _UNIT_ROUNDOFF * c_norm ** 2 > ATOL_MODEL / 2:
         return None
-    s_sq, block, c_conj = 0.0, max(1, _RESIDUAL_BLOCK // h.shape[0]), c.conj()
+    s_sq, block, c_conj = 0.0, max(1, linalg._RESIDUAL_BLOCK // h.shape[0]), c.conj()
     for i in range(0, h.shape[0], block):
         s = c.T[i:i + block] @ c_conj  # -S, one block of rows
         s -= h[i:i + block]
@@ -165,22 +164,6 @@ def _eigh(h: np.ndarray,
     return _freeze(w), _freeze(v), _freeze(v[:, keep] * np.sqrt(w[keep]))
 
 
-def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """(m + m^dagger) / 2 and max |m - m^dagger|, in one new d x d array.
-
-    The array first holds m^dagger - m, whose max |.| is that of m - m^dagger
-    since negation is exact, and is then rebuilt as m^dagger, so the
-    Hermitian part is bit for bit that of m^dagger + m.
-    """
-    h = np.conjugate(m.T, order="C")  # m^dagger in one strided pass
-    h -= m
-    defect = linalg.max_abs(h)
-    np.conjugate(m.T, out=h)
-    h += m
-    h /= 2.0
-    return h, defect
-
-
 def as_state_vector(psi) -> np.ndarray:
     """Validate a unit-norm complex vector and return a read-only copy."""
     v = linalg.as_vector(psi, "state vector")
@@ -210,7 +193,7 @@ class StateOperator:
         m = linalg.as_matrix(rho, "state operator")
         if m.shape[0] != m.shape[1]:
             raise ModelValidationError(f"state operator must be square, got {m.shape}")
-        h, defect = _hermitian_part(m)
+        h, defect = linalg.hermitian_part(m, ATOL_MODEL)
         _check(defect, "state operator Hermiticity")
         _check(abs(complex(np.trace(m)) - 1.0), "state operator trace")
         self.rho = _freeze(m)
@@ -247,7 +230,7 @@ class StateOperator:
         return state
 
     def _hermitian(self) -> np.ndarray:
-        return (self.rho + self.rho.conj().T) / 2.0
+        return linalg.hermitian_part(self.rho, ATOL_MODEL)[0]
 
     @functools.cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,7 +298,7 @@ class TimeGrid:
         for i, u in enumerate(steps):
             if u.shape != (dim, dim):
                 raise ModelValidationError(f"step unitary {i} has shape {u.shape}, expected {(dim, dim)}")
-            _check(linalg.unitarity_defect(u), f"step unitary {i} unitarity")
+            _check(linalg.unitarity_defect(u, ATOL_MODEL), f"step unitary {i} unitarity")
         self.times = _freeze(t)
         self.step_unitaries = tuple(_freeze(u) for u in steps)
         self._cumulative: list[np.ndarray] = [self.step_unitaries[0]]  # W(t_k) at k - 1
@@ -424,7 +407,7 @@ class ProjectorFamily:
                 raise ModelValidationError(f"projector {label!r} has shape {p.shape}, expected {(dim, dim)}")
             _check(herm[a], f"projector {label!r} Hermiticity")
             if not idem[a] <= ATOL_MODEL:
-                _check(linalg.max_abs(p @ p - p), f"projector {label!r} idempotence")
+                _check(linalg.defect(p @ p - p, ATOL_MODEL), f"projector {label!r} idempotence")
         for (a, b), defect in orth.items():
             _check(defect, f"orthogonality of projectors {labels[a]!r}, {labels[b]!r}")
         _check(complete, "family completeness (sum of projectors vs identity)")
@@ -576,7 +559,8 @@ class QuantumModel:
             if not linalg.is_unitary(basis):
                 raise ModelValidationError("conjugation basis must be unitary")
             # Time reversal is an involution only when B B^* = +-1.
-            _check(min(linalg.max_abs(basis - basis.T), linalg.max_abs(basis + basis.T)),
+            _check(min(linalg.defect(basis - basis.T, ATOL_MODEL),
+                       linalg.defect(basis + basis.T, ATOL_MODEL)),
                    "conjugation basis symmetry (B = B^T or B = -B^T)")
             self.conjugation_basis = _freeze(basis)  # shadows the default identity
         if factors is not None:

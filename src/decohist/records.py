@@ -241,9 +241,9 @@ def _extension_check(model, time_index, histories, projections, residual,
     members = [
         ("rec:" + ",".join(h), projections[h])
         for h in histories
-        if linalg.max_abs(projections[h]) > 0
+        if projections[h].any()
     ]
-    if linalg.max_abs(residual) > 1e-12:
+    if linalg.defect(residual, 1e-12) > 1e-12:
         members.append(("rec:none", residual))
     _check_memory(len(histories) * len(members), model.initial_state.columns.size)
     record_family = ProjectorFamily(time_index + 1, members)

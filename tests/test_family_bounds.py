@@ -131,14 +131,23 @@ def test_family_verdicts_match_the_dense_rule(case):
 
 @pytest.fixture
 def max_abs_calls(monkeypatch):
+    """Shapes of the dense defects read, one each whether ``max_abs`` or ``defect`` reads it."""
     calls = []
-    max_abs = linalg.max_abs
+    max_abs, defect = linalg.max_abs, linalg.defect
 
     def counted(a):
         calls.append(np.shape(a))
         return max_abs(a)
 
+    def counted_defect(a, tol):
+        calls.append(np.shape(a))
+        n = len(calls)
+        value = defect(a, tol)
+        del calls[n:]  # the max_abs that defect falls back to reads the same array
+        return value
+
     monkeypatch.setattr(linalg, "max_abs", counted)
+    monkeypatch.setattr(linalg, "defect", counted_defect)
     return calls
 
 
