@@ -52,13 +52,14 @@ def _factor_columns(p: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
     return q
 
 
-def _factor_bounds(projectors, c_norm: float,
-                   work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _factor_bounds(projectors, c_norm: float, work: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]] | None:
     """Bounds from one factor per member on each dense check of a family, or None.
 
-    Returns (B, h, w): B[a, b] bounds max |P_a P_b| and B[a, a]
+    Returns (B, h, w, Q): B[a, b] bounds max |P_a P_b| and B[a, a]
     max |P_a^2 - P_a|, h[a] max |P_a - P_a^dagger|, each as the dense check
-    computes it, and w[a] every row and column 2-norm of P_a; ``c_norm`` is
+    computes it, w[a] every row and column 2-norm of P_a, and Q the factors
+    Q_a (d x r_a), with ||Q_a Q_a^dagger - P_a||_F <= e_a; ``c_norm`` is
     the computed ||C||_F, C = sum_b P_b - I.  Member a is factored through
     its r_a = round(tr P_a) largest diagonal entries (:func:`_factor_columns`);
     the proof uses the computed Q_a as it is.  E_a = Q_a Q_a^dagger - P_a,
@@ -84,7 +85,7 @@ def _factor_bounds(projectors, c_norm: float,
     ranks = [round(float(np.trace(p).real)) for p in projectors]
     if sum(ranks) != d or min(ranks) < 0:
         return None
-    rho, e, q_frob = np.zeros(n), np.zeros(n), np.zeros(n)
+    rho, e, q_frob, factors = np.zeros(n), np.zeros(n), np.zeros(n), []
     for a, (p, r) in enumerate(zip(projectors, ranks)):
         # pivots by Python's stable sort: no other validation step runs numpy's
         # sort kernels, whose code would add about 0.1 MiB of resident pages
@@ -93,6 +94,7 @@ def _factor_bounds(projectors, c_norm: float,
                                         dtype=np.intp))
         if q is None:
             return None
+        factors.append(q)
         q_rows = (np.square(q.real) + np.square(q.imag)).sum(axis=1)
         np.matmul(q, q.conj().T, out=work)
         work -= p
@@ -109,4 +111,5 @@ def _factor_bounds(projectors, c_norm: float,
     bounds = (np.outer(rho, rho) * eps + np.outer(s, e) + np.outer(e, s) + np.outer(e, e)
               + math.sqrt(2.0) * _gamma(d + 2) * np.outer(w, w))
     bounds[np.diag_indices(n)] += e
-    return _BOUND_SLACK * bounds, _BOUND_SLACK * 2.0 * (1.0 + _UNIT_ROUNDOFF) * e, _BOUND_SLACK * w
+    return (_BOUND_SLACK * bounds, _BOUND_SLACK * 2.0 * (1.0 + _UNIT_ROUNDOFF) * e, _BOUND_SLACK * w,
+            factors)

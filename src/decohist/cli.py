@@ -40,7 +40,7 @@ from .histories import (
     check_decoherence,
     page_symmetric_cosmology_check,
 )
-from .model import QuantumModel, TimeGrid, _dynamics_symmetry_defect
+from .model import ProjectorFamily, QuantumModel, TimeGrid, _dynamics_symmetry_defect
 from .modelfile import load_model, model_to_dict
 
 EXIT_DECOHERENT = 0
@@ -98,7 +98,7 @@ def _param_int(params: dict, name: str, default: int) -> int:
 
 
 def _build_scenario(name: str, params: dict, seed: int):
-    """Resolve a scenario into (model, rho_final), the pair its emitted model file loads to."""
+    """Resolve a scenario into (model, rho_final), the pair that ``scenario emit`` writes."""
     from . import scenarios
 
     if name not in _SCENARIO_KEYS:
@@ -147,7 +147,14 @@ def _resolve_model(args, seed: int):
     if args.model:
         return load_model(args.model)
     name, *tokens = args.scenario
-    return _build_scenario(name, _parse_params(tokens), seed)
+    model, rho_final = _build_scenario(name, _parse_params(tokens), seed)
+    if any(f.certified for f in model.families):
+        # A certified family keeps its factors Q, and its emitted file holds Q Q^dagger,
+        # which loads to new factors: rebuild it from those, as loading the file does,
+        # so that a scenario runs as its emitted file does.
+        model = model._derive([ProjectorFamily(f.time_index, zip(f.labels, f.projectors))
+                               if f.certified else f for f in model.families])
+    return model, rho_final
 
 
 def _sorted_table(table: dict) -> list[dict]:
@@ -488,8 +495,9 @@ def _run(argv) -> int:
     except ConditionNotSatisfiedError as exc:
         print(f"condition not satisfied: {exc}", file=sys.stderr)
         return EXIT_NOT_DECOHERENT
-    except Exception as exc:  # pragma: no cover
-        print(f"unexpected error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # the repr names the type: a MemoryError has no text
+        print(f"unexpected error: {exc!r}", file=sys.stderr)
         return EXIT_SOFTWARE
 
 

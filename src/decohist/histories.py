@@ -20,7 +20,9 @@ rho = C C^dagger, D(h, h') is the Hilbert-Schmidt inner product of L_h C and
 L_h' C (two-state: of F^dagger L_h C and F^dagger L_h' C, rho_f = F F^dagger).
 A Schrodinger-picture prefix walk builds the L_h C for all histories at once,
 applying each step segment and then each member projector to every node of
-a level, so shared prefixes are computed once (one O(d^2 r) product per node).
+a level (:meth:`ProjectorFamily.apply`: a certified family's member through
+its factor), so shared prefixes are computed once (one O(d^2 r) product per
+node).
 Its last level, W L_h C with W the unitary up to the last family's time, is
 the branch table: W cancels from every Gram entry, so every functional is one
 Gram product of the table as it stands, and a factor or column that meets
@@ -230,7 +232,7 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
         fam = model.families[k]
         flat = _carry(model.grid, nodes.reshape(-1, nodes.shape[-1]), prev, fam.time_index)
         # the family met last varies fastest forwards and slowest backwards
-        nodes = np.stack([(flat @ p.T).reshape(nodes.shape) for p in fam.projectors],
+        nodes = np.stack([fam.apply(a, flat, rows=True).reshape(nodes.shape) for a in range(len(fam))],
                          axis=0 if backwards else 1)
         nodes, prev = nodes.reshape(-1, *nodes.shape[2:]), fam.time_index
         yield nodes
@@ -251,7 +253,7 @@ def _carry(grid: TimeGrid, rows: np.ndarray, a: int, b: int) -> np.ndarray:
     if len(steps) > 1 and rows.shape[0] > grid.dim:
         steps = (grid.segment(lo, hi),)
     for u in (steps if a < b else steps[::-1]):
-        rows = rows @ u.T if a < b else _times_conj(rows, u)
+        rows = rows @ u.T if a < b else linalg.times_conj(rows, u)
     return rows
 
 
@@ -284,14 +286,6 @@ def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False
 def _in_frame(model: QuantumModel, cols: np.ndarray) -> np.ndarray:
     """Initial-time columns v (at most d) as W v, in the frame of the forwards branch table."""
     return _carry(model.grid, cols.T, 0, _frame(model)).T
-
-
-def _times_conj(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """a @ u^*, conjugating the smaller operand: (a^* u)^* is a u^* bit for bit."""
-    if a.size >= u.size:
-        return a @ u.conj()
-    out = a.conj() @ u
-    return np.conjugate(out, out=out)
 
 
 def _gram(a: np.ndarray) -> np.ndarray:

@@ -125,6 +125,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def times_conj(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a @ u^*, conjugating the smaller operand: (a^* u)^* is a u^* bit for bit."""
+    if a.size >= u.size:
+        return a @ u.conj()
+    out = a.conj() @ u
+    return np.conjugate(out, out=out)
+
+
 def unitarity_defect(u: np.ndarray, tol: float) -> float:
     """:func:`defect` of U U^dagger - I for a square U, the identity taken off the product's diagonal."""
     g = u @ u.conj().T

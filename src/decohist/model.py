@@ -8,10 +8,11 @@ the unitary basis in which the antiunitary time reversal conjugates.
 All objects validate their invariants at construction and are immutable
 afterwards (stored arrays are marked read-only), so they are safe to share
 across threads.  A model keeps one copy of each stored input (state, step
-unitaries, projectors, a conjugation basis given to it); the identities,
-W(t_0) = 1 and the default conjugation basis, are built when first read,
-and final operators, which no model keeps, are read where they lie.  The
-lazily computed values, the identities, a state's spectrum and a model's
+unitaries, projectors or a certified family's factors, a conjugation basis
+given to it); the identities, W(t_0) = 1 and the default conjugation
+basis, are built when first read, and final operators, which no model
+keeps, are read where they lie.  The lazily computed values, the
+identities, a state's spectrum, a certified family's members and a model's
 own branch tables (one per direction, memoised by
 :mod:`decohist.histories`), are deterministic: threads that read one first
 at the same moment may each compute it, and they obtain identical arrays.
@@ -382,6 +383,16 @@ class ProjectorFamily:
     the dense order (Hermiticity and idempotence per member, then the pairs,
     then completeness), so verdicts, messages and warnings are those of
     forming every product.
+
+    Validation reads the caller's matrices without copying them.  A family
+    whose certificate alone proves every check is certified and keeps only
+    its factors Q_a (d x r_a, d^2 numbers in all): :meth:`apply` applies a
+    member as Q_a (Q_a^dagger x), and ``projectors`` and :meth:`member`
+    build Q_a Q_a^dagger on first read, kept read-only, within e_a of the
+    input in Frobenius norm (||Q_a Q_a^dagger - P_a||_F <= e_a, see
+    :func:`decohist.bounds._factor_bounds`).  So a certified family's dump
+    and reload agree within e_a, not bit for bit.  Any other family keeps
+    read-only copies of its inputs, equal to them bit for bit.
     """
 
     def __init__(self, time_index: int, members):
@@ -389,16 +400,17 @@ class ProjectorFamily:
         if not members:
             raise ModelValidationError("projector family needs at least one member")
         labels = []
-        projectors = []
+        projectors = []  # the caller's matrices, read where they lie
         for label, p in members:
             labels.append(str(label))
-            projectors.append(linalg.as_matrix(p, f"projector {label!r}"))
+            projectors.append(linalg._finite_matrix(np.asarray(p, dtype=complex), f"projector {label!r}"))
         if len(set(labels)) != len(labels):
             raise ModelValidationError(f"duplicate member labels in family: {labels}")
         dim = projectors[0].shape[0]
         n_square = next((a for a, p in enumerate(projectors) if p.shape != (dim, dim)), len(projectors))
+        factors = None
         if n_square == len(projectors):
-            herm, idem, orth, complete = self._bound_defects(projectors)
+            herm, idem, orth, complete, factors = self._bound_defects(projectors)
         else:
             herm = [_hermiticity_defect(p) for p in projectors[:n_square]]
             idem = [math.inf] * n_square
@@ -413,7 +425,11 @@ class ProjectorFamily:
         _check(complete, "family completeness (sum of projectors vs identity)")
         self.time_index = int(time_index)
         self.labels = tuple(labels)
-        self.projectors = tuple(_freeze(p) for p in projectors)
+        self._dim = dim
+        self._factors = None if factors is None else tuple(_freeze(q) for q in factors)
+        # members built or copied: the dense copies, or Q_a Q_a^dagger once read
+        self._members = ([_freeze(p.copy()) for p in projectors] if factors is None
+                         else [None] * len(labels))
 
     @staticmethod
     def _bound_defects(projectors):
@@ -437,7 +453,8 @@ class ProjectorFamily:
         defect and row and column norms.  A defect whose certified bound is
         at most ``ATOL_MODEL`` is recorded as that bound; the others are
         computed as the dense rule computes them, and a member's idempotence
-        bound is the smaller of the two.
+        bound is the smaller of the two.  The factors come back too when
+        the certificate alone decides every check, and None otherwise.
         """
         n, d = len(projectors), projectors[0].shape[0]
         c = projectors[0].copy()  # C, summed in the order of sum(projectors) - I
@@ -447,13 +464,16 @@ class ProjectorFamily:
         complete = linalg.max_abs(c)
         cert = _factor_bounds(projectors, float(np.linalg.norm(c)), c) if n >= _CERTIFIED_FAMILY else None
         del c
+        factors = None
         if cert is None:
             bounds, herm = None, [_hermiticity_defect(p) for p in projectors]
             squares = (np.square(p.real) + np.square(p.imag) for p in projectors)  # one at a time
             rows, cols = np.sqrt([(s.sum(axis=1).max(initial=0.0), s.sum(axis=0).max(initial=0.0))
                                   for s in squares]).T
         else:
-            bounds, herm, rows = cert
+            bounds, herm, rows, factors = cert
+            if max(bounds.max(), herm.max(), complete) > ATOL_MODEL:
+                factors = None  # a check that the certificate leaves open keeps the copies
             herm = [float(h) if h <= ATOL_MODEL else _hermiticity_defect(p) for h, p in zip(herm, projectors)]
             cols = rows
         g = math.sqrt(2.0) * _gamma(d + 2)  # rounding of one complex inner product
@@ -475,7 +495,7 @@ class ProjectorFamily:
         idem = _BOUND_SLACK * (rows * c_cols + others + g * rows * cols)
         if bounds is not None:
             idem = np.fmin(idem, bounds.diagonal())
-        return herm, idem, orth, complete
+        return herm, idem, orth, complete, factors
 
     def _index(self, label_or_index) -> int:
         if isinstance(label_or_index, (int, np.integer)):
@@ -506,13 +526,40 @@ class ProjectorFamily:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self._dim
+
+    @property
+    def certified(self) -> bool:
+        """Whether the factor certificate proved every check, so that the family keeps its factors."""
+        return self._factors is not None
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self.labels)
 
     def member(self, label_or_index) -> np.ndarray:
-        return self.projectors[self._index(label_or_index)]
+        """The member's projector, read-only: its dense copy, or Q_a Q_a^dagger built on first read."""
+        a = self._index(label_or_index)
+        p = self._members[a]
+        if p is None:
+            q = self._factors[a]
+            p = self._members[a] = _freeze(q @ q.conj().T)
+        return p
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(map(self.member, range(len(self))))
+
+    def apply(self, index: int, x: np.ndarray, rows: bool = False) -> np.ndarray:
+        """P_a x for columns x (d x k), or x P_a^T for rows x (k x d), the transposed columns.
+
+        A factored member is applied as Q_a (Q_a^dagger x), two products of
+        d r_a k each, and P_a is not formed.
+        """
+        if self._factors is None:
+            p = self._members[index]
+            return x @ p.T if rows else p @ x
+        q = self._factors[index]
+        return linalg.times_conj(x, q) @ q.T if rows else q @ linalg.times_conj(x.T, q).T
 
 
 class QuantumModel:

@@ -189,8 +189,9 @@ def _collapse_levels(model: QuantumModel, cols: np.ndarray, pure: bool,
     as given, with weight 1, and keeps each trajectory's states, ending with
     the trailing evolution.  The d x r blocks of unit columns of every
     trajectory so far sit side by side, trajectory-major, so each family
-    costs one segment product and one product per member, and every column
-    is renormalized on its own.  Each segment is the product of the steps
+    costs one segment product and one application per member
+    (:meth:`ProjectorFamily.apply`, two thin products for a certified
+    family's member), and every column is renormalized on its own.  Each segment is the product of the steps
     reaching the family's time, multiplied out here from its first step (an
     adjoint is stored contiguous) rather than taken from the grid, so the
     oracle stays independent of the code it checks.  Forwards the steps run
@@ -222,7 +223,7 @@ def _collapse_levels(model: QuantumModel, cols: np.ndarray, pure: bool,
         if fam is None:
             levels.append(flat.reshape(blocks.shape))
             break
-        blocks = np.stack([(p @ flat).reshape(blocks.shape) for p in fam.projectors], axis=2)
+        blocks = np.stack([fam.apply(a, flat).reshape(blocks.shape) for a in range(len(fam))], axis=2)
         blocks = blocks.reshape(d, -1, r)  # a trajectory's members follow it, in order
         p_step = np.sum(blocks.real ** 2 + blocks.imag ** 2, axis=0)
         probs = (probs[:, None] * p_step.reshape(len(probs), len(fam), r)).reshape(-1, r)

@@ -10,7 +10,9 @@ every ``np.matmul`` call into a call that counts it under its source site
 and against that copy, one request of the named ``perfbench/workloads.py``
 workload (``large-dim`` by default; a CLI workload runs its commands through
 ``decohist.cli.main``), or with ``--family`` builds one projector family of
-MEMBERS Haar block projectors at dimension DIM.  It prints, per call site, the number of
+MEMBERS Haar block projectors at dimension DIM.  For the family it also prints the bytes
+of array data that the family keeps after construction, from tracemalloc (dense copies
+of the members, or a certified family's factors).  It prints, per call site, the number of
 square products (both operands square matrices of one size, such as two
 d x d operators) and of all products, then the totals.  Inputs and model
 files go to the temporary directory; the script writes nothing under TREE.
@@ -24,6 +26,7 @@ import builtins
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -125,8 +128,14 @@ def main(argv=None) -> int:
             from decohist import model
             members = _haar_family(*args.family, args.seed)
             counts.clear()
-            model.ProjectorFamily(1, members)
-            what = f"one {args.family[1]}-member family at d = {args.family[0]}"
+            tracemalloc.start()
+            family = model.ProjectorFamily(1, members)  # noqa: F841 (held for the snapshot)
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            tracemalloc.stop()
+            kept = sum(stat.size for stat in arrays.statistics("filename"))
+            what = (f"one {args.family[1]}-member family at d = {args.family[0]} "
+                    f"(it keeps {kept:,} bytes of arrays)")
         else:
             import workloads
             workload = workloads.WORKLOADS[args.workload]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from compare_cli import label, read_commands
-from decohist import scenarios
+from decohist import cli, scenarios
 from decohist.cli import build_parser, main
 from decohist.modelfile import dump_model, load_model, model_from_dict, model_to_dict
 from decohist.exceptions import ModelFileError
@@ -154,6 +154,18 @@ def test_non_finite_or_negative_tolerance_exit_64(capsys, option, value):
     assert code == 64
     assert out == ""
     assert "must be finite and non-negative" in err
+
+
+def test_unexpected_memory_error_exit_70_names_its_type(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._DISPATCH, "check", out_of_memory)
+    code = main(["check", "--forwards", "--scenario", "spin"])
+    out, err = capsys.readouterr()
+    assert code == 70
+    assert out == ""
+    assert err == "unexpected error: MemoryError()\n"
 
 
 def test_abl_impossible_selection_exit_65(tmp_path, capsys):

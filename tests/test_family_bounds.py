@@ -236,6 +236,8 @@ def test_count_products_reports_a_certified_family():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(None, 2) for line in proc.stdout.splitlines()[2:]]
     sites = {site: (int(square), int(total)) for square, total, site in rows}
+    # the family keeps its factors, d^2 complex numbers, and no dense member
+    assert "(it keeps 16,384 bytes of arrays)" in proc.stdout.splitlines()[0]
     # one factor block and one residual product per member, no square product
     assert sites.pop("total") == (0, 8)
     assert sorted(site.split()[-1] for site in sites) == ["_factor_bounds", "_factor_columns"]
