@@ -104,8 +104,8 @@ RATIO_TIE = 1e-12  # pair-table ratios this close (relative) to the next larger 
 # A history set whose estimated peak exceeds MEMORY_BUDGET bytes is refused:
 # the walk holds about TABLE_BYTES per branch-table entry (the last level, its
 # projected members and their stack, 16 bytes per complex number each), and
-# the whole-matrix pair work about PAIR_BYTES per pair i < j (the Gram matrix
-# and its mirror, 32, and the pair arrays with their temporaries).
+# the whole-matrix pair work about PAIR_BYTES per pair i < j (the Gram matrix,
+# 32, and the pair arrays with their temporaries, about 73, which set the peak).
 MEMORY_BUDGET = 2 * 2**30
 TABLE_BYTES = 48
 PAIR_BYTES = 112
@@ -289,18 +289,14 @@ def _in_frame(model: QuantumModel, cols: np.ndarray) -> np.ndarray:
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
-    """D[i, j] = <a_j, a_i> from one product A A^dagger of the flattened rows.
+    """D[i, j] = <a_j, a_i>, the product A A^dagger of the flattened rows as computed.
 
-    The upper triangle is mirrored and the diagonal made real, so the result
-    is exactly Hermitian.  Pair work over the memory budget is refused first.
+    D is Hermitian only to rounding; its readers take the pairs i < j and the
+    real diagonal.  Pair work over the memory budget is refused first.
     """
     a = a.reshape(a.shape[0], -1)
     _check_memory(*a.shape)
-    g = a @ a.conj().T
-    d = np.triu(g, 1)
-    d += d.conj().T
-    d[np.diag_indices_from(d)] = g.diagonal().real
-    return d
+    return a @ a.conj().T
 
 
 def _clamp_probability(value: complex, what: str) -> float:

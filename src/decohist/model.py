@@ -11,9 +11,9 @@ across threads.  A model keeps one copy of each stored input (state, step
 unitaries, projectors or a certified family's factors, a conjugation basis
 given to it); the identities, W(t_0) = 1 and the default conjugation
 basis, are built when first read, and final operators, which no model
-keeps, are read where they lie.  The lazily computed values, the
-identities, a state's spectrum, a certified family's members and a model's
-own branch tables (one per direction, memoised by
+keeps, are read where they lie; a certified family's members are built on
+each read.  The lazily computed values, the identities, a state's spectrum
+and a model's own branch tables (one per direction, memoised by
 :mod:`decohist.histories`), are deterministic: threads that read one first
 at the same moment may each compute it, and they obtain identical arrays.
 """
@@ -388,8 +388,8 @@ class ProjectorFamily:
     whose certificate alone proves every check is certified and keeps only
     its factors Q_a (d x r_a, d^2 numbers in all): :meth:`apply` applies a
     member as Q_a (Q_a^dagger x), and ``projectors`` and :meth:`member`
-    build Q_a Q_a^dagger on first read, kept read-only, within e_a of the
-    input in Frobenius norm (||Q_a Q_a^dagger - P_a||_F <= e_a, see
+    build Q_a Q_a^dagger, read-only, on each read and keep none, within e_a
+    of the input in Frobenius norm (||Q_a Q_a^dagger - P_a||_F <= e_a, see
     :func:`decohist.bounds._factor_bounds`).  So a certified family's dump
     and reload agree within e_a, not bit for bit.  Any other family keeps
     read-only copies of its inputs, equal to them bit for bit.
@@ -427,9 +427,9 @@ class ProjectorFamily:
         self.labels = tuple(labels)
         self._dim = dim
         self._factors = None if factors is None else tuple(_freeze(q) for q in factors)
-        # members built or copied: the dense copies, or Q_a Q_a^dagger once read
-        self._members = ([_freeze(p.copy()) for p in projectors] if factors is None
-                         else [None] * len(labels))
+        # the dense copies; a certified family keeps none
+        self._members = (tuple(_freeze(p.copy()) for p in projectors) if factors is None
+                         else (None,) * len(labels))
 
     @staticmethod
     def _bound_defects(projectors):
@@ -537,13 +537,12 @@ class ProjectorFamily:
         return len(self.labels)
 
     def member(self, label_or_index) -> np.ndarray:
-        """The member's projector, read-only: its dense copy, or Q_a Q_a^dagger built on first read."""
+        """The member's projector, read-only: its dense copy, or Q_a Q_a^dagger built on this read."""
         a = self._index(label_or_index)
-        p = self._members[a]
-        if p is None:
-            q = self._factors[a]
-            p = self._members[a] = _freeze(q @ q.conj().T)
-        return p
+        if self._factors is None:
+            return self._members[a]
+        q = self._factors[a]
+        return _freeze(q @ q.conj().T)
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:

@@ -108,7 +108,8 @@ def strong_decoherence_iff_orthogonality(
     walk: orthogonality is read from the Gram matrix of the branches of
     ``psi``, strong decoherence from the functional of the model's state.
     When the state's columns are ``psi`` itself, as for a state built from
-    that vector, the two are one Gram matrix, and the model is walked once.
+    that vector, the two are one Gram matrix and one walk.  The full set's
+    report is read from the last level, not from another walk.
     """
     psi = _require_pure(model, psi)
     tolerance = tolerance or TolerancePolicy()
@@ -116,20 +117,20 @@ def strong_decoherence_iff_orthogonality(
     own = np.array_equal(cols, psi[:, None])
     per_depth = []
     agrees = True
-    gram = _gram(psi[None])  # without families the state is the only branch
+    gram, chain = _gram(psi[None]), _gram(cols.T[None])  # without families, the state alone
     gammas = _floor_gamma(model, psi.size), _floor_gamma(model, cols.size)
     chain_levels = None if own else _walk(model, cols)
     for depth, branches in enumerate(_walk(model, psi[:, None]), start=1):
         gram = _gram(branches)
         overlaps = _pair_arrays(gram, 1.0, "strong", tolerance, gammas[0])
         orthogonal = bool(overlaps.passed.all())
-        chains = overlaps if own else _pair_arrays(_gram(next(chain_levels)), 1.0, "strong",
-                                                   tolerance, gammas[1])
+        chain = gram if own else _gram(next(chain_levels))
+        chains = overlaps if own else _pair_arrays(chain, 1.0, "strong", tolerance, gammas[1])
         strong = chains.verdict() == "decoherent"
         max_overlap = float(overlaps.measure.max(initial=0.0))
         per_depth.append((depth, max_overlap, strong, orthogonal == strong))
         agrees &= orthogonal == strong
-    full = check_decoherence(model, "forwards", "strong", tolerance)
+    full = _classify(model.history_labels(), chain, 1.0, "strong", tolerance, "forwards", gammas[1])
     # gram[i, j] = <b_i, b_j>, the transpose of the functional-ordered matrix
     return OrthogonalityEquivalenceReport(agrees, per_depth, gram.T, full)
 

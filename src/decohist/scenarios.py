@@ -412,8 +412,9 @@ def recoherence_scenario(base: QuantumModel,
     levels = itertools.islice(_walk(probe, probe.initial_state.columns),
                               len(extended.families), None)
     reinterference = [
-        (float(extended.grid.times[fam.time_index]), float(np.abs(np.triu(_gram(level), 1)).max()))
-        for fam, level in zip(rev_families, levels)
+        (float(extended.grid.times[fam.time_index]),
+         float(np.abs(d[np.triu_indices_from(d, 1)]).max(initial=0.0)))
+        for fam, d in zip(rev_families, map(_gram, levels))
     ]
     reversed_backwards = check_decoherence(reversed_set.model, "backwards", "weak", tolerance)
     original_backwards = check_decoherence(extended, "backwards", "weak", tolerance)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import reference_evaluator as ref
 
-from decohist import histories, records
+from decohist import histories, records, scenarios
 from decohist.cli import main
 from decohist.histories import (
     CoarseGraining,
@@ -92,7 +92,7 @@ def test_functional_matrices_match_reference(kind, n, seed):
         expected = ref.functional_matrix(model, direction, **extra)
         assert histories == model.history_labels()
         assert np.max(np.abs(d - expected)) <= ATOL, direction
-        assert np.array_equal(d, d.conj().T), direction
+        assert np.max(np.abs(d - d.conj().T)) <= ATOL, direction
 
 
 @pytest.mark.parametrize("kind,n,seed", CASES)
@@ -313,6 +313,75 @@ def test_orthogonality_check_walks_once_for_the_state_vector(monkeypatch):
     assert [row[::2] for row in turned.per_depth] == [row[::2] for row in mine.per_depth]
     assert [row[1] for row in turned.per_depth] == pytest.approx([row[1] for row in mine.per_depth],
                                                                  abs=1e-15)
+
+
+@pytest.mark.parametrize("from_vector", [True, False], ids=["from-vector", "from-rho"])
+def test_orthogonality_check_walks_once_per_side(monkeypatch, from_vector):
+    # the full set's report is read from the last level, not from another walk
+    walks = []
+    for module in (histories, records):
+        def counting(model, cols, backwards=False, walk=module._walk):
+            walks.append(model)
+            return walk(model, cols, backwards)
+
+        monkeypatch.setattr(module, "_walk", counting)
+    model = random_model(10, dim=5, n_families=3)
+    psi = model.initial_state.state_vector()
+    if not from_vector:
+        model = _with_state(model, model.initial_state.rho)
+        assert not np.array_equal(model.initial_state.columns, psi[:, None])
+    assert model._tables == {}
+    report = strong_decoherence_iff_orthogonality(model, psi)
+    assert walks == [model] * (1 if from_vector else 2)
+    full = check_decoherence(model, "forwards", "strong")
+    assert report.full_report.classification == full.classification
+    assert report.full_report.diagonals == full.diagonals
+    assert all(np.array_equal(a, b) for a, b in zip(report.full_report._arrays, full._arrays))
+
+
+def _readers(model, psi, rho_f):
+    """Every report read from a Gram matrix, reduced to plain values that compare exactly."""
+    def plain(report):
+        return (report.classification, report.diagonals, report.probabilities,
+                [a.tolist() for a in report._arrays])
+
+    spin = spin_model(0.6)
+    spin_psi = spin.initial_state.state_vector()
+    symmetric = spin_symmetric_scenario()
+    extended = symmetric.extended_model
+    page = histories.page_symmetric_cosmology_check(extended.initial_state, np.eye(extended.dim),
+                                                    extended)
+    orthogonality = strong_decoherence_iff_orthogonality(model, psi)
+    return [
+        *(plain(check_decoherence(model, direction, strength))
+          for direction in ("forwards", "backwards") for strength in ("weak", "strong")),
+        *(plain(check_two_state_decoherence(model.initial_state, rho_f, model, strength))
+          for strength in ("weak", "strong")),
+        (page.passed, page.max_table_difference, plain(page.original), plain(page.time_reversed)),
+        pure_two_state_triviality_check(model, psi),
+        plain(construct_records(spin, spin_psi).extension_report),
+        (symmetric.reinterference, plain(symmetric.first_half_forwards),
+         plain(symmetric.reversed_backwards), plain(symmetric.original_backwards)),
+        (orthogonality.agrees, orthogonality.per_depth, plain(orthogonality.full_report)),
+    ]
+
+
+def test_readers_never_read_the_lower_triangle(monkeypatch):
+    model = random_model(11, dim=4, n_families=3)
+    psi = model.initial_state.state_vector()
+    rho_f = _final_operator(model.dim, 11)
+    expected = _readers(model, psi, rho_f)
+    gram = histories._gram
+
+    def poisoned(a):
+        d = gram(a)
+        d[np.tril_indices_from(d, -1)] = np.nan
+        return d
+
+    for module in (histories, records, scenarios):
+        monkeypatch.setattr(module, "_gram", poisoned)
+    model._tables.clear()
+    assert _readers(model, psi, rho_f) == expected
 
 
 def test_records_walks_the_model_and_its_extension_once(monkeypatch, tmp_path, capsys):

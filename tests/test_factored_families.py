@@ -7,12 +7,14 @@ draws models with such families, pure and mixed, and compares the reports
 and the collapse table with the chain-matrix reference evaluator and the
 per-trajectory oracle run on the caller's dense matrices.  The other tests
 measure what a certified family holds, check that the benchmark's
-``large-dim`` request sequence never builds a member, and that uncertified
+``large-dim`` request sequence never builds a member, that time reversal and
+a model dump, which read every member, leave none kept, and that uncertified
 families keep their inputs bit for bit.
 """
 
 import copy
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from decohist.histories import (
     check_decoherence,
     check_two_state_decoherence,
     coarse_grain_check,
+    time_reversed_history_set,
 )
 from decohist.model import ATOL_MODEL, ProjectorFamily, QuantumModel, StateOperator, TimeGrid
+from decohist.modelfile import model_to_dict
 from decohist.scenarios import collapse_probability_table, haar_unitary
 
 ATOL = 1e-12
@@ -139,7 +143,28 @@ def test_certified_family_holds_its_factors():
     for (_, p), q in zip(members, family.projectors):
         assert not q.flags.writeable
         assert np.linalg.norm(q - p) <= ATOL_MODEL
-    assert family.member("m2") is family.projectors[2]
+    assert np.array_equal(family.member("m2"), family.projectors[2])
+
+
+def test_reversal_and_dump_keep_no_member():
+    # both read every member of the source model's families
+    rng = np.random.default_rng(3)
+    dim = 16
+    grid = TimeGrid(np.arange(-2.0, 3.0), [haar_unitary(dim, rng) for _ in range(4)])
+    families = [ProjectorFamily(t, [(f"m{j}", p) for j, p in enumerate(_blocks(dim, [4] * 4, rng))])
+                for t in (1, 3)]
+    model = QuantumModel(_state(dim, 1, rng), grid, families)
+    assert all(f.certified for f in model.families)
+    reversed_model = time_reversed_history_set(model).model
+    model_to_dict(model)
+    model_to_dict(reversed_model)
+    for family in model.families + reversed_model.families:
+        assert not family.certified or all(p is None for p in family._members)
+    member = model.families[0].member("m1")
+    assert np.array_equal(member, model.families[0].projectors[1])
+    kept = weakref.ref(member)
+    del member
+    assert kept() is None
 
 
 def test_large_dim_requests_never_build_a_member():
