@@ -27,7 +27,9 @@ Its last level, W L_h C with W the unitary up to the last family's time, is
 the branch table: W cancels from every Gram entry, so every functional is one
 Gram product of the table as it stands, and a factor or column that meets
 the table is carried into W's frame instead.  The walk's levels are the
-truncated sets.
+truncated sets.  Every verdict is one :func:`_classify` of a set's branch
+rows (:func:`_rows`), which forms their Gram, rounding floor and pair arrays
+(:func:`_measure`).
 A model's own table (its state's columns, every history) is walked once per
 direction and kept read-only on the model, so the functionals, coarse
 graining, the both-conditions check, the single-history values and every
@@ -310,14 +312,13 @@ def _clamp_probability(value: complex, what: str) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _functional_matrix(model: QuantumModel, backwards: bool = False,
-                       rho_i: StateOperator | None = None, factor: np.ndarray | None = None):
-    """Histories and the Gram matrix of rows L_h C (L_h^dagger C backwards) or F^dagger L_h C."""
+def _rows(model: QuantumModel, backwards: bool = False,
+          rho_i: StateOperator | None = None, factor: np.ndarray | None = None) -> np.ndarray:
+    """Branch rows L_h C (L_h^dagger C backwards) or, two-state, F^dagger L_h C, one block per history."""
     a = _branch_table(model, (model.initial_state if rho_i is None else rho_i).columns, backwards)
     if factor is not None:  # two-state rows a @ (W F)^*, rho_f = F F^dagger
         a = (a.reshape(-1, model.dim) @ _in_frame(model, factor).conj()).reshape(*a.shape[:2], -1)
-    d = _gram(a)  # refused over budget before the labels are built
-    return model.history_labels(), d
+    return a
 
 
 def _row(model: QuantumModel, history) -> int:
@@ -370,26 +371,22 @@ class _PairArrays(NamedTuple):
         return "marginal" if self.ratio.max() <= MARGINAL_FACTOR else "not_decoherent"
 
 
-def _floor_gamma(model: QuantumModel, row: int) -> float:
-    """Relative rounding floor of a Gram entry whose rows have ``row`` numbers.
+def _measure(model: QuantumModel, rows: np.ndarray, scale: float, strength: str,
+             tolerance: TolerancePolicy, row: int | None = None) -> tuple[np.ndarray, _PairArrays]:
+    """The Gram D of branch ``rows`` and every pair i < j measured against its threshold and floor.
 
-    The entry is an inner product of length ``row`` of rows that the walk
+    Measures and thresholds are on the normalized scale (D / scale), with the
+    threshold of :meth:`TolerancePolicy.pair_threshold` and ratio inf where
+    the threshold is zero.  The rounding floor is gamma_n sqrt(p_h p_h'): an
+    entry is an inner product of ``row`` numbers (default: a row's; a
+    two-state row F^dagger L_h C keeps that of L_h C) of rows that the walk
     built with two products of length d per family, a two-state factor or
     amplitude and its carry into the table's frame adding one each; its
     error is about gamma_n sqrt(D_ii D_jj) for n the summed lengths (Higham,
     *Accuracy and Stability of Numerical Algorithms*, section 3.1).
     """
-    return _gamma(row + 2 * (model.n_families + 1) * model.dim)
-
-
-def _pair_arrays(d: np.ndarray, scale: float, strength: str,
-                 tolerance: TolerancePolicy, gamma: float) -> _PairArrays:
-    """Measure every pair i < j of D against its threshold and its rounding floor.
-
-    Measures and thresholds are on the normalized scale (D / scale), with the
-    threshold of :meth:`TolerancePolicy.pair_threshold` and ratio inf where
-    the threshold is zero.  The floor is ``gamma`` sqrt(p_h p_h').
-    """
+    d = _gram(rows)
+    gamma = _gamma((rows[0].size if row is None else row) + 2 * (model.n_families + 1) * model.dim)
     i, j = np.triu_indices(d.shape[0], 1)
     value = d[i, j]
     measure = (np.abs(value.real) if strength == "weak" else np.abs(value)) / scale
@@ -399,31 +396,37 @@ def _pair_arrays(d: np.ndarray, scale: float, strength: str,
     ratio = np.divide(measure, threshold, out=np.full_like(measure, np.inf),
                       where=threshold > 0)
     at_floor = (measure <= gamma * root) & (root > 0)
-    return _PairArrays(i, j, value, measure, threshold, measure <= threshold, ratio, at_floor)
+    return d, _PairArrays(i, j, value, measure, threshold, measure <= threshold, ratio, at_floor)
 
 
-def _classify(histories, d, probabilities_scale, strength, tolerance,
-              direction, gamma) -> DecoherenceReport:
+def _classify(model: QuantumModel, rows: np.ndarray | None, scale: float, strength: str,
+              tolerance: TolerancePolicy | None, direction: str, row: int | None = None,
+              measured: tuple[np.ndarray, _PairArrays] | None = None) -> DecoherenceReport:
+    """Classify the set of branch ``rows``, or their ``measured`` Gram and pairs (:func:`_measure`).
+
+    Pair work over the memory budget is refused before the labels are built.
+    """
     tolerance = tolerance or TolerancePolicy()
-    arrays = _pair_arrays(d, probabilities_scale, strength, tolerance, gamma)
+    d, arrays = measured or _measure(model, rows, scale, strength, tolerance, row)
+    histories = model.history_labels()
     classification = arrays.verdict()
     diagonals = d.diagonal().real
     probabilities = None
     if classification == "decoherent":
         probabilities = {
             h: _clamp_probability(p, f"probability of {h}")
-            for h, p in zip(histories, (diagonals / probabilities_scale).tolist())
+            for h, p in zip(histories, (diagonals / scale).tolist())
         }
     return DecoherenceReport(
         direction=direction,
         strength=strength,
         classification=classification,
-        histories=list(histories),
+        histories=histories,
         diagonals=dict(zip(histories, diagonals.tolist())),
         _arrays=arrays,
         probabilities=probabilities,
         tolerance=tolerance,
-        normalization=probabilities_scale,
+        normalization=scale,
     )
 
 
@@ -441,9 +444,8 @@ def check_decoherence(model: QuantumModel, direction: str = "forwards",
         raise ValueError(f"direction must be 'forwards' or 'backwards', got {direction!r}")
     if strength not in ("weak", "strong"):
         raise ValueError(f"strength must be 'weak' or 'strong', got {strength!r}")
-    histories, d = _functional_matrix(model, direction == "backwards")
-    gamma = _floor_gamma(model, model.initial_state.columns.size)
-    return _classify(histories, d, 1.0, strength, tolerance, direction, gamma)
+    return _classify(model, _rows(model, direction == "backwards"), 1.0, strength, tolerance,
+                     direction)
 
 
 def _coerce_initial_state(rho_i, dim: int) -> StateOperator:
@@ -506,9 +508,8 @@ def check_two_state_decoherence(rho_i, rho_f, model: QuantumModel,
     rho_i = _coerce_initial_state(rho_i, model.dim)
     rho_f, factor = _coerce_final_operator(rho_f, model.dim)
     norm = _two_state_normalization(rho_i, rho_f)
-    histories, d = _functional_matrix(model, rho_i=rho_i, factor=factor)
-    return _classify(histories, d, norm, strength, tolerance, "two_state",
-                     _floor_gamma(model, rho_i.columns.size))
+    return _classify(model, _rows(model, rho_i=rho_i, factor=factor), norm, strength, tolerance,
+                     "two_state", rho_i.columns.size)
 
 
 def two_state_functional(rho_i, rho_f, model: QuantumModel, h, h_prime) -> complex:
@@ -729,9 +730,8 @@ def pure_two_state_triviality_check(model: QuantumModel, psi,
     state = StateOperator.from_vector(linalg.as_vector(psi, "psi"))
     # F = C = psi: <W psi, W L_h psi>
     amps = _branch_table(model, state.columns)[:, 0] @ _in_frame(model, state.columns)[:, 0].conj()
-    d = _gram(amps[:, None])  # refused over budget before the labels are built
-    report = _classify(model.history_labels(), d, _two_state_normalization(state, state.rho),
-                       "weak", tolerance, "two_state", _floor_gamma(model, 1))
+    report = _classify(model, amps[:, None], _two_state_normalization(state, state.rho),
+                       "weak", tolerance, "two_state")
     probs = np.abs(amps) ** 2
     amplitudes, probabilities = (dict(zip(report.histories, a.tolist())) for a in (amps, probs))
     if not report.decoherent:
@@ -848,8 +848,8 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
         return PageReport(preconditions, False, reason=f"precondition failed: {', '.join(failed)}")
     reversed_set = time_reversed_history_set(model)
     norm = _two_state_normalization(rho_i, rho_f)  # both sets from the operators checked above
-    original, mirrored = (_classify(*_functional_matrix(m, False, rho_i, factor), norm, "weak",
-                                    tolerance, "two_state", _floor_gamma(m, rho_i.columns.size))
+    original, mirrored = (_classify(m, _rows(m, False, rho_i, factor), norm, "weak", tolerance,
+                                    "two_state", rho_i.columns.size)
                           for m in (model, reversed_set.model))
     if not (original.decoherent and mirrored.decoherent):
         which = []

@@ -12,10 +12,11 @@ unitaries, projectors or a certified family's factors, a conjugation basis
 given to it); the identities, W(t_0) = 1 and the default conjugation
 basis, are built when first read, and final operators, which no model
 keeps, are read where they lie; a certified family's members are built on
-each read.  The lazily computed values, the identities, a state's spectrum
-and a model's own branch tables (one per direction, memoised by
-:mod:`decohist.histories`), are deterministic: threads that read one first
-at the same moment may each compute it, and they obtain identical arrays.
+each read.  The lazily computed values, the identities, a grid's cumulative
+products, a state's spectrum and a model's own branch tables (one per
+direction, memoised by :mod:`decohist.histories`), are deterministic:
+threads that read one first at the same moment may each compute it, and
+they obtain identical arrays.
 """
 
 from __future__ import annotations
@@ -334,10 +335,11 @@ class TimeGrid:
             raise IndexError(f"grid index {k} out of range [0, {self.n_times})")
         if k == 0:
             return self._identity
-        while len(self._cumulative) < k:
-            w = self.step_unitaries[len(self._cumulative)] @ self._cumulative[-1]
-            self._cumulative.append(_freeze(w))
-        return self._cumulative[k - 1]
+        cumulative = self._cumulative
+        while len(cumulative) < k:  # each longer list is published whole, so every one is a correct prefix
+            cumulative = [*cumulative, _freeze(self.step_unitaries[len(cumulative)] @ cumulative[-1])]
+            self._cumulative = cumulative
+        return cumulative[k - 1]
 
     @functools.cached_property
     def _identity(self) -> np.ndarray:

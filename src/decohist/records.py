@@ -27,10 +27,8 @@ from .histories import (
     _carry,
     _check_memory,
     _classify,
-    _floor_gamma,
     _frame,
-    _gram,
-    _pair_arrays,
+    _measure,
     _walk,
     check_decoherence,
 )
@@ -117,20 +115,19 @@ def strong_decoherence_iff_orthogonality(
     own = np.array_equal(cols, psi[:, None])
     per_depth = []
     agrees = True
-    gram, chain = _gram(psi[None]), _gram(cols.T[None])  # without families, the state alone
-    gammas = _floor_gamma(model, psi.size), _floor_gamma(model, cols.size)
+    gram, overlaps = _measure(model, psi[None], 1.0, "strong", tolerance)  # without families
+    chain = (gram, overlaps) if own else _measure(model, cols.T[None], 1.0, "strong", tolerance)
     chain_levels = None if own else _walk(model, cols)
     for depth, branches in enumerate(_walk(model, psi[:, None]), start=1):
-        gram = _gram(branches)
-        overlaps = _pair_arrays(gram, 1.0, "strong", tolerance, gammas[0])
+        gram = overlaps = chain = None  # free the previous level before measuring this one
+        gram, overlaps = _measure(model, branches, 1.0, "strong", tolerance)
+        chain = (gram, overlaps) if own else _measure(model, next(chain_levels), 1.0, "strong", tolerance)
         orthogonal = bool(overlaps.passed.all())
-        chain = gram if own else _gram(next(chain_levels))
-        chains = overlaps if own else _pair_arrays(chain, 1.0, "strong", tolerance, gammas[1])
-        strong = chains.verdict() == "decoherent"
+        strong = chain[1].verdict() == "decoherent"
         max_overlap = float(overlaps.measure.max(initial=0.0))
         per_depth.append((depth, max_overlap, strong, orthogonal == strong))
         agrees &= orthogonal == strong
-    full = _classify(model.history_labels(), chain, 1.0, "strong", tolerance, "forwards", gammas[1])
+    full = _classify(model, None, 1.0, "strong", tolerance, "forwards", measured=chain)
     # gram[i, j] = <b_i, b_j>, the transpose of the functional-ordered matrix
     return OrthogonalityEquivalenceReport(agrees, per_depth, gram.T, full)
 
@@ -177,15 +174,14 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
             f"record time index {time_index} precedes the last family "
             f"(index {model.families[-1].time_index})"
         )
-    histories = model.history_labels()
     table = _branch_table(model, psi[:, None])
-    base = _classify(histories, _gram(table), 1.0, "strong", tolerance, "forwards",
-                     _floor_gamma(model, psi.size))
+    base = _classify(model, table, 1.0, "strong", tolerance, "forwards")
     if not base.decoherent:
         raise ConditionNotSatisfiedError(
             f"strong forwards decoherence does not hold (classification: {base.classification}); "
             "records exist only for strongly decoherent sets"
         )
+    histories = base.histories
     branches = table[:, 0]  # at the last family's time, the frame of the table
     evolved = _carry(model.grid, branches, _frame(model), time_index)
     probabilities = {h: float(np.vdot(v, v).real) for h, v in zip(histories, branches)}

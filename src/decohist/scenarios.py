@@ -34,7 +34,7 @@ from .histories import (
     _carry,
     _check_memory,
     _frame,
-    _gram,
+    _measure,
     _walk,
     check_decoherence,
     time_reversed_history_set,
@@ -413,8 +413,9 @@ def recoherence_scenario(base: QuantumModel,
                               len(extended.families), None)
     reinterference = [
         (float(extended.grid.times[fam.time_index]),
-         float(np.abs(d[np.triu_indices_from(d, 1)]).max(initial=0.0)))
-        for fam, d in zip(rev_families, map(_gram, levels))
+         float(_measure(probe, rows, 1.0, "strong", tolerance or TolerancePolicy())[1]
+               .measure.max(initial=0.0)))
+        for fam, rows in zip(rev_families, levels)
     ]
     reversed_backwards = check_decoherence(reversed_set.model, "backwards", "weak", tolerance)
     original_backwards = check_decoherence(extended, "backwards", "weak", tolerance)

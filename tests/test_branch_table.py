@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 import reference_evaluator as ref
 
-from decohist import histories, records, scenarios
+from decohist import histories, records
 from decohist.cli import main
 from decohist.histories import (
     CoarseGraining,
     TolerancePolicy,
     _branch_table,
     _coerce_final_operator,
-    _functional_matrix,
+    _gram,
+    _rows,
     both_conditions_theorem_check,
     candidate_probability_backwards,
     candidate_probability_forwards,
@@ -88,9 +89,8 @@ def test_functional_matrices_match_reference(kind, n, seed):
             ("forwards", {}, ()), ("backwards", {}, (True,)),
             ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f},
              (False, model.initial_state, factor))):
-        histories, d = _functional_matrix(model, *core)
+        d = _gram(_rows(model, *core))
         expected = ref.functional_matrix(model, direction, **extra)
-        assert histories == model.history_labels()
         assert np.max(np.abs(d - expected)) <= ATOL, direction
         assert np.max(np.abs(d - d.conj().T)) <= ATOL, direction
 
@@ -339,6 +339,28 @@ def test_orthogonality_check_walks_once_per_side(monkeypatch, from_vector):
     assert all(np.array_equal(a, b) for a, b in zip(report.full_report._arrays, full._arrays))
 
 
+@pytest.mark.parametrize("from_vector", [True, False], ids=["from-vector", "from-rho"])
+def test_orthogonality_check_measures_each_level_once_per_side(monkeypatch, from_vector):
+    # the full set's report is built from the last level's measurement, not from a second one
+    sizes = []
+    measure = histories._measure
+
+    def counting(model, rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return measure(model, rows, *args, **kwargs)
+
+    for module in (histories, records):
+        monkeypatch.setattr(module, "_measure", counting)
+    model = random_model(10, dim=5, n_families=3)
+    psi = model.initial_state.state_vector()
+    if not from_vector:
+        model = _with_state(model, model.initial_state.rho)
+    report = strong_decoherence_iff_orthogonality(model, psi)
+    levels = [1, *np.cumprod([len(f) for f in model.families]).tolist()]  # the state alone first
+    assert sizes == [n for n in levels for _ in range(1 if from_vector else 2)]
+    assert report.gram.shape == (levels[-1],) * 2
+
+
 def _readers(model, psi, rho_f):
     """Every report read from a Gram matrix, reduced to plain values that compare exactly."""
     def plain(report):
@@ -378,8 +400,7 @@ def test_readers_never_read_the_lower_triangle(monkeypatch):
         d[np.tril_indices_from(d, -1)] = np.nan
         return d
 
-    for module in (histories, records, scenarios):
-        monkeypatch.setattr(module, "_gram", poisoned)
+    monkeypatch.setattr(histories, "_gram", poisoned)  # the one module that forms a Gram
     model._tables.clear()
     assert _readers(model, psi, rho_f) == expected
 
@@ -414,7 +435,7 @@ def test_derived_and_coarse_models_walk_their_own_tables(monkeypatch):
     for other in (derived, coarse):
         assert other._tables == {}
         for _ in range(2):
-            assert np.max(np.abs(_functional_matrix(other)[1]
+            assert np.max(np.abs(_gram(_rows(other))
                                  - ref.functional_matrix(other))) <= ATOL
     assert [m for m, _ in calls] == [model, derived, coarse]
 
@@ -459,5 +480,5 @@ def test_memoised_functionals_match_reference_in_either_order(kind, n, seed, two
     if two_state_first:
         order.reverse()
     for direction, extra, core in order * 2:  # the second round reads the memo
-        _, d = _functional_matrix(model, *core)
+        d = _gram(_rows(model, *core))
         assert np.max(np.abs(d - ref.functional_matrix(model, direction, **extra))) <= ATOL

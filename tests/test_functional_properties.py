@@ -30,7 +30,8 @@ from test_grid_gaps import _build, layouts
 
 from decohist.histories import (
     _coerce_final_operator,
-    _functional_matrix,
+    _gram,
+    _rows,
     both_conditions_theorem_check,
     time_reversed_history_set,
 )
@@ -67,7 +68,7 @@ def models(draw):
 
 def _directions(model):
     for direction in ("forwards", "backwards"):
-        yield direction, _functional_matrix(model, direction == "backwards")[1]
+        yield direction, _gram(_rows(model, direction == "backwards"))
 
 
 @SETTINGS
@@ -94,7 +95,7 @@ def test_functional_is_hermitian_with_nonnegative_diagonal(case):
         assert np.max(np.abs(d - d.conj().T)) <= ATOL, direction
         assert np.all(d.diagonal().real >= 0.0), direction
     factor = _coerce_final_operator(rho_f, model.dim)[1]
-    _, d = _functional_matrix(model, False, model.initial_state, factor)
+    d = _gram(_rows(model, False, model.initial_state, factor))
     assert np.max(np.abs(d - d.conj().T)) <= ATOL
 
 
@@ -103,7 +104,7 @@ def test_functional_is_hermitian_with_nonnegative_diagonal(case):
 def test_two_state_functional_sums_to_boundary_overlap(case):
     model, rho_f = case
     factor = _coerce_final_operator(rho_f, model.dim)[1]
-    _, d = _functional_matrix(model, False, model.initial_state, factor)
+    d = _gram(_rows(model, False, model.initial_state, factor))
     overlap = np.trace(rho_f @ model.initial_state.rho)
     assert abs(d.sum() - overlap) <= ATOL * max(1.0, abs(overlap))
 

@@ -14,7 +14,7 @@ import reference_evaluator as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decohist.histories import _coerce_final_operator, _functional_matrix, check_decoherence
+from decohist.histories import _coerce_final_operator, _gram, _rows, check_decoherence
 from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
 from decohist.scenarios import collapse_probability_table, haar_unitary
 
@@ -77,7 +77,7 @@ def test_gapped_layouts_match_reference_and_oracle(layout):
             ("forwards", {}, ()), ("backwards", {}, (True,)),
             ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f},
              (False, model.initial_state, factor))):
-        _, d = _functional_matrix(model, *core)
+        d = _gram(_rows(model, *core))
         expected = ref.functional_matrix(model, direction, **extra)
         assert np.max(np.abs(d - expected)) <= ATOL, direction
     diagonals = check_decoherence(model, "forwards").diagonals

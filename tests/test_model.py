@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,35 @@ def test_cumulative_first_product_is_the_first_step():
     assert not grid.cumulative(2).flags.writeable
 
 
+def test_cumulative_products_stay_in_their_slots_when_two_threads_extend_them(monkeypatch):
+    rng = np.random.default_rng(13)
+    steps = [haar_unitary(3, rng) for _ in range(4)]
+    fresh = TimeGrid(np.arange(5.0), steps)
+    expected = [fresh.cumulative(k) for k in range(1, 5)]
+    grid = TimeGrid(np.arange(5.0), steps)
+    barrier, held, freeze = threading.Barrier(2, timeout=10), threading.local(), model_module._freeze
+
+    def holding(a):  # both threads wait here with W(t_2), then again with their next product
+        held.calls = getattr(held, "calls", 0) + 1
+        if held.calls <= 2:
+            barrier.wait()
+        return freeze(a)
+
+    monkeypatch.setattr(model_module, "_freeze", holding)
+    results = [None, None]
+
+    def extend(slot):
+        results[slot] = grid.cumulative(4)
+
+    threads = [threading.Thread(target=extend, args=(slot,)) for slot in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(w is not None and np.array_equal(w, expected[-1]) for w in results)
+    assert all(np.array_equal(grid.cumulative(k), w) for k, w in enumerate(expected, start=1))
+
+
 def test_segment_multiplies_the_steps_between_two_times():
     rng = np.random.default_rng(14)
     steps = [haar_unitary(3, rng) for _ in range(4)]
@@ -252,6 +283,16 @@ def test_family_rejects_incomplete():
     q = np.diag([0.0, 1.0, 0.0])
     with pytest.raises(ModelValidationError, match="completeness"):
         ProjectorFamily(1, [("a", p), ("b", q)])
+
+
+@pytest.mark.parametrize("members,bad", [
+    ([("a", np.ones((2, 3))), ("b", np.eye(2))], "'a' has shape (2, 3), expected (2, 2)"),
+    ([("a", np.diag([1.0, 0.0])), ("b", np.eye(3))], "'b' has shape (3, 3), expected (2, 2)"),
+], ids=["first", "second"])
+def test_family_rejects_a_member_of_the_wrong_shape(members, bad):
+    with pytest.raises(ModelValidationError) as err:
+        ProjectorFamily(1, members)
+    assert bad in str(err.value)
 
 
 # ---------------------------------------------------------------- model assembly

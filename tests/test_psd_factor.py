@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decohist.exceptions import ModelValidationError
-from decohist.histories import _coerce_final_operator, _functional_matrix
+from decohist.histories import _coerce_final_operator, _gram, _rows
 from decohist.model import _FACTOR_RANK, ATOL_MODEL, QuantumModel, StateOperator, _psd_columns
 from decohist.scenarios import haar_unitary, random_model
 
@@ -216,7 +216,7 @@ def test_factored_states_match_the_reference(rank):
     for direction, extra, core in (("forwards", {}, ()), ("backwards", {}, (True,)),
                                    ("two_state", {"rho_i": state, "rho_f": rho_f},
                                     (False, state, factor))):
-        _, d = _functional_matrix(model, *core)
+        d = _gram(_rows(model, *core))
         expected = ref.functional_matrix(model, direction, **extra)
         assert np.max(np.abs(d - expected)) <= 1e-12, direction
 

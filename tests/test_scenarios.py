@@ -255,6 +255,13 @@ def test_recoherence_requires_base_ending_at_zero():
         recoherence_scenario(spin_model(0.6))
 
 
+def test_recoherence_requires_a_family():
+    eye = np.eye(2, dtype=complex)
+    m = QuantumModel(StateOperator.from_vector([1.0, 0.0]), TimeGrid([-1.0, 0.0], [eye]), [])
+    with pytest.raises(ModelValidationError, match="at least one family"):
+        recoherence_scenario(m)
+
+
 def test_recoherence_requires_symmetric_center_state():
     eye = np.eye(2, dtype=complex)
     grid = TimeGrid([-2.0, -1.0, 0.0], [eye, eye])

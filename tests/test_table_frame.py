@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from decohist.histories import (
     TolerancePolicy,
     _coerce_final_operator,
-    _functional_matrix,
+    _gram,
+    _rows,
     both_conditions_theorem_check,
     check_decoherence,
     check_two_state_decoherence,
@@ -99,7 +100,7 @@ def _check_functionals(model, rng):
             ("forwards", {}, ()), ("backwards", {}, (True,)),
             ("two_state", {"rho_i": model.initial_state, "rho_f": rho_f},
              (False, model.initial_state, factor))):
-        d = _functional_matrix(model, *core)[1]
+        d = _gram(_rows(model, *core))
         expected = ref.functional_matrix(model, direction, **extra)
         assert np.max(np.abs(d - expected)) <= ATOL, direction
     hs = model.history_labels()

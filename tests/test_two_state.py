@@ -379,6 +379,16 @@ def test_page_check_reports_failed_state_symmetry():
     assert "precondition" in rep.reason
 
 
+def test_page_check_reports_a_grid_without_time_zero():
+    eye = np.eye(2, dtype=complex)
+    fam = ProjectorFamily(1, [("0", np.diag([1.0, 0.0])), ("1", np.diag([0.0, 1.0]))])
+    m = QuantumModel(StateOperator(eye / 2.0), TimeGrid([1.0, 2.0, 3.0], [eye, eye]), [fam])
+    rep = page_symmetric_cosmology_check(m.initial_state, eye, m)
+    assert rep.preconditions["grid_mirrors_about_zero"] == (False, float("inf"))
+    assert not rep.preconditions_ok
+    assert rep.reason == "precondition failed: grid_mirrors_about_zero"
+
+
 def test_page_check_reports_noncommuting_boundaries():
     m = _mirrored_random_model(19)
     rho_f = np.zeros((m.dim, m.dim))

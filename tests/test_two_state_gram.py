@@ -29,7 +29,8 @@ from test_grid_gaps import _build, layouts
 
 from decohist.histories import (
     _coerce_final_operator,
-    _functional_matrix,
+    _gram,
+    _rows,
     pure_two_state_triviality_check,
 )
 from decohist.model import StateOperator
@@ -89,7 +90,7 @@ def test_two_state_gram_matches_the_reference(case):
 
 
 def _assert_matches_the_reference(model, rho_f, factor):
-    _, d = _functional_matrix(model, False, model.initial_state, factor)
+    d = _gram(_rows(model, False, model.initial_state, factor))
     expected = ref.functional_matrix(model, "two_state", rho_i=model.initial_state, rho_f=rho_f)
     scale = max(1.0, np.trace(rho_f).real)  # entries, and their rounding, grow with rho_f
     assert np.max(np.abs(d - expected)) <= ATOL * scale
@@ -113,7 +114,7 @@ def test_pure_boundaries_give_rank_one_two_state_functional(model, seed):
     amps = np.array([report.amplitudes[h] for h in model.history_labels()])
     expected = np.array([np.vdot(psi, chain @ psi) for chain in ref.chain_operators(model)])
     assert np.max(np.abs(amps - expected)) <= ATOL
-    _, d = _functional_matrix(model, False, state, _coerce_final_operator(state, model.dim)[1])
+    d = _gram(_rows(model, False, state, _coerce_final_operator(state, model.dim)[1]))
     assert np.max(np.abs(d - np.outer(amps, amps.conj()))) <= ATOL
     if report.condition_holds:
         assert report.all_zero_or_one
@@ -122,8 +123,8 @@ def test_pure_boundaries_give_rank_one_two_state_functional(model, seed):
 @SETTINGS
 @given(st.one_of(models((2, 8)), models((33, 36))))
 def test_identity_final_operator_gives_the_forwards_functional(model):
-    _, forwards = _functional_matrix(model)
+    forwards = _gram(_rows(model))
     factor = _coerce_final_operator(np.eye(model.dim, dtype=complex), model.dim)[1]
     assert factor is None
-    _, d = _functional_matrix(model, False, model.initial_state, factor)
+    d = _gram(_rows(model, False, model.initial_state, factor))
     assert np.array_equal(d, forwards)
