@@ -1,9 +1,10 @@
 """Rigorous rounding bounds for validation, and the factor certificate of projector families.
 
 The bounds follow Higham, *Accuracy and Stability of Numerical Algorithms*,
-section 3.1, with u the unit roundoff.  :func:`_factor_bounds` proves that
-the dense checks of a projector family would pass without forming its pair
-products (see :class:`decohist.model.ProjectorFamily`).
+section 3.1, with u the unit roundoff.  :func:`_factor_bounds` bounds every
+dense check of a projector family at once, from one factor per member and
+no pair product; when that one bound meets the tolerance the family is
+certified whole (see :class:`decohist.model.ProjectorFamily`).
 """
 
 from __future__ import annotations
@@ -52,17 +53,15 @@ def _factor_columns(p: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
     return q
 
 
-def _factor_bounds(projectors, c_norm: float, work: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]] | None:
-    """Bounds from one factor per member on each dense check of a family, or None.
+def _factor_bounds(projectors, c_norm: float, work: np.ndarray) -> tuple[list[np.ndarray], float] | None:
+    """The factors Q_a of a family and the largest of its bounds on the dense checks, or None.
 
-    Returns (B, h, w, Q): B[a, b] bounds max |P_a P_b| and B[a, a]
-    max |P_a^2 - P_a|, h[a] max |P_a - P_a^dagger|, each as the dense check
-    computes it, w[a] every row and column 2-norm of P_a, and Q the factors
-    Q_a (d x r_a), with ||Q_a Q_a^dagger - P_a||_F <= e_a; ``c_norm`` is
+    The bound covers every max |P_a P_b| (a != b), max |P_a^2 - P_a| and
+    max |P_a - P_a^dagger|, each as the dense check computes it, so when it
+    is at most the tolerance every check would pass silently; ``c_norm`` is
     the computed ||C||_F, C = sum_b P_b - I.  Member a is factored through
     its r_a = round(tr P_a) largest diagonal entries (:func:`_factor_columns`);
-    the proof uses the computed Q_a as it is.  E_a = Q_a Q_a^dagger - P_a,
+    the proof uses the computed Q_a (d x r_a) as it is.  E_a = Q_a Q_a^dagger - P_a,
     formed in ``work``, has ||E_a||_F <= e_a: its computed norm (1 + 4u) plus
     sqrt(2) gamma_{r_a+2} ||Q_a||_F^2 for the product's rounding.  When the
     ranks sum to d, Q = [Q_1 ... Q_n] is square, so
@@ -78,8 +77,8 @@ def _factor_bounds(projectors, c_norm: float, work: np.ndarray
     |P_a P_b| <= rho_a rho_b eps + s_a e_b + e_a s_b + e_a e_b; P_a^2 - P_a
     adds E_a to the same expansion with b = a; each bound adds
     sqrt(2) gamma_{d+2} w_a w_b for the dense product's rounding.  And
-    P_a - P_a^dagger = E_a^dagger - E_a gives h_a = 2 (1 + u) e_a.  None when
-    the ranks do not sum to d, a factor fails, or a bound is not finite.
+    P_a - P_a^dagger = E_a^dagger - E_a gives 2 (1 + u) e_a.  None when
+    the ranks do not sum to d, a factor fails, or eps is not finite.
     """
     n, d = len(projectors), projectors[0].shape[0]
     ranks = [round(float(np.trace(p).real)) for p in projectors]
@@ -111,5 +110,5 @@ def _factor_bounds(projectors, c_norm: float, work: np.ndarray
     bounds = (np.outer(rho, rho) * eps + np.outer(s, e) + np.outer(e, s) + np.outer(e, e)
               + math.sqrt(2.0) * _gamma(d + 2) * np.outer(w, w))
     bounds[np.diag_indices(n)] += e
-    return (_BOUND_SLACK * bounds, _BOUND_SLACK * 2.0 * (1.0 + _UNIT_ROUNDOFF) * e, _BOUND_SLACK * w,
-            factors)
+    return factors, max(_BOUND_SLACK * float(bounds.max()),
+                        _BOUND_SLACK * 2.0 * (1.0 + _UNIT_ROUNDOFF) * float(e.max()))

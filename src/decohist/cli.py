@@ -40,7 +40,7 @@ from .histories import (
     check_decoherence,
     page_symmetric_cosmology_check,
 )
-from .model import ProjectorFamily, QuantumModel, TimeGrid, _dynamics_symmetry_defect
+from .model import ProjectorFamily, QuantumModel, TimeGrid, _dynamics_symmetry_defect, _eigen_floor
 from .modelfile import load_model, model_to_dict
 
 EXIT_DECOHERENT = 0
@@ -233,7 +233,7 @@ def _cmd_probs(args, model: QuantumModel, rho_final: np.ndarray | None, tol: Tol
 def _rank_one_vector(model: QuantumModel, rho_final: np.ndarray, command: str) -> np.ndarray:
     """The state vector of a valid rank-one rho_final; anything else exits 65."""
     w, v = np.linalg.eigh(_coerce_final_operator(rho_final, model.dim)[0])
-    if np.sum(w > 1e-10) != 1:
+    if np.sum(w > _eigen_floor(w)) != 1:
         raise _CliError(f"{command} needs rho_final of rank one", EXIT_INVARIANT)
     return v[:, -1]
 

@@ -146,21 +146,24 @@ def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     return c.T if s_norm + allowance <= ATOL_MODEL / 2 else None
 
 
+def _eigen_floor(w: np.ndarray) -> float:
+    """max(ATOL_MODEL, ``_EIGH_SLACK`` d u max|lambda|): eigenvalues ``w`` (ascending) this near 0 are 0.
+
+    The second term is ``eigh``'s own error: it is exact for h + E with
+    ||E||_2 about d u ||h||_2, which moves each eigenvalue by at most ||E||_2
+    (Weyl), so a large-trace operator is not misjudged; a state's floor is ATOL_MODEL.
+    """
+    return max(ATOL_MODEL, _EIGH_SLACK * w.size * _UNIT_ROUNDOFF * max(-w[0], w[-1]))
+
+
 def _eigh(h: np.ndarray,
           error: str = "state operator is not positive semidefinite (min eigenvalue {:.3e})"):
     """Read-only eigenvalues (ascending), eigenvectors and ``eigen_columns`` of the Hermitian ``h``.
 
-    The eigenvalue rule decides positivity: a smallest eigenvalue below
-    -max(ATOL_MODEL, ``_EIGH_SLACK`` d u max|lambda|) raises ``error``,
-    formatted with it.  The second term is the eigensolver's own error,
-    which grows with ||h||_2 = max|lambda| (a backward stable ``eigh`` is
-    exact for h + E with ||E||_2 about d u ||h||_2, and Weyl's inequality
-    moves each eigenvalue by at most ||E||_2), so a PSD operator of large
-    trace is not rejected for rounding.  For a state, max|lambda| <= 1
-    keeps the floor at ATOL_MODEL.
+    A smallest eigenvalue below -:func:`_eigen_floor` raises ``error``, formatted with it.
     """
     w, v = np.linalg.eigh(h)
-    if w[0] < -max(ATOL_MODEL, _EIGH_SLACK * h.shape[0] * _UNIT_ROUNDOFF * max(-w[0], w[-1])):
+    if w[0] < -_eigen_floor(w):
         raise ModelValidationError(error.format(w[0]))
     keep = w > SPECTRAL_CUTOFF
     return _freeze(w), _freeze(v), _freeze(v[:, keep] * np.sqrt(w[keep]))
@@ -373,27 +376,27 @@ class ProjectorFamily:
     orthogonal, and the family must be exhaustive; all within ``ATOL_MODEL``
     elementwise (near-violations inside 10x the tolerance only warn).
 
-    A family of at least 4 members whose rounded ranks sum to d is certified
-    from one factor Q_a per member, P_a ~ Q_a Q_a^dagger: Q = [Q_1 ... Q_n]
-    is square, so ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 bounds every
-    cross block Q_a^dagger Q_b without a pair product (see
-    :func:`decohist.bounds._factor_bounds`); since Q_a Q_a^dagger is
-    Hermitian, the same residual bounds each member's Hermiticity defect.
-    Idempotence is proven from that certificate or from the pair products
-    and the completeness defect (see :meth:`_bound_defects`).  A defect is
-    formed only where its bounds exceed the tolerance.  The checks report in
-    the dense order (Hermiticity and idempotence per member, then the pairs,
-    then completeness), so verdicts, messages and warnings are those of
-    forming every product.
+    A family of at least 4 members whose completeness defect is within the
+    tolerance is offered to the factor certificate: one factor Q_a per
+    member, P_a ~ Q_a Q_a^dagger, and since Q = [Q_1 ... Q_n] is square,
+    ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 bounds every cross block
+    Q_a^dagger Q_b without a pair product (see
+    :func:`decohist.bounds._factor_bounds`).  The certificate is all or
+    nothing: when its largest bound (pairs, idempotence and Hermiticity) is
+    within the tolerance, the family is certified and forms no other defect;
+    otherwise the dense rule decides every check (see :meth:`_bound_defects`).
+    Each bound is on its check as the dense rule computes it, so the checks
+    report in the dense order (Hermiticity and idempotence per member, then
+    the pairs, then completeness) with the verdicts, messages and warnings
+    of forming every product.
 
-    Validation reads the caller's matrices without copying them.  A family
-    whose certificate alone proves every check is certified and keeps only
-    its factors Q_a (d x r_a, d^2 numbers in all): :meth:`apply` applies a
-    member as Q_a (Q_a^dagger x), and ``projectors`` and :meth:`member`
-    build Q_a Q_a^dagger, read-only, on each read and keep none, within e_a
-    of the input in Frobenius norm (||Q_a Q_a^dagger - P_a||_F <= e_a, see
-    :func:`decohist.bounds._factor_bounds`).  So a certified family's dump
-    and reload agree within e_a, not bit for bit.  Any other family keeps
+    Validation reads the caller's matrices without copying them.  A
+    certified family keeps only its factors Q_a (d x r_a, d^2 numbers in
+    all): :meth:`apply` applies a member as Q_a (Q_a^dagger x), and
+    ``projectors`` and :meth:`member` build Q_a Q_a^dagger, read-only, on
+    each read and keep none, within e_a of the input in Frobenius norm
+    (||Q_a Q_a^dagger - P_a||_F <= e_a).  So a certified family's dump and
+    reload agree within e_a, not bit for bit.  Any other family keeps
     read-only copies of its inputs, equal to them bit for bit.
     """
 
@@ -410,7 +413,6 @@ class ProjectorFamily:
             raise ModelValidationError(f"duplicate member labels in family: {labels}")
         dim = projectors[0].shape[0]
         n_square = next((a for a, p in enumerate(projectors) if p.shape != (dim, dim)), len(projectors))
-        factors = None
         if n_square == len(projectors):
             herm, idem, orth, complete, factors = self._bound_defects(projectors)
         else:
@@ -435,28 +437,23 @@ class ProjectorFamily:
 
     @staticmethod
     def _bound_defects(projectors):
-        """Hermiticity defects, idempotence bounds, orthogonality defects and the completeness defect.
+        """Hermiticity defects, idempotence bounds, orthogonality defects, completeness defect, factors.
 
-        With C = sum_b P_b - I, the exact identity
-        P_a^2 - P_a = P_a C - sum_{b != a} P_a P_b bounds a member's
-        idempotence defect by the pair products and C; for b < a, P_a P_b
-        comes from the computed P_b P_a through
-        P_a P_b = (P_b P_a)^dagger + P_a^dagger H_b + H_a P_b, H = P - P^dagger.
-        Row and column 2-norms bound every rounding error, that of the dense
-        check p @ p - p included (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, section 3.1: sqrt(2) gamma_{d+2} per complex
-        inner product of length d), so a member whose bound is at most
-        ``ATOL_MODEL`` would pass the dense check silently.
-
-        A family of at least 4 members whose ranks sum to d is first
-        certified by :func:`decohist.bounds._factor_bounds` through the
-        square-Q identity ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2
-        = ||C + sum_a E_a||_2, which also bounds each member's Hermiticity
-        defect and row and column norms.  A defect whose certified bound is
-        at most ``ATOL_MODEL`` is recorded as that bound; the others are
-        computed as the dense rule computes them, and a member's idempotence
-        bound is the smaller of the two.  The factors come back too when
-        the certificate alone decides every check, and None otherwise.
+        A family of at least 4 members whose completeness defect is at most
+        ``ATOL_MODEL`` is offered to :func:`decohist.bounds._factor_bounds`.
+        When its largest bound is at most ``ATOL_MODEL`` too, that bound stands
+        for every Hermiticity and idempotence defect, no pair is listed, and the
+        factors come back.  Otherwise the factors are None and the dense rule
+        forms every Hermiticity defect and pair product, and bounds each
+        member's idempotence defect: with C = sum_b P_b - I, the exact identity
+        P_a^2 - P_a = P_a C - sum_{b != a} P_a P_b bounds it by the pair
+        products and C; for b < a, P_a P_b comes from the computed P_b P_a
+        through P_a P_b = (P_b P_a)^dagger + P_a^dagger H_b + H_a P_b,
+        H = P - P^dagger.  Row and column 2-norms bound every rounding error,
+        that of the dense check p @ p - p included (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, section 3.1: sqrt(2) gamma_{d+2}
+        per complex inner product of length d), so a member whose bound is at
+        most ``ATOL_MODEL`` would pass the dense check silently.
         """
         n, d = len(projectors), projectors[0].shape[0]
         c = projectors[0].copy()  # C, summed in the order of sum(projectors) - I
@@ -464,29 +461,22 @@ class ProjectorFamily:
             c += p
         c[np.diag_indices(d)] -= 1.0
         complete = linalg.max_abs(c)
-        cert = _factor_bounds(projectors, float(np.linalg.norm(c)), c) if n >= _CERTIFIED_FAMILY else None
+        if n >= _CERTIFIED_FAMILY and complete <= ATOL_MODEL:  # offered to the certificate
+            cert = _factor_bounds(projectors, float(np.linalg.norm(c)), c)
+            if cert is not None and cert[1] <= ATOL_MODEL:
+                return [cert[1]] * n, [cert[1]] * n, {}, complete, cert[0]
+            del cert  # the dense rule uses none of its bounds
         del c
-        factors = None
-        if cert is None:
-            bounds, herm = None, [_hermiticity_defect(p) for p in projectors]
-            squares = (np.square(p.real) + np.square(p.imag) for p in projectors)  # one at a time
-            rows, cols = np.sqrt([(s.sum(axis=1).max(initial=0.0), s.sum(axis=0).max(initial=0.0))
-                                  for s in squares]).T
-        else:
-            bounds, herm, rows, factors = cert
-            if max(bounds.max(), herm.max(), complete) > ATOL_MODEL:
-                factors = None  # a check that the certificate leaves open keeps the copies
-            herm = [float(h) if h <= ATOL_MODEL else _hermiticity_defect(p) for h, p in zip(herm, projectors)]
-            cols = rows
+        herm = [_hermiticity_defect(p) for p in projectors]
+        squares = (np.square(p.real) + np.square(p.imag) for p in projectors)  # one at a time
+        rows, cols = np.sqrt([(s.sum(axis=1).max(initial=0.0), s.sum(axis=0).max(initial=0.0))
+                              for s in squares]).T
         g = math.sqrt(2.0) * _gamma(d + 2)  # rounding of one complex inner product
         herm_cols = math.sqrt(d) * np.asarray(herm)  # bounds every row and column 2-norm of H
         others = np.zeros(n)  # per member a, bounds on the exact max |P_a P_b| summed over b != a
         orth = {}
         for a, b in itertools.combinations(range(n), 2):
-            if bounds is not None and bounds[a, b] <= ATOL_MODEL:
-                orth[a, b] = float(bounds[a, b])
-            else:
-                orth[a, b] = linalg.max_abs(projectors[a] @ projectors[b])
+            orth[a, b] = linalg.max_abs(projectors[a] @ projectors[b])
             ab = orth[a, b] + g * rows[a] * cols[b]
             # P_b P_a = (P_a P_b)^dagger + P_b^dagger H_a + H_b P_a
             others[a] += ab
@@ -495,9 +485,7 @@ class ProjectorFamily:
         # its n-term sum, at most sqrt(2) gamma_n (sum_b |P_b| + I) elementwise.
         c_cols = math.sqrt(d) * complete + math.sqrt(2.0) * _gamma(n) * (cols.sum() + 1.0)
         idem = _BOUND_SLACK * (rows * c_cols + others + g * rows * cols)
-        if bounds is not None:
-            idem = np.fmin(idem, bounds.diagonal())
-        return herm, idem, orth, complete, factors
+        return herm, idem, orth, complete, None
 
     def _index(self, label_or_index) -> int:
         if isinstance(label_or_index, (int, np.integer)):

@@ -113,20 +113,22 @@ def strong_decoherence_iff_orthogonality(
     tolerance = tolerance or TolerancePolicy()
     cols = model.initial_state.columns
     own = np.array_equal(cols, psi[:, None])
-    per_depth = []
-    agrees = True
-    gram, overlaps = _measure(model, psi[None], 1.0, "strong", tolerance)  # without families
-    chain = (gram, overlaps) if own else _measure(model, cols.T[None], 1.0, "strong", tolerance)
+    psi_levels = _walk(model, psi[:, None])
     chain_levels = None if own else _walk(model, cols)
-    for depth, branches in enumerate(_walk(model, psi[:, None]), start=1):
+    per_depth, agrees = [], True
+    for depth in range(model.n_families + 1):  # depth 0: the set without families
         gram = overlaps = chain = None  # free the previous level before measuring this one
-        gram, overlaps = _measure(model, branches, 1.0, "strong", tolerance)
-        chain = (gram, overlaps) if own else _measure(model, next(chain_levels), 1.0, "strong", tolerance)
+        gram, overlaps = _measure(model, next(psi_levels) if depth else psi[None], 1.0, "strong", tolerance)
         orthogonal = bool(overlaps.passed.all())
-        strong = chain[1].verdict() == "decoherent"
         max_overlap = float(overlaps.measure.max(initial=0.0))
-        per_depth.append((depth, max_overlap, strong, orthogonal == strong))
-        agrees &= orthogonal == strong
+        if not own:  # the psi side's pairs are read no further: free them first
+            overlaps = None
+            chain = _measure(model, next(chain_levels) if depth else cols.T[None], 1.0, "strong", tolerance)
+        chain = chain or (gram, overlaps)
+        if depth:
+            strong = chain[1].verdict() == "decoherent"
+            per_depth.append((depth, max_overlap, strong, orthogonal == strong))
+            agrees &= orthogonal == strong
     full = _classify(model, None, 1.0, "strong", tolerance, "forwards", measured=chain)
     # gram[i, j] = <b_i, b_j>, the transpose of the functional-ordered matrix
     return OrthogonalityEquivalenceReport(agrees, per_depth, gram.T, full)

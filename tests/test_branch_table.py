@@ -7,6 +7,7 @@ one-``vdot``-per-pair evaluation in ``reference_evaluator``.
 
 import itertools
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,27 @@ def test_orthogonality_check_measures_each_level_once_per_side(monkeypatch, from
     levels = [1, *np.cumprod([len(f) for f in model.families]).tolist()]  # the state alone first
     assert sizes == [n for n in levels for _ in range(1 if from_vector else 2)]
     assert report.gram.shape == (levels[-1],) * 2
+
+
+def test_orthogonality_check_frees_the_psi_side_before_the_state_side(monkeypatch):
+    # only the psi side's verdict and largest overlap are read, so its pair
+    # arrays are gone by the time the state's side is measured
+    sides = []
+    measure = records._measure
+
+    def watched(model, rows, *args, **kwargs):
+        if len(sides) % 2:  # the state's side of a level
+            assert sides[-1]() is None
+        result = measure(model, rows, *args, **kwargs)
+        sides.append(weakref.ref(result[1].measure))
+        return result
+
+    monkeypatch.setattr(records, "_measure", watched)
+    model = random_model(10, dim=5, n_families=3)
+    psi = model.initial_state.state_vector()
+    model = _with_state(model, model.initial_state.rho)
+    strong_decoherence_iff_orthogonality(model, psi)
+    assert len(sides) == 2 * (model.n_families + 1)
 
 
 def _readers(model, psi, rho_f):

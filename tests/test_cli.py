@@ -179,6 +179,28 @@ def test_abl_impossible_selection_exit_65(tmp_path, capsys):
     assert "invariant violation: pre/post-selection pair is impossible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_large_trace_rank_one_rho_final(tmp_path, capsys, dim):
+    # eigh leaves the null eigenvalues of 1e6 v v^dagger near d u 1e6, above 1e-10
+    model = random_model(1, dim, 2)
+    u = haar_unitary(dim, np.random.default_rng(dim))
+    tables = []
+    for rho_final in (np.outer(u[:, 0], u[:, 0].conj()), 1e6 * np.outer(u[:, 0], u[:, 0].conj())):
+        path = tmp_path / "post.json"
+        path.write_text(json.dumps(model_to_dict(model, rho_final)))
+        code, report = run_cli(capsys, "abl", "--model", str(path))
+        assert code == 0
+        tables.append({tuple(e["history"]): e["probability"] for e in report["result"]["table"]})
+        assert main(["reverse", "--model", str(path)]) == 0
+        capsys.readouterr()
+    assert tables[0].keys() == tables[1].keys()
+    assert max(abs(tables[0][h] - tables[1][h]) for h in tables[0]) <= 1e-12
+    # rank two at the same scale is still refused
+    path.write_text(json.dumps(model_to_dict(model, 1e6 * u[:, :2] @ u[:, :2].conj().T)))
+    assert main(["abl", "--model", str(path)]) == 65
+    assert "abl needs rho_final of rank one" in capsys.readouterr().err
+
+
 def test_reverse_command(capsys):
     code, report = run_cli(capsys, "reverse", "--scenario", "spin", "a=0.6")
     assert code == 0

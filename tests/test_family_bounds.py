@@ -216,17 +216,29 @@ def _orthogonality_leak(scale: float) -> list[tuple[str, np.ndarray]]:
 
 
 # max_abs calls: the Hermiticity defects, idempotence products and pair products
-# that the bounds leave, and the completeness defect.
-@pytest.mark.parametrize("members, calls", [
-    (_zero_member(), 0 + 0 + 0 + 1),
-    (_equal_pivot_columns(), 4 + 0 + 6 + 1),
-    (_short_ranks(), 4 + 4 + 6 + 1),
-    (_orthogonality_leak(0.9), None),
-    (_orthogonality_leak(1.1), None),
+# that the bounds leave, and the completeness defect; and whether the family is
+# certified (None: it is rejected).  The certificate cannot prove a leak's pair,
+# so the leaks take the dense rule whole, Hermiticity passes included.
+@pytest.mark.parametrize("members, calls, certified", [
+    (_zero_member(), 0 + 0 + 0 + 1, True),
+    (_equal_pivot_columns(), 4 + 0 + 6 + 1, False),
+    (_short_ranks(), 4 + 4 + 6 + 1, None),
+    (_orthogonality_leak(0.9), 5 + 5 + 10 + 1, False),
+    (_orthogonality_leak(1.1), 5 + 5 + 10 + 1, False),
 ], ids=["zero-member", "equal-pivot-columns", "short-ranks", "leak-0.9", "leak-1.1"])
-def test_certificate_edge_cases_match_the_dense_rule(members, calls, max_abs_calls):
-    assert _outcome(lambda: ProjectorFamily(1, members)) == _outcome(lambda: dense_family_check(members))
-    assert calls is None or len(max_abs_calls) == calls
+def test_certificate_edge_cases_match_the_dense_rule(members, calls, certified, max_abs_calls):
+    got = _outcome(lambda: ProjectorFamily(1, members))
+    assert got == _outcome(lambda: dense_family_check(members))
+    assert len(max_abs_calls) == calls
+    assert (certified is None) == got[0].startswith("rejected")
+    if certified is None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        family = ProjectorFamily(1, members)
+    assert family.certified == certified
+    if not certified:  # an uncertified family keeps its inputs bit for bit
+        assert all(np.array_equal(p, q) for (_, p), q in zip(members, family.projectors))
 
 
 def test_count_products_reports_a_certified_family():
