@@ -59,12 +59,14 @@ def main() -> None:
     built = _trace_families()
     print(f"{'input':<14} {'seed':>5} {'families':>8} {'members':>8} {'certified':>9} {'worst bound':>12}")
 
-    def row(name: str, seed: int, build) -> None:
+    def row(name: str, seed: int, build):
+        """Print the row of the families that ``build()`` validates, and return what it returns."""
         built.clear()
-        build()
+        result = build()
         bounds = [b for _, _, b in built if b is not None]
         print(f"{name:<14} {seed:>5} {len(built):>8} {','.join(sorted({str(n) for n, _, _ in built})):>8}"
               f" {sum(c for _, c, _ in built):>9} {f'{max(bounds):.1e}' if bounds else '-':>12}")
+        return result
 
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
@@ -73,14 +75,12 @@ def main() -> None:
             row("large-dim", seed, lambda: [model.ProjectorFamily(k + 1, members)
                                             for k, members in enumerate(arrays.families)])
             rng = np.random.default_rng([seed, 3])
-            loaded = {}
             for key, n_qubits in (("reg6", 6), ("reg4", 4)):
                 path = Path(tmp) / f"{key}.json"
                 inputs.write_model_file(inputs.register_model(n_qubits, rng), path)
-                row(key, seed, lambda: loaded.update({key: load_model(path)[0]}))
-            reg4 = loaded["reg4"]
+                loaded = row(key, seed, lambda: load_model(path)[0])
             row("reg4 records", seed,
-                lambda: construct_records(reg4, reg4.initial_state.state_vector()))
+                lambda: construct_records(loaded, loaded.initial_state.state_vector()))
 
 
 if __name__ == "__main__":
