@@ -41,7 +41,7 @@ from .histories import (
     page_symmetric_cosmology_check,
 )
 from .model import ProjectorFamily, QuantumModel, TimeGrid, _dynamics_symmetry_defect, _eigen_floor
-from .modelfile import load_model, model_to_dict
+from .modelfile import _to_pairs, load_model, model_to_dict
 
 EXIT_DECOHERENT = 0
 EXIT_NOT_DECOHERENT = 1
@@ -279,10 +279,7 @@ def _cmd_records(args, model: QuantumModel, rho_final: np.ndarray | None, tol: T
         "probabilities": _sorted_table(recs.probabilities),
         "correlation": recs.correlation.tolist(),
         "extension_classification": recs.extension_report.classification,
-        "projections": {
-            ",".join(h): np.stack((p.real, p.imag), -1).tolist()
-            for h, p in sorted(recs.projections.items())
-        },
+        "projections": {",".join(h): _to_pairs(p) for h, p in sorted(recs.projections.items())},
     }
     return body, EXIT_DECOHERENT
 

@@ -25,8 +25,10 @@ its factor), so shared prefixes are computed once (one O(d^2 r) product per
 node).
 Its last level, W L_h C with W the unitary up to the last family's time, is
 the branch table: W cancels from every Gram entry, so every functional is one
-Gram product of the table as it stands, and a factor or column that meets
-the table is carried into W's frame instead.  The walk's levels are the
+Gram product of the table as it stands.  Only this module applies W:
+columns that meet the table are carried into W's frame (:func:`_overlaps`,
+a two-state factor), rows wanted at another time out of it
+(:func:`_from_frame`).  The walk's levels, from depth 0 on, are the
 truncated sets.  Every verdict is one :func:`_classify` of a set's branch
 rows (:func:`_rows`), which forms their Gram, rounding floor and pair arrays
 (:func:`_measure`).
@@ -218,18 +220,19 @@ def _check_memory(m: int, row: int, pair_work: bool = True) -> None:
 
 
 def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
-    """Schrodinger-picture prefix walk over the families, one level per family.
+    """Schrodinger-picture prefix walk over the families, one level per depth from 0.
 
-    Each level has shape (nodes, r, d): one node per history prefix, in
+    Level k has shape (nodes, r, d): one node per prefix of k families, in
     lexicographic order, holding the transposed columns P_k U_k ... P_1 U_1 C
-    at the family's time, where U_k carries the state between consecutive
-    family times (:func:`_carry`).  Backwards walks the families latest
-    first, from W(t_n) C through the adjoint segments.  A set whose branch
-    table is over the memory budget is refused before the first level.
+    at the family's time (level 0 is ``cols.T[None]``), where U_k carries the
+    state between family times (:func:`_carry`).  Backwards walks the families
+    latest first, from W(t_n) C through the adjoint segments.  A set whose
+    branch table is over the memory budget is refused before level 0.
     """
     _check_memory(math.prod(map(len, model.families)), cols.size, pair_work=False)
     order = range(model.n_families)
     nodes, prev = cols.T[None], 0
+    yield nodes
     for k in (reversed(order) if backwards else order):
         fam = model.families[k]
         flat = _carry(model.grid, nodes.reshape(-1, nodes.shape[-1]), prev, fam.time_index)
@@ -270,14 +273,13 @@ def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False
     The last level of the walk, left in the frame of the last family it
     meets: W = W(t_n) forwards and W(t_1) backwards.  W is unitary, so it
     cancels from every inner product of two rows; an overlap with
-    initial-time columns v is <W v, row> (:func:`_in_frame`).  The model's
+    initial-time columns v is <W v, row> (:func:`_overlaps`).  The model's
     own table, that of columns equal to its state's ``columns`` (for a pure
     state, its vector), is memoised on the model per direction, read-only.
     """
     own = cols is model.initial_state.columns or np.array_equal(cols, model.initial_state.columns)
     if own and backwards in model._tables:
         return model._tables[backwards]
-    table = cols.T[None]
     for table in _walk(model, cols, backwards):
         pass
     if own:
@@ -288,6 +290,20 @@ def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False
 def _in_frame(model: QuantumModel, cols: np.ndarray) -> np.ndarray:
     """Initial-time columns v (at most d) as W v, in the frame of the forwards branch table."""
     return _carry(model.grid, cols.T, 0, _frame(model)).T
+
+
+def _overlaps(model: QuantumModel, cols: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """<V, L_h C> per history for d x r columns V at grid index k: V, not the table, meets the frame.
+
+    Chain expectations Tr(L_h rho) and triviality amplitudes take V = C at 0; ABL, psi_f at the end.
+    """
+    table = _branch_table(model, cols)
+    return table.reshape(len(table), -1) @ _carry(model.grid, v.T, k, _frame(model)).conj().reshape(-1)
+
+
+def _from_frame(model: QuantumModel, table: np.ndarray, k: int) -> np.ndarray:
+    """The rows of a forwards branch ``table`` carried from its frame to grid index k, (m r, d)."""
+    return _carry(model.grid, table.reshape(-1, model.dim), _frame(model), k)
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -685,10 +701,8 @@ def both_conditions_theorem_check(model: QuantumModel,
             failed.append("backwards")
         return BothConditionsReport(False, f"not applicable: {' and '.join(failed)} "
                                            "weak decoherence fails", fwd, bwd)
-    # Tr(L_h rho) = <C, L_h C> = <W C, W L_h C> for rho = C C^dagger
-    cols = model.initial_state.columns
-    table = _branch_table(model, cols)
-    chain = table.reshape(len(table), -1) @ _in_frame(model, cols).T.conj().reshape(-1)
+    cols = model.initial_state.columns  # Tr(L_h rho) = <C, L_h C> for rho = C C^dagger
+    chain = _overlaps(model, cols, cols, 0)
     chain_vals = dict(zip(model.history_labels(), chain.real.tolist()))
     table_diff = max(abs(fwd.probabilities[h] - bwd.probabilities[h]) for h in fwd.probabilities)
     chain_diff = max(
@@ -728,8 +742,7 @@ def pure_two_state_triviality_check(model: QuantumModel, psi,
     Values within ``TABLE_ATOL`` of 0 or 1, and of their amplitudes, count as such.
     """
     state = StateOperator.from_vector(linalg.as_vector(psi, "psi"))
-    # F = C = psi: <W psi, W L_h psi>
-    amps = _branch_table(model, state.columns)[:, 0] @ _in_frame(model, state.columns)[:, 0].conj()
+    amps = _overlaps(model, state.columns, state.columns, 0)  # F = C = psi: <psi, L_h psi>
     report = _classify(model, amps[:, None], _two_state_normalization(state, state.rho),
                        "weak", tolerance, "two_state")
     probs = np.abs(amps) ** 2

@@ -11,12 +11,12 @@ across threads.  A model keeps one copy of each stored input (state, step
 unitaries, projectors or a certified family's factors, a conjugation basis
 given to it); the identities, W(t_0) = 1 and the default conjugation
 basis, are built when first read, and final operators, which no model
-keeps, are read where they lie; a certified family's members are built on
-each read.  The lazily computed values, the identities, a grid's cumulative
-products, a state's spectrum and a model's own branch tables (one per
-direction, memoised by :mod:`decohist.histories`), are deterministic:
-threads that read one first at the same moment may each compute it, and
-they obtain identical arrays.
+keeps, are read where they lie; a certified family's members and a grid's
+products of steps are built on each read and not kept.  The lazily computed
+values, the identities, a state's spectrum and a model's own branch tables
+(one per direction, memoised by :mod:`decohist.histories`), are
+deterministic: threads that read one first at the same moment may each
+compute it, and they obtain identical arrays.
 """
 
 from __future__ import annotations
@@ -306,7 +306,6 @@ class TimeGrid:
             _check(linalg.unitarity_defect(u, ATOL_MODEL), f"step unitary {i} unitarity")
         self.times = _freeze(t)
         self.step_unitaries = tuple(_freeze(u) for u in steps)
-        self._cumulative: list[np.ndarray] = [self.step_unitaries[0]]  # W(t_k) at k - 1
 
     @classmethod
     def from_generators(cls, times, generators) -> "TimeGrid":
@@ -331,18 +330,13 @@ class TimeGrid:
     def cumulative(self, k: int) -> np.ndarray:
         """W(t_k <- t_0), the ordered product of the first k step unitaries.
 
-        W(t_0) is the identity, built on first read; W(t_1) is the first step
-        itself; later products are computed once.  All are kept read-only.
+        W(t_0) is the identity, built on first read and kept; any later
+        W(t_k) is :meth:`segment` (0, k), multiplied out on each read and not
+        kept.  All are read-only.
         """
         if not 0 <= k < self.n_times:
             raise IndexError(f"grid index {k} out of range [0, {self.n_times})")
-        if k == 0:
-            return self._identity
-        cumulative = self._cumulative
-        while len(cumulative) < k:  # each longer list is published whole, so every one is a correct prefix
-            cumulative = [*cumulative, _freeze(self.step_unitaries[len(cumulative)] @ cumulative[-1])]
-            self._cumulative = cumulative
-        return cumulative[k - 1]
+        return self.segment(0, k) if k else self._identity
 
     @functools.cached_property
     def _identity(self) -> np.ndarray:
@@ -499,17 +493,17 @@ class ProjectorFamily:
     def from_basis(cls, time_index: int, basis: np.ndarray, blocks) -> "ProjectorFamily":
         """Family of projectors onto column spans of a unitary ``basis``.
 
-        ``blocks`` maps labels to index sets; the sets must partition the
-        column indices.
+        ``blocks`` maps labels to lists of column indices; together they
+        must name every column exactly once.
         """
         b = linalg.as_matrix(basis, "basis")
         members = []
-        seen: set[int] = set()
+        seen: list[int] = []  # every index of every block, repeats kept
         for label, idx in dict(blocks).items():
             idx = list(idx)
             cols = b[:, idx]
             members.append((label, cols @ cols.conj().T))
-            seen.update(idx)
+            seen += idx
         if sorted(seen) != list(range(b.shape[1])):
             raise ModelValidationError(f"blocks do not partition basis columns: {sorted(seen)}")
         return cls(time_index, members)
@@ -667,17 +661,14 @@ def heisenberg_projector(model: QuantumModel, family_index: int, member) -> np.n
     time to the family's time.  The result is again an orthogonal projector.
     """
     fam = model.families[family_index]
-    p = fam.member(member)
     w = model.grid.cumulative(fam.time_index)
-    out = w.conj().T @ p @ w
-    return out
+    return w.conj().T @ fam.member(member) @ w
 
 
 def evolve_state(model: QuantumModel, to_index: int) -> StateOperator:
     """State at grid time ``to_index``: W rho(t_0) W^dagger, no collapses."""
     w = model.grid.cumulative(to_index)
-    rho = w @ model.initial_state.rho @ w.conj().T
-    return StateOperator(rho)
+    return StateOperator(w @ model.initial_state.rho @ w.conj().T)
 
 
 def partial_trace(state, dims, keep):

@@ -24,10 +24,9 @@ from .histories import (
     DecoherenceReport,
     TolerancePolicy,
     _branch_table,
-    _carry,
     _check_memory,
     _classify,
-    _frame,
+    _from_frame,
     _measure,
     _walk,
     check_decoherence,
@@ -77,7 +76,7 @@ def branch_vectors(model: QuantumModel, psi) -> list[BranchVector]:
     The squared norms are the forwards candidate probabilities and sum to 1.
     """
     psi = _require_pure(model, psi)
-    rows = _carry(model.grid, _branch_table(model, psi[:, None])[:, 0], _frame(model), 0)
+    rows = _from_frame(model, _branch_table(model, psi[:, None]), 0)
     return [BranchVector(h, row) for h, row in zip(model.history_labels(), rows)]
 
 
@@ -113,17 +112,16 @@ def strong_decoherence_iff_orthogonality(
     tolerance = tolerance or TolerancePolicy()
     cols = model.initial_state.columns
     own = np.array_equal(cols, psi[:, None])
-    psi_levels = _walk(model, psi[:, None])
     chain_levels = None if own else _walk(model, cols)
     per_depth, agrees = [], True
-    for depth in range(model.n_families + 1):  # depth 0: the set without families
+    for depth, psi_rows in enumerate(_walk(model, psi[:, None])):  # depth 0: the set without families
         gram = overlaps = chain = None  # free the previous level before measuring this one
-        gram, overlaps = _measure(model, next(psi_levels) if depth else psi[None], 1.0, "strong", tolerance)
+        gram, overlaps = _measure(model, psi_rows, 1.0, "strong", tolerance)
         orthogonal = bool(overlaps.passed.all())
         max_overlap = float(overlaps.measure.max(initial=0.0))
         if not own:  # the psi side's pairs are read no further: free them first
             overlaps = None
-            chain = _measure(model, next(chain_levels) if depth else cols.T[None], 1.0, "strong", tolerance)
+            chain = _measure(model, next(chain_levels), 1.0, "strong", tolerance)
         chain = chain or (gram, overlaps)
         if depth:
             strong = chain[1].verdict() == "decoherent"
@@ -184,9 +182,8 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
             "records exist only for strongly decoherent sets"
         )
     histories = base.histories
-    branches = table[:, 0]  # at the last family's time, the frame of the table
-    evolved = _carry(model.grid, branches, _frame(model), time_index)
-    probabilities = {h: float(np.vdot(v, v).real) for h, v in zip(histories, branches)}
+    evolved = _from_frame(model, table, time_index)
+    probabilities = {h: float(np.vdot(v, v).real) for h, v in zip(histories, table[:, 0])}
     norms = np.linalg.norm(evolved, axis=1)
     live = norms > ZERO_BRANCH_NORM
     units = np.zeros_like(evolved)

@@ -30,11 +30,9 @@ from .histories import (
     DecoherenceReport,
     TimeReversedSet,
     TolerancePolicy,
-    _branch_table,
-    _carry,
     _check_memory,
-    _frame,
     _measure,
+    _overlaps,
     _walk,
     check_decoherence,
     time_reversed_history_set,
@@ -294,10 +292,7 @@ def abl_probability(psi_initial, psi_final, model: QuantumModel, history) -> flo
 def abl_table(psi_initial, psi_final, model: QuantumModel) -> dict[tuple, float]:
     psi_i = linalg.as_vector(psi_initial, "initial state")
     psi_f = linalg.as_vector(psi_final, "final state")
-    # <psi_f| W_end L_h |psi_i> = <S^dagger psi_f, W L_h psi_i>, with S the steps from the
-    # table's frame W to the end: psi_f is carried back, not the table
-    back = _carry(model.grid, psi_f[None], model.grid.n_times - 1, _frame(model))[0]
-    amps = _branch_table(model, psi_i[:, None])[:, 0] @ back.conj()
+    amps = _overlaps(model, psi_i[:, None], psi_f[:, None], model.grid.n_times - 1)
     numerators = {h: abs(amp) ** 2 for h, amp in zip(model.history_labels(), amps.tolist())}
     denom = sum(numerators.values())
     if denom <= 1e-14:
@@ -396,21 +391,26 @@ def recoherence_scenario(base: QuantumModel,
     witness = None
     dip = None
     if extended.factors is not None:
+        # W(t_k) = TimeGrid.cumulative(k) at every k, each from the one before
+        grid, rho = extended.grid, extended.initial_state.rho
+        ws = itertools.chain([grid.cumulative(0)], itertools.accumulate(grid.step_unitaries,
+                                                                         lambda w, u: u @ w))
         purity_curve = []
-        for k in range(extended.grid.n_times):
-            reduced = partial_trace(evolve_state(extended, k), extended.factors, (0,))
-            purity_curve.append((float(extended.grid.times[k]), reduced.purity()))
+        for t, w in zip(grid.times.tolist(), ws):
+            reduced = partial_trace(StateOperator(w @ rho @ w.conj().T), extended.factors, (0,))
+            purity_curve.append((t, reduced.purity()))
         initial_purity = purity_curve[0][1]
         final_purity = purity_curve[-1][1]
         dip = initial_purity - min(p for _, p in purity_curve)
         witness = abs(final_purity - initial_purity) <= TABLE_ATOL
     reversed_set = time_reversed_history_set(extended)
     # Push the set into the mirrored half one reversed family at a time: the
-    # walk over the combined families has those truncations as its levels.
+    # walk over the combined families has those truncations as its levels,
+    # from the depth one past the first half's families.
     rev_families = reversed_set.model.families
     probe = extended._derive(list(extended.families) + list(rev_families))
     levels = itertools.islice(_walk(probe, probe.initial_state.columns),
-                              len(extended.families), None)
+                              len(extended.families) + 1, None)
     reinterference = [
         (float(extended.grid.times[fam.time_index]),
          float(_measure(probe, rows, 1.0, "strong", tolerance or TolerancePolicy())[1]

@@ -1,4 +1,4 @@
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,33 +193,20 @@ def test_cumulative_first_product_is_the_first_step():
     assert not grid.cumulative(2).flags.writeable
 
 
-def test_cumulative_products_stay_in_their_slots_when_two_threads_extend_them(monkeypatch):
+def test_grid_keeps_no_product_once_the_cumulative_one_is_dropped():
     rng = np.random.default_rng(13)
-    steps = [haar_unitary(3, rng) for _ in range(4)]
-    fresh = TimeGrid(np.arange(5.0), steps)
-    expected = [fresh.cumulative(k) for k in range(1, 5)]
-    grid = TimeGrid(np.arange(5.0), steps)
-    barrier, held, freeze = threading.Barrier(2, timeout=10), threading.local(), model_module._freeze
-
-    def holding(a):  # both threads wait here with W(t_2), then again with their next product
-        held.calls = getattr(held, "calls", 0) + 1
-        if held.calls <= 2:
-            barrier.wait()
-        return freeze(a)
-
-    monkeypatch.setattr(model_module, "_freeze", holding)
-    results = [None, None]
-
-    def extend(slot):
-        results[slot] = grid.cumulative(4)
-
-    threads = [threading.Thread(target=extend, args=(slot,)) for slot in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(w is not None and np.array_equal(w, expected[-1]) for w in results)
-    assert all(np.array_equal(grid.cumulative(k), w) for k, w in enumerate(expected, start=1))
+    steps = [haar_unitary(32, rng) for _ in range(6)]
+    grid = TimeGrid(np.arange(7.0), steps)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = grid.cumulative(6)
+        assert tracemalloc.get_traced_memory()[0] - before >= w.nbytes
+        del w
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < steps[0].nbytes / 2  # no product of steps, not even the last one
 
 
 def test_segment_multiplies_the_steps_between_two_times():
@@ -253,6 +240,13 @@ def test_family_from_basis_satisfies_invariants():
         assert max_abs(p @ p - p) <= 1e-12
         assert max_abs(p - p.conj().T) <= 1e-12
     assert max_abs(fam.member("a") @ fam.member("b")) <= 1e-12
+
+
+@pytest.mark.parametrize("blocks", [{"a": [0, 1], "b": [1]}, {"a": [0, 0], "b": [1]}],
+                         ids=["shared", "repeated"])
+def test_family_from_basis_rejects_blocks_that_repeat_an_index(blocks):
+    with pytest.raises(ModelValidationError, match="blocks do not partition basis columns"):
+        ProjectorFamily.from_basis(1, np.eye(2), blocks)
 
 
 def test_family_warns_on_near_violation():

@@ -289,6 +289,32 @@ def test_mirrored_spin_purity_curve():
     assert analysis.purity_dip == pytest.approx(0.5, abs=1e-9)
 
 
+def _sigma_y_mirror_base():
+    """A mixed recoherence base whose time reversal conjugates in i sigma_y (x) 1 (B B^* = -1)."""
+    rng = np.random.default_rng(4)
+    grid = TimeGrid([-3.0, -2.0, -1.0, 0.0], [haar_unitary(4, rng) for _ in range(3)])
+    b = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho_c = x @ x.conj().T
+    rho_c = rho_c + b @ rho_c.conj() @ b.conj().T  # fixed by the reversal
+    w = grid.cumulative(3)
+    rho_0 = w.conj().T @ (rho_c / np.trace(rho_c).real) @ w
+    family = ProjectorFamily.from_basis(1, haar_unitary(4, rng), {"a": [0, 1], "b": [2, 3]})
+    return QuantumModel(StateOperator(rho_0), grid, [family], conjugation_basis=b, factors=(2, 2))
+
+
+@pytest.mark.parametrize("analyse", [spin_symmetric_scenario,
+                                     lambda: recoherence_scenario(_sigma_y_mirror_base())],
+                         ids=["spin-balanced", "sigma-y-basis"])
+def test_purity_curve_is_the_reduced_purity_of_the_evolved_state(analyse):
+    analysis = analyse()
+    ext = analysis.extended_model
+    expected = [(float(t), partial_trace(evolve_state(ext, k), ext.factors, (0,)).purity())
+                for k, t in enumerate(ext.grid.times)]
+    assert analysis.purity_curve == expected  # bit for bit
+    assert analysis.recoherence_witness
+
+
 def test_mirrored_spin_records_are_erased():
     analysis = spin_symmetric_scenario(ALPHA)
     em = analysis.extended_model

@@ -168,14 +168,17 @@ def test_table_readers_match_reference_on_gapped_grids(case):
         _check_records(model, rng)
 
 
-def test_checks_form_no_product_of_step_unitaries():
+def test_checks_never_read_cumulative_products(monkeypatch):
     # families at grid indices 3 and 5: three steps before the first and five before the last
     model, rng = _build("mixed", [3, 2], 2, 4, 3)
     rho_f = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+
+    def refused(grid, k):
+        raise AssertionError(f"a check read TimeGrid.cumulative({k})")
+
+    monkeypatch.setattr(TimeGrid, "cumulative", refused)
     check_decoherence(model, "forwards")
     check_decoherence(model, "backwards", "strong")
     check_two_state_decoherence(model.initial_state, rho_f, model)
     both_conditions_theorem_check(model)
     pure_two_state_triviality_check(model, _unit(rng, model.dim))
-    grid = model.grid
-    assert len(grid._cumulative) == 1 and grid._cumulative[0] is grid.step_unitaries[0]
