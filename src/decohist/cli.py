@@ -290,7 +290,7 @@ def _cmd_reverse(args, model: QuantumModel, rho_final: np.ndarray | None, tol: T
     final = None if rho_final is None else _rank_one_vector(model, rho_final, "reverse")
     psi0 = _pure_state_vector(model)
     if final is None:
-        final = model.grid.cumulative(model.grid.n_times - 1) @ psi0
+        final = model.grid.carry(psi0[None], 0, model.grid.n_times - 1)[0]
     body = {"trajectories": []}
     for t in reverse_collapse_chain(model, final):  # sorted by labels
         reconstructed = t.states[-1]

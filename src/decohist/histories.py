@@ -19,10 +19,10 @@ Evaluation factorizes the state through ``StateOperator.columns``: with
 rho = C C^dagger, D(h, h') is the Hilbert-Schmidt inner product of L_h C and
 L_h' C (two-state: of F^dagger L_h C and F^dagger L_h' C, rho_f = F F^dagger).
 A Schrodinger-picture prefix walk builds the L_h C for all histories at once,
-applying each step segment and then each member projector to every node of
-a level (:meth:`ProjectorFamily.apply`: a certified family's member through
-its factor), so shared prefixes are computed once (one O(d^2 r) product per
-node).
+carrying every node of a level to the next family's time (``TimeGrid.carry``)
+and applying each member projector to it (:meth:`ProjectorFamily.apply`: a
+certified family's member through its factor), so shared prefixes are
+computed once (one O(d^2 r) product per node).
 Its last level, W L_h C with W the unitary up to the last family's time, is
 the branch table: W cancels from every Gram entry, so every functional is one
 Gram product of the table as it stands.  Only this module applies W:
@@ -65,7 +65,6 @@ from .model import (
     ProjectorFamily,
     QuantumModel,
     StateOperator,
-    TimeGrid,
     _dynamics_symmetry_defect,
     _eigh,
     _freeze,
@@ -225,9 +224,9 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
     Level k has shape (nodes, r, d): one node per prefix of k families, in
     lexicographic order, holding the transposed columns P_k U_k ... P_1 U_1 C
     at the family's time (level 0 is ``cols.T[None]``), where U_k carries the
-    state between family times (:func:`_carry`).  Backwards walks the families
-    latest first, from W(t_n) C through the adjoint segments.  A set whose
-    branch table is over the memory budget is refused before level 0.
+    state between family times (``TimeGrid.carry``).  Backwards walks the
+    families latest first, from W(t_n) C through the adjoint segments.  A set
+    whose branch table is over the memory budget is refused before level 0.
     """
     _check_memory(math.prod(map(len, model.families)), cols.size, pair_work=False)
     order = range(model.n_families)
@@ -235,31 +234,12 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
     yield nodes
     for k in (reversed(order) if backwards else order):
         fam = model.families[k]
-        flat = _carry(model.grid, nodes.reshape(-1, nodes.shape[-1]), prev, fam.time_index)
+        flat = model.grid.carry(nodes.reshape(-1, nodes.shape[-1]), prev, fam.time_index)
         # the family met last varies fastest forwards and slowest backwards
         nodes = np.stack([fam.apply(a, flat, rows=True).reshape(nodes.shape) for a in range(len(fam))],
                          axis=0 if backwards else 1)
         nodes, prev = nodes.reshape(-1, *nodes.shape[2:]), fam.time_index
         yield nodes
-
-
-def _carry(grid: TimeGrid, rows: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rows (transposed columns v) at grid index a carried to grid index b.
-
-    The columns become W(t_b <- t_a) v for a < b and W(t_a <- t_b)^dagger v
-    for a > b.  A block of at most d rows is carried one step unitary at a
-    time, so no product of steps is formed: over k steps that costs
-    k r d^2, never more than the (k - 1) d^3 + r d^2 of forming the
-    segment.  A larger block, such as a level of many nodes, takes the
-    segment product (:meth:`TimeGrid.segment`).
-    """
-    lo, hi = sorted((a, b))
-    steps = grid.step_unitaries[lo:hi]
-    if len(steps) > 1 and rows.shape[0] > grid.dim:
-        steps = (grid.segment(lo, hi),)
-    for u in (steps if a < b else steps[::-1]):
-        rows = rows @ u.T if a < b else linalg.times_conj(rows, u)
-    return rows
 
 
 def _frame(model: QuantumModel) -> int:
@@ -289,7 +269,7 @@ def _branch_table(model: QuantumModel, cols: np.ndarray, backwards: bool = False
 
 def _in_frame(model: QuantumModel, cols: np.ndarray) -> np.ndarray:
     """Initial-time columns v (at most d) as W v, in the frame of the forwards branch table."""
-    return _carry(model.grid, cols.T, 0, _frame(model)).T
+    return model.grid.carry(cols.T, 0, _frame(model)).T
 
 
 def _overlaps(model: QuantumModel, cols: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
@@ -298,12 +278,12 @@ def _overlaps(model: QuantumModel, cols: np.ndarray, v: np.ndarray, k: int) -> n
     Chain expectations Tr(L_h rho) and triviality amplitudes take V = C at 0; ABL, psi_f at the end.
     """
     table = _branch_table(model, cols)
-    return table.reshape(len(table), -1) @ _carry(model.grid, v.T, k, _frame(model)).conj().reshape(-1)
+    return table.reshape(len(table), -1) @ model.grid.carry(v.T, k, _frame(model)).conj().reshape(-1)
 
 
 def _from_frame(model: QuantumModel, table: np.ndarray, k: int) -> np.ndarray:
     """The rows of a forwards branch ``table`` carried from its frame to grid index k, (m r, d)."""
-    return _carry(model.grid, table.reshape(-1, model.dim), _frame(model), k)
+    return model.grid.carry(table.reshape(-1, model.dim), _frame(model), k)
 
 
 def _gram(a: np.ndarray) -> np.ndarray:

@@ -12,11 +12,13 @@ unitaries, projectors or a certified family's factors, a conjugation basis
 given to it); the identities, W(t_0) = 1 and the default conjugation
 basis, are built when first read, and final operators, which no model
 keeps, are read where they lie; a certified family's members and a grid's
-products of steps are built on each read and not kept.  The lazily computed
-values, the identities, a state's spectrum and a model's own branch tables
-(one per direction, memoised by :mod:`decohist.histories`), are
-deterministic: threads that read one first at the same moment may each
-compute it, and they obtain identical arrays.
+products of steps are built on each read and not kept.  States move by
+:meth:`TimeGrid.carry`, one step at a time (a walk level of more than d
+rows takes the segment product).  The lazily computed values, the
+identities, a state's spectrum and a model's own branch tables (one per
+direction, memoised by :mod:`decohist.histories`), are deterministic:
+threads that read one first at the same moment may each compute it, and
+they obtain identical arrays.
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ class StateOperator:
 
 
 class TimeGrid:
-    """Strictly increasing times with one step unitary per interval."""
+    """Strictly increasing times with one step unitary per interval; :meth:`carry` moves states."""
 
     def __init__(self, times, step_unitaries):
         t = np.asarray(times, dtype=float).reshape(-1)
@@ -354,6 +356,25 @@ class TimeGrid:
         for u in self.step_unitaries[a + 1:b]:
             w = u @ w
         return _freeze(w)
+
+    def carry(self, rows: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Rows (transposed columns v) at grid index a carried to grid index b.
+
+        The columns become W(t_b <- t_a) v for a < b and W(t_a <- t_b)^dagger v for
+        a > b; for a = b the rows come back as they are.  A block of at most d rows
+        takes one step at a time, k r d^2 over k steps, never more than the
+        (k - 1) d^3 + r d^2 of forming the segment; a larger block, such as a level
+        of many nodes, takes the segment product (:meth:`segment`).
+        """
+        if not (0 <= a < self.n_times and 0 <= b < self.n_times):
+            raise IndexError(f"grid carry ({a}, {b}) out of range [0, {self.n_times})")
+        lo, hi = sorted((a, b))
+        steps = self.step_unitaries[lo:hi]
+        if len(steps) > 1 and rows.shape[0] > self.dim:
+            steps = (self.segment(lo, hi),)
+        for u in (steps if a < b else steps[::-1]):
+            rows = rows @ u.T if a < b else linalg.times_conj(rows, u)
+        return rows
 
 
 def _hermiticity_defect(p: np.ndarray) -> float:
@@ -666,9 +687,10 @@ def heisenberg_projector(model: QuantumModel, family_index: int, member) -> np.n
 
 
 def evolve_state(model: QuantumModel, to_index: int) -> StateOperator:
-    """State at grid time ``to_index``: W rho(t_0) W^dagger, no collapses."""
-    w = model.grid.cumulative(to_index)
-    return StateOperator(w @ model.initial_state.rho @ w.conj().T)
+    """State at grid time ``to_index``, no collapses: C_k C_k^dagger for the state's
+    columns C (rho = C C^dagger) carried there, C_k = W C (:meth:`TimeGrid.carry`)."""
+    c = model.grid.carry(model.initial_state.columns.T, 0, to_index).T
+    return StateOperator(c @ c.conj().T)
 
 
 def partial_trace(state, dims, keep):
@@ -713,10 +735,18 @@ def time_reverse_operator(op: np.ndarray, conjugation_basis=None) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if conjugation_basis is None:
         return op.conj()
+    return _reverse_in_basis(op, _basis_for(conjugation_basis, op, 2))
+
+
+def _basis_for(conjugation_basis, operand: np.ndarray, axes: int) -> np.ndarray:
+    """The unitary ``conjugation_basis`` B, validated to act on the first ``axes`` axes of ``operand``."""
     b = linalg.as_matrix(conjugation_basis, "conjugation basis")
+    if b.shape[0] != b.shape[1] or operand.shape[:axes] != (b.shape[0],) * axes:
+        raise ModelValidationError(f"conjugation basis shape {b.shape} does not match "
+                                   f"operand shape {operand.shape}")
     if not linalg.is_unitary(b):
         raise ModelValidationError("conjugation basis must be unitary")
-    return _reverse_in_basis(op, b)
+    return b
 
 
 def _reverse_in_basis(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -729,10 +759,7 @@ def time_reverse_vector(psi: np.ndarray, conjugation_basis=None) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if conjugation_basis is None:
         return psi.conj()
-    b = linalg.as_matrix(conjugation_basis, "conjugation basis")
-    if not linalg.is_unitary(b):
-        raise ModelValidationError("conjugation basis must be unitary")
-    return b @ psi.conj()
+    return _basis_for(conjugation_basis, psi, 1) @ psi.conj()
 
 
 def time_reverse_state(state: StateOperator, conjugation_basis=None) -> StateOperator:

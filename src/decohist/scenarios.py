@@ -387,20 +387,11 @@ def recoherence_scenario(base: QuantumModel,
     """
     extended = _mirror_extension(base)
     first_half = check_decoherence(extended, "forwards", "weak", tolerance)
-    purity_curve = None
-    witness = None
-    dip = None
+    purity_curve = witness = dip = None
     if extended.factors is not None:
-        # W(t_k) = TimeGrid.cumulative(k) at every k, each from the one before
-        grid, rho = extended.grid, extended.initial_state.rho
-        ws = itertools.chain([grid.cumulative(0)], itertools.accumulate(grid.step_unitaries,
-                                                                         lambda w, u: u @ w))
-        purity_curve = []
-        for t, w in zip(grid.times.tolist(), ws):
-            reduced = partial_trace(StateOperator(w @ rho @ w.conj().T), extended.factors, (0,))
-            purity_curve.append((t, reduced.purity()))
-        initial_purity = purity_curve[0][1]
-        final_purity = purity_curve[-1][1]
+        purity_curve = [(t, partial_trace(evolve_state(extended, k), extended.factors, (0,)).purity())
+                        for k, t in enumerate(extended.grid.times.tolist())]
+        initial_purity, final_purity = purity_curve[0][1], purity_curve[-1][1]
         dip = initial_purity - min(p for _, p in purity_curve)
         witness = abs(final_purity - initial_purity) <= TABLE_ATOL
     reversed_set = time_reversed_history_set(extended)

@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from decohist.histories import (
     time_reversed_history_set,
     two_state_functional,
 )
-from decohist import histories, linalg
+from decohist import linalg
 from decohist.linalg import max_abs
 from decohist.model import (
     ProjectorFamily,
@@ -590,7 +593,7 @@ def test_memory_budget_admits_and_refuses_pure_sets(m, dim, fits):
 def test_set_over_the_memory_budget_is_refused_before_the_walk(monkeypatch):
     model = random_model(2, dim=3, n_families=40, members_per_family=2)
     walked = []
-    monkeypatch.setattr(histories, "_carry", lambda grid, rows, a, b: walked.append((a, b)))
+    monkeypatch.setattr(TimeGrid, "carry", lambda grid, rows, a, b: walked.append((a, b)))
     with pytest.raises(ModelValidationError, match=r"GiB for the branch table, above the memory budget of 2 GiB"):
         check_decoherence(model)
     assert walked == []
@@ -606,3 +609,18 @@ def test_single_values_of_a_set_over_the_pair_budget_are_computed():
     assert np.isfinite(two_state_functional(model.initial_state, np.eye(4), model, h, h_prime))
     with pytest.raises(ModelValidationError, match=r"^8192 histories \(33550336 pairs\) .* pair work"):
         check_decoherence(model)
+
+
+def test_scale_probe_times_the_smallest_row():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "tests" / "scale_probe.py"), str(root), "--rows", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, line = proc.stdout.splitlines()[1:]
+    row = dict(zip(header.split(), line.split()))
+    # dim 16, ten 2-member families on a pure state: 1,024 histories
+    assert (row["row"], row["dim"], row["fam"], row["state"], row["m"], row["pairs"]) == (
+        "1", "16", "10", "pure", "1024", "523776")
+    assert all(float(row[k]) >= 0.0 for k in ("build_s", "walk_s", "gram_s", "pairs_s"))
+    # the Gram alone is 1024^2 complex numbers, 16 MiB
+    assert float(row["peak_MiB"]) >= 16.0

@@ -22,6 +22,7 @@ from decohist.model import (
     heisenberg_projector,
     is_time_symmetric,
     partial_trace,
+    time_reverse_operator,
     time_reverse_state,
     time_reverse_vector,
 )
@@ -364,6 +365,12 @@ def test_evolve_state_preserves_purity():
         assert abs(evolve_state(m, k).purity() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [4, 99, -1])
+def test_evolve_state_refuses_indices_off_the_grid(k):
+    with pytest.raises(IndexError, match="out of range"):
+        evolve_state(spin_model(0.6), k)
+
+
 def test_evolve_state_composes():
     rng = np.random.default_rng(14)
     steps = [haar_unitary(4, rng) for _ in range(3)]
@@ -460,6 +467,17 @@ def test_time_reverse_requires_unitary_basis():
     s = StateOperator.from_vector([1.0, 0.0])
     with pytest.raises(ModelValidationError, match="unitary"):
         time_reverse_state(s, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("reverse,operand", [
+    (time_reverse_operator, np.eye(3)),
+    (time_reverse_vector, np.ones(3) / np.sqrt(3.0)),
+    (time_reverse_state, StateOperator(np.eye(3) / 3.0)),
+], ids=["operator", "vector", "state"])
+def test_time_reverse_refuses_a_basis_of_another_shape(reverse, operand):
+    with pytest.raises(ModelValidationError,
+                       match=r"conjugation basis shape \(2, 2\) does not match operand shape \(3(, 3)?,?\)"):
+        reverse(operand, np.eye(2))
 
 
 # ---------------------------------------------------------------- time symmetry probe

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decohist.histories import _branch_table, _carry, _frame
+from decohist.histories import _branch_table, _frame
 from decohist.model import StateOperator, _eigh
 from decohist.records import branch_vectors
 from decohist.scenarios import random_model
@@ -63,6 +63,6 @@ def test_a_phased_vector_gets_its_own_branches(seed, dim, n, phi):
     assert not np.array_equal(table, own)
     # branch vectors are the phased table's rows carried back to the initial time
     branches = np.array([b.vector for b in branch_vectors(model, phased)])
-    assert np.array_equal(branches, _carry(model.grid, table, _frame(model), 0))
+    assert np.array_equal(branches, model.grid.carry(table, _frame(model), 0))
     assert list(model._tables) == [False]  # the phased table is not kept
     assert np.array_equal(model._tables[False][:, 0], own)

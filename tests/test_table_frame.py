@@ -5,7 +5,9 @@ each reader either needs no frame (a Gram matrix, a squared norm), carries a
 few initial-time columns into the table's frame (two-state factor, chain
 expectations, triviality amplitudes), or carries the table's rows to another
 time (branch vectors back to the start, records on to the record time, and
-ABL's final vector back to the table).  Hypothesis draws models from
+ABL's final vector back to the table).  The evolved state, too, is the
+state's columns carried step by step, and equals W rho W^dagger.  Hypothesis
+draws models from
 ``random_model`` and ``commuting_random_model``, with pure, rank-2 and
 full-rank states, and re-hosts their families on grids with several steps
 before each family and after the last, so that every carry spans more than
@@ -29,7 +31,15 @@ from decohist.histories import (
     pure_two_state_triviality_check,
     two_state_functional,
 )
-from decohist.model import ProjectorFamily, QuantumModel, StateOperator, TimeGrid
+from decohist import cli, scenarios
+from decohist.model import (
+    ProjectorFamily,
+    QuantumModel,
+    StateOperator,
+    TimeGrid,
+    evolve_state,
+    is_time_symmetric,
+)
 from decohist.records import branch_vectors, construct_records
 from decohist.scenarios import abl_table, commuting_random_model, haar_unitary, random_model
 
@@ -134,6 +144,14 @@ def _check_vector_readers(model, rng):
             assert np.max(np.abs(b.vector - chains[b.history] @ own)) <= ATOL
 
 
+def _check_evolved_states(model):
+    """evolve_state carries the state's columns; the reference conjugates rho with the segment."""
+    rho = model.initial_state.rho
+    for k in range(model.grid.n_times):
+        w = model.grid.segment(0, k) if k else np.eye(model.dim)
+        assert np.max(np.abs(evolve_state(model, k).rho - w @ rho @ w.conj().T)) <= ATOL, k
+
+
 def _check_records(model, rng):
     """Records of a pure superposition of the common eigenbasis, at a random later time."""
     basis = model.initial_state.eigenvectors
@@ -164,6 +182,7 @@ def test_table_readers_match_reference_on_gapped_grids(case):
     _check_functionals(model, rng)
     _check_chain_expectations(model)
     _check_vector_readers(model, rng)
+    _check_evolved_states(model)
     if case[0] == "commuting":
         _check_records(model, rng)
 
@@ -182,3 +201,19 @@ def test_checks_never_read_cumulative_products(monkeypatch):
     check_two_state_decoherence(model.initial_state, rho_f, model)
     both_conditions_theorem_check(model)
     pure_two_state_triviality_check(model, _unit(rng, model.dim))
+
+
+def test_state_movers_never_form_products_of_steps(monkeypatch, capsys):
+    def refused(name):
+        def call(grid, *indices):
+            raise AssertionError(f"a state mover read TimeGrid.{name}")
+        return call
+
+    for name in ("cumulative", "segment"):
+        monkeypatch.setattr(TimeGrid, name, refused(name))
+    model, _ = _build("mixed", [3, 2], 2, 4, 3)
+    assert evolve_state(model, model.grid.n_times - 1).dim == model.dim
+    extended = scenarios._mirror_extension(scenarios.spin_recoherence_base(1.0 / np.sqrt(2.0)))
+    assert is_time_symmetric(extended, extended.grid.n_times // 2)
+    assert cli.main(["reverse", "--scenario", "spin", "a=0.6"]) == 0  # the default final vector
+    assert "trajectories" in capsys.readouterr().out
