@@ -602,13 +602,7 @@ class QuantumModel:
                 raise ModelValidationError("family time indices must be strictly increasing")
             previous = f.time_index
         if conjugation_basis is not None:
-            basis = linalg.as_matrix(conjugation_basis, "conjugation basis")
-            if basis.shape != (grid.dim, grid.dim):
-                raise ModelValidationError(
-                    f"conjugation basis shape {basis.shape} does not match dimension {grid.dim}"
-                )
-            if not linalg.is_unitary(basis):
-                raise ModelValidationError("conjugation basis must be unitary")
+            basis = _basis_for(conjugation_basis, (grid.dim,), 1, f"dimension {grid.dim}")
             # Time reversal is an involution only when B B^* = +-1.
             _check(min(linalg.defect(basis - basis.T, ATOL_MODEL),
                        linalg.defect(basis + basis.T, ATOL_MODEL)),
@@ -687,10 +681,28 @@ def heisenberg_projector(model: QuantumModel, family_index: int, member) -> np.n
 
 
 def evolve_state(model: QuantumModel, to_index: int) -> StateOperator:
-    """State at grid time ``to_index``, no collapses: C_k C_k^dagger for the state's
-    columns C (rho = C C^dagger) carried there, C_k = W C (:meth:`TimeGrid.carry`)."""
-    c = model.grid.carry(model.initial_state.columns.T, 0, to_index).T
-    return StateOperator(c @ c.conj().T)
+    """State at grid time ``to_index``: W rho(t_0) W^dagger, no collapses (:func:`_states_at`)."""
+    return next(_states_at(model, (to_index,)))
+
+
+def _states_at(model: QuantumModel, indices):
+    """The states at grid ``indices``, each carried on from the last by :meth:`TimeGrid.carry`.
+
+    A state built from a vector moves the vector (weight 1); any other, the eigenvectors V
+    of its eigenvalues lambda beyond ``SPECTRAL_CUTOFF`` in magnitude.  The new state,
+    validated like any other, is (W V) diag(lambda) (W V)^dagger: the negative eigenvalues
+    that validation let through, which ``columns`` leaves out, keep their share of the
+    trace.  At t_0 it is the initial state itself.
+    """
+    state, at = model.initial_state, 0
+    if state.vector is None:
+        keep = np.abs(state.eigenvalues) > SPECTRAL_CUTOFF
+        rows, weights = state.eigenvectors[:, keep].T, state.eigenvalues[keep]
+    else:
+        rows, weights = state.vector[None], np.ones(1)
+    for k in indices:
+        rows, at = model.grid.carry(rows, at, k), k
+        yield state if k == 0 else StateOperator((rows.T * weights) @ rows.conj())
 
 
 def partial_trace(state, dims, keep):
@@ -735,15 +747,14 @@ def time_reverse_operator(op: np.ndarray, conjugation_basis=None) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if conjugation_basis is None:
         return op.conj()
-    return _reverse_in_basis(op, _basis_for(conjugation_basis, op, 2))
+    return _reverse_in_basis(op, _basis_for(conjugation_basis, op.shape, 2, f"operand shape {op.shape}"))
 
 
-def _basis_for(conjugation_basis, operand: np.ndarray, axes: int) -> np.ndarray:
-    """The unitary ``conjugation_basis`` B, validated to act on the first ``axes`` axes of ``operand``."""
+def _basis_for(conjugation_basis, shape: tuple, axes: int, what: str) -> np.ndarray:
+    """Unitary ``conjugation_basis`` B, checked to act on the first ``axes`` axes of ``shape`` (``what``)."""
     b = linalg.as_matrix(conjugation_basis, "conjugation basis")
-    if b.shape[0] != b.shape[1] or operand.shape[:axes] != (b.shape[0],) * axes:
-        raise ModelValidationError(f"conjugation basis shape {b.shape} does not match "
-                                   f"operand shape {operand.shape}")
+    if b.shape[0] != b.shape[1] or shape[:axes] != (b.shape[0],) * axes:
+        raise ModelValidationError(f"conjugation basis shape {b.shape} does not match {what}")
     if not linalg.is_unitary(b):
         raise ModelValidationError("conjugation basis must be unitary")
     return b
@@ -759,7 +770,7 @@ def time_reverse_vector(psi: np.ndarray, conjugation_basis=None) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if conjugation_basis is None:
         return psi.conj()
-    return _basis_for(conjugation_basis, psi, 1) @ psi.conj()
+    return _basis_for(conjugation_basis, psi.shape, 1, f"operand shape {psi.shape}") @ psi.conj()
 
 
 def time_reverse_state(state: StateOperator, conjugation_basis=None) -> StateOperator:

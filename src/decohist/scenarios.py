@@ -44,6 +44,7 @@ from .model import (
     StateOperator,
     TimeGrid,
     _reverse_in_basis,
+    _states_at,
     evolve_state,
     partial_trace,
 )
@@ -389,8 +390,9 @@ def recoherence_scenario(base: QuantumModel,
     first_half = check_decoherence(extended, "forwards", "weak", tolerance)
     purity_curve = witness = dip = None
     if extended.factors is not None:
-        purity_curve = [(t, partial_trace(evolve_state(extended, k), extended.factors, (0,)).purity())
-                        for k, t in enumerate(extended.grid.times.tolist())]
+        states = _states_at(extended, range(extended.grid.n_times))  # one carry step per grid time
+        purity_curve = [(t, partial_trace(state, extended.factors, (0,)).purity())
+                        for t, state in zip(extended.grid.times.tolist(), states)]
         initial_purity, final_purity = purity_curve[0][1], purity_curve[-1][1]
         dip = initial_purity - min(p for _, p in purity_curve)
         witness = abs(final_purity - initial_purity) <= TABLE_ATOL

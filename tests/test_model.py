@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from decohist.scenarios import (
     collapse_probability_table,
     haar_unitary,
     random_model,
+    recoherence_scenario,
     spin_model,
 )
 
@@ -363,6 +365,44 @@ def test_evolve_state_preserves_purity():
     m = spin_model(0.8j)
     for k in range(m.grid.n_times):
         assert abs(evolve_state(m, k).purity() - 1.0) <= 1e-12
+
+
+def test_states_keep_the_negative_eigenvalues_validation_lets_through():
+    # 20 eigenvalues at -9e-11 pass validation, but their 1.8e-9 of trace is not in the columns
+    rng = np.random.default_rng(26)
+    d = 32
+    w = np.full(d, -9e-11)
+    w[20:] = (1.0 + 20 * 9e-11) / (d - 20)
+    o = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    u0, u1 = haar_unitary(d, rng), haar_unitary(d, rng)
+    rho_0 = (u1 @ u0).conj().T @ ((o * w) @ o.T) @ (u1 @ u0)  # real, so time-symmetric, at t = 0
+    state = StateOperator((rho_0 + rho_0.conj().T) / 2)
+    model = QuantumModel(state, TimeGrid([-2.0, -1.0, 0.0, 1.0, 2.0], [u0, u1, u1.T, u0.T]), [])
+    half = np.kron(np.diag([1.0, 1.0, 0.0, 0.0]), np.eye(8)).astype(complex)
+    base = QuantumModel(state, TimeGrid([-2.0, -1.0, 0.0], [u0, u1]),
+                        [ProjectorFamily(1, [("a", half), ("b", np.eye(d) - half)])], factors=(4, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evolve_state(model, 0) is state
+        for k in range(1, model.grid.n_times):
+            u = model.grid.segment(0, k)
+            evolved = evolve_state(model, k)
+            assert max_abs(evolved.rho - u @ state.rho @ u.conj().T) <= 1e-12
+            assert evolved.eigenvalues[0] < -8e-11
+        assert is_time_symmetric(model, 2)
+        assert len(recoherence_scenario(base).purity_curve) == 5
+
+
+def test_evolve_state_takes_steps_unitary_to_the_tolerance():
+    # a carried vector's norm drifts 4e-11 over two steps, past a state vector's 1e-12 check
+    rng = np.random.default_rng(27)
+    steps = [haar_unitary(8, rng) * (1.0 + 2e-11) for _ in range(2)]
+    model = QuantumModel(_pure(rng.standard_normal(8)), TimeGrid([0.0, 1.0, 2.0], steps), [])
+    w = model.grid.segment(0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolved = evolve_state(model, 2)
+    assert max_abs(evolved.rho - w @ model.initial_state.rho @ w.conj().T) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [4, 99, -1])

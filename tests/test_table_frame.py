@@ -145,7 +145,7 @@ def _check_vector_readers(model, rng):
 
 
 def _check_evolved_states(model):
-    """evolve_state carries the state's columns; the reference conjugates rho with the segment."""
+    """evolve_state carries the state; the reference conjugates rho with the segment."""
     rho = model.initial_state.rho
     for k in range(model.grid.n_times):
         w = model.grid.segment(0, k) if k else np.eye(model.dim)
