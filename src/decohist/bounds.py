@@ -28,13 +28,18 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
-def _factor_columns(p: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
-    """Q = P[:, idx] L^{-dagger}, L L^dagger = P[idx, idx], built 16 pivots b at a time.
+def _factor_columns(p: np.ndarray, r: int, work: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Q = P[:, idx] L^{-dagger}, L L^dagger = P[idx, idx], and ||Q Q^dagger - P||_F, formed in ``work``.
 
-    Each step appends Y L_b^{-dagger} for the residual columns
+    idx holds P's r largest diagonal entries, and Q is built 16 pivots b at
+    a time: each step appends Y L_b^{-dagger} for the residual columns
     Y = P[:, b] - Q Q[b]^dagger and the Cholesky factor L_b of Y[b]'s
     Hermitian part.  None if a block is not positive definite or Q not finite.
     """
+    # pivots by Python's stable sort: no other validation step runs numpy's
+    # sort kernels, whose code would add about 0.1 MiB of resident pages
+    diag = p.diagonal().real.tolist()
+    idx = np.array(sorted(range(p.shape[0]), key=diag.__getitem__, reverse=True)[:r], dtype=np.intp)
     q = np.empty((p.shape[0], idx.size), dtype=complex)
     for k in range(0, idx.size, 16):
         b = idx[k:k + 16]
@@ -50,7 +55,9 @@ def _factor_columns(p: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
         np.matmul(y, np.linalg.inv(low).conj().T, out=block)
         if not np.isfinite(block).all():
             return None
-    return q
+    np.matmul(q, q.conj().T, out=work)
+    work -= p
+    return q, float(np.linalg.norm(work))
 
 
 def _factor_bounds(projectors, c_norm: float, work: np.ndarray) -> tuple[list[np.ndarray], float] | None:
@@ -86,19 +93,14 @@ def _factor_bounds(projectors, c_norm: float, work: np.ndarray) -> tuple[list[np
         return None
     rho, e, q_frob, factors = np.zeros(n), np.zeros(n), np.zeros(n), []
     for a, (p, r) in enumerate(zip(projectors, ranks)):
-        # pivots by Python's stable sort: no other validation step runs numpy's
-        # sort kernels, whose code would add about 0.1 MiB of resident pages
-        diag = p.diagonal().real.tolist()
-        q = _factor_columns(p, np.array(sorted(range(d), key=diag.__getitem__, reverse=True)[:r],
-                                        dtype=np.intp))
-        if q is None:
+        factor = _factor_columns(p, r, work)
+        if factor is None:
             return None
+        q, residual = factor
         factors.append(q)
         q_rows = (np.square(q.real) + np.square(q.imag)).sum(axis=1)
-        np.matmul(q, q.conj().T, out=work)
-        work -= p
         q_frob[a] = q_rows.sum()
-        e[a] = ((1.0 + 4.0 * _UNIT_ROUNDOFF) * float(np.linalg.norm(work))
+        e[a] = ((1.0 + 4.0 * _UNIT_ROUNDOFF) * residual
                 + math.sqrt(2.0) * _gamma(r + 2) * q_frob[a])
         rho[a] = math.sqrt(q_rows.max(initial=0.0))
     c_frob = c_norm + math.sqrt(2.0) * _gamma(n) * (float((q_frob + e).sum()) + math.sqrt(d))

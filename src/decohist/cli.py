@@ -148,13 +148,10 @@ def _resolve_model(args, seed: int):
         return load_model(args.model)
     name, *tokens = args.scenario
     model, rho_final = _build_scenario(name, _parse_params(tokens), seed)
-    if any(f.certified for f in model.families):
-        # A certified family keeps its factors Q, and its emitted file holds Q Q^dagger,
-        # which loads to new factors: rebuild it from those, as loading the file does,
-        # so that a scenario runs as its emitted file does.
-        model = model._derive([ProjectorFamily(f.time_index, zip(f.labels, f.projectors))
-                               if f.certified else f for f in model.families])
-    return model, rho_final
+    # A family keeps factors Q and its emitted file Q Q^dagger, which loads to new factors:
+    # rebuild every family from those, as loading the file does, so a scenario runs as its file.
+    return model._derive([ProjectorFamily(f.time_index, zip(f.labels, f.projectors))
+                          for f in model.families]), rho_final
 
 
 def _sorted_table(table: dict) -> list[dict]:

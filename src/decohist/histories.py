@@ -20,9 +20,9 @@ rho = C C^dagger, D(h, h') is the Hilbert-Schmidt inner product of L_h C and
 L_h' C (two-state: of F^dagger L_h C and F^dagger L_h' C, rho_f = F F^dagger).
 A Schrodinger-picture prefix walk builds the L_h C for all histories at once,
 carrying every node of a level to the next family's time (``TimeGrid.carry``)
-and applying each member projector to it (:meth:`ProjectorFamily.apply`: a
-certified family's member through its factor), so shared prefixes are
-computed once (one O(d^2 r) product per node).
+and applying each member projector to it through its factor
+(:meth:`ProjectorFamily.apply`), so shared prefixes are computed once (one
+O(d^2 r) product per node).
 Its last level, W L_h C with W the unitary up to the last family's time, is
 the branch table: W cancels from every Gram entry, so every functional is one
 Gram product of the table as it stands.  Only this module applies W:
@@ -674,11 +674,7 @@ def both_conditions_theorem_check(model: QuantumModel,
     fwd = check_decoherence(model, "forwards", "weak", tolerance)
     bwd = check_decoherence(model, "backwards", "weak", tolerance)
     if not (fwd.decoherent and bwd.decoherent):
-        failed = []
-        if not fwd.decoherent:
-            failed.append("forwards")
-        if not bwd.decoherent:
-            failed.append("backwards")
+        failed = [name for name, rep in (("forwards", fwd), ("backwards", bwd)) if not rep.decoherent]
         return BothConditionsReport(False, f"not applicable: {' and '.join(failed)} "
                                            "weak decoherence fails", fwd, bwd)
     cols = model.initial_state.columns  # Tr(L_h rho) = <C, L_h C> for rho = C C^dagger
@@ -845,11 +841,8 @@ def page_symmetric_cosmology_check(rho_i, rho_f, model: QuantumModel,
                                     "two_state", rho_i.columns.size)
                           for m in (model, reversed_set.model))
     if not (original.decoherent and mirrored.decoherent):
-        which = []
-        if not original.decoherent:
-            which.append("original set")
-        if not mirrored.decoherent:
-            which.append("time-reversed set")
+        which = [name for name, rep in (("original set", original), ("time-reversed set", mirrored))
+                 if not rep.decoherent]
         return PageReport(preconditions, True, original, mirrored, False,
                           f"two-state decoherence fails for: {', '.join(which)}")
     diff = max(

@@ -8,11 +8,11 @@ the unitary basis in which the antiunitary time reversal conjugates.
 All objects validate their invariants at construction and are immutable
 afterwards (stored arrays are marked read-only), so they are safe to share
 across threads.  A model keeps one copy of each stored input (state, step
-unitaries, projectors or a certified family's factors, a conjugation basis
-given to it); the identities, W(t_0) = 1 and the default conjugation
-basis, are built when first read, and final operators, which no model
-keeps, are read where they lie; a certified family's members and a grid's
-products of steps are built on each read and not kept.  States move by
+unitaries, a conjugation basis given to it) and one factor per family
+member; the identities, W(t_0) = 1 and the default conjugation basis, are
+built when first read, and final operators, which no model keeps, are read
+where they lie; family members and a grid's products of steps are built on
+each read and not kept.  States move by
 :meth:`TimeGrid.carry`, one step at a time (a walk level of more than d
 rows takes the segment product).  The lazily computed values, the
 identities, a state's spectrum and a model's own branch tables (one per
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bounds import _BOUND_SLACK, _UNIT_ROUNDOFF, _factor_bounds, _gamma
+from .bounds import _BOUND_SLACK, _UNIT_ROUNDOFF, _factor_bounds, _factor_columns, _gamma
 from .exceptions import ModelValidationError
 
 __all__ = [
@@ -384,6 +384,24 @@ def _hermiticity_defect(p: np.ndarray) -> float:
     return linalg.max_abs(h)
 
 
+def _member_factors(projectors) -> list[np.ndarray]:
+    """Q_a with Q_a Q_a^dagger ~ P_a for each member that the dense rule passed.
+
+    The static-pivot factor of rank round(tr P_a) (:func:`decohist.bounds._factor_columns`)
+    when ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, else the spectral columns
+    v sqrt(lambda), lambda > ``SPECTRAL_CUTOFF``, of (P_a + P_a^dagger) / 2.
+    """
+    work, factors = np.empty_like(projectors[0]), []
+    for p in projectors:
+        pivot = _factor_columns(p, round(float(np.trace(p).real)), work)
+        if pivot is not None and pivot[1] <= ATOL_MODEL:
+            factors.append(pivot[0])
+        else:  # as for equal pivot columns
+            w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
+            factors.append(v[:, w > SPECTRAL_CUTOFF] * np.sqrt(w[w > SPECTRAL_CUTOFF]))
+    return factors
+
+
 class ProjectorFamily:
     """Labeled orthogonal projectors that sum to the identity.
 
@@ -405,17 +423,21 @@ class ProjectorFamily:
     the pairs, then completeness) with the verdicts, messages and warnings
     of forming every product.
 
-    Validation reads the caller's matrices without copying them.  A
-    certified family keeps only its factors Q_a (d x r_a, d^2 numbers in
-    all): :meth:`apply` applies a member as Q_a (Q_a^dagger x), and
-    ``projectors`` and :meth:`member` build Q_a Q_a^dagger, read-only, on
-    each read and keep none, within e_a of the input in Frobenius norm
-    (||Q_a Q_a^dagger - P_a||_F <= e_a).  So a certified family's dump and
-    reload agree within e_a, not bit for bit.  Any other family keeps
-    read-only copies of its inputs, equal to them bit for bit.
+    Validation reads the caller's matrices without copying them.  A family
+    keeps only a read-only factor Q_a per member (d x r_a, about d^2 numbers
+    in all): the certificate's, with ||Q_a Q_a^dagger - P_a||_F <= e_a; the
+    basis columns of :meth:`from_basis`, whose products are the members it
+    validated; or else :func:`_member_factors`.  :meth:`apply` applies a
+    member as Q_a (Q_a^dagger x), and ``projectors`` and :meth:`member` build
+    Q_a Q_a^dagger on each read and keep none, so they and a dump and reload
+    agree with the input to the tolerance (bit for bit from a basis).
     """
 
     def __init__(self, time_index: int, members):
+        self._validate(time_index, members, None)
+
+    def _validate(self, time_index: int, members, columns) -> None:
+        """Validate and keep the factors of ``members``; warnings name who called the constructor."""
         members = list(members)
         if not members:
             raise ModelValidationError("projector family needs at least one member")
@@ -436,19 +458,19 @@ class ProjectorFamily:
         for a, (label, p) in enumerate(zip(labels, projectors)):
             if a == n_square:
                 raise ModelValidationError(f"projector {label!r} has shape {p.shape}, expected {(dim, dim)}")
-            _check(herm[a], f"projector {label!r} Hermiticity")
+            _check(herm[a], f"projector {label!r} Hermiticity", 4)
             if not idem[a] <= ATOL_MODEL:
-                _check(linalg.defect(p @ p - p, ATOL_MODEL), f"projector {label!r} idempotence")
+                _check(linalg.defect(p @ p - p, ATOL_MODEL), f"projector {label!r} idempotence", 4)
         for (a, b), defect in orth.items():
-            _check(defect, f"orthogonality of projectors {labels[a]!r}, {labels[b]!r}")
-        _check(complete, "family completeness (sum of projectors vs identity)")
+            _check(defect, f"orthogonality of projectors {labels[a]!r}, {labels[b]!r}", 4)
+        _check(complete, "family completeness (sum of projectors vs identity)", 4)
         self.time_index = int(time_index)
         self.labels = tuple(labels)
-        self._dim = dim
-        self._factors = None if factors is None else tuple(_freeze(q) for q in factors)
-        # the dense copies; a certified family keeps none
-        self._members = (tuple(_freeze(p.copy()) for p in projectors) if factors is None
-                         else (None,) * len(labels))
+        # whether the factor certificate proved every check
+        self.certified = factors is not None
+        if factors is None:
+            factors = _member_factors(projectors) if columns is None else columns
+        self._factors = tuple(_freeze(q) for q in factors)
 
     @staticmethod
     def _bound_defects(projectors):
@@ -515,38 +537,29 @@ class ProjectorFamily:
         """Family of projectors onto column spans of a unitary ``basis``.
 
         ``blocks`` maps labels to lists of column indices; together they
-        must name every column exactly once.
+        must name every column exactly once.  A member is validated as
+        B_a B_a^dagger for its columns B_a, and B_a is the factor kept.
         """
         b = linalg.as_matrix(basis, "basis")
-        members = []
-        seen: list[int] = []  # every index of every block, repeats kept
-        for label, idx in dict(blocks).items():
-            idx = list(idx)
-            cols = b[:, idx]
-            members.append((label, cols @ cols.conj().T))
-            seen += idx
-        if sorted(seen) != list(range(b.shape[1])):
-            raise ModelValidationError(f"blocks do not partition basis columns: {sorted(seen)}")
-        return cls(time_index, members)
+        blocks = {label: list(idx) for label, idx in dict(blocks).items()}
+        columns = [b[:, idx] for idx in blocks.values()]
+        seen = sorted(k for idx in blocks.values() for k in idx)  # repeats kept
+        if seen != list(range(b.shape[1])):
+            raise ModelValidationError(f"blocks do not partition basis columns: {seen}")
+        family = cls.__new__(cls)
+        family._validate(time_index, [(label, q @ q.conj().T) for label, q in zip(blocks, columns)], columns)
+        return family
 
     @property
     def dim(self) -> int:
-        return self._dim
-
-    @property
-    def certified(self) -> bool:
-        """Whether the factor certificate proved every check, so that the family keeps its factors."""
-        return self._factors is not None
+        return self._factors[0].shape[0]
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def member(self, label_or_index) -> np.ndarray:
-        """The member's projector, read-only: its dense copy, or Q_a Q_a^dagger built on this read."""
-        a = self._index(label_or_index)
-        if self._factors is None:
-            return self._members[a]
-        q = self._factors[a]
+        """The member's projector Q_a Q_a^dagger, built on this read, read-only and not kept."""
+        q = self._factors[self._index(label_or_index)]
         return _freeze(q @ q.conj().T)
 
     @property
@@ -556,12 +569,9 @@ class ProjectorFamily:
     def apply(self, index: int, x: np.ndarray, rows: bool = False) -> np.ndarray:
         """P_a x for columns x (d x k), or x P_a^T for rows x (k x d), the transposed columns.
 
-        A factored member is applied as Q_a (Q_a^dagger x), two products of
-        d r_a k each, and P_a is not formed.
+        The member is applied as Q_a (Q_a^dagger x), two products of d r_a k
+        each, and P_a is not formed.
         """
-        if self._factors is None:
-            p = self._members[index]
-            return x @ p.T if rows else p @ x
         q = self._factors[index]
         return linalg.times_conj(x, q) @ q.T if rows else q @ linalg.times_conj(x.T, q).T
 

@@ -188,10 +188,7 @@ def construct_records(model: QuantumModel, psi, time_index: int | None = None,
     live = norms > ZERO_BRANCH_NORM
     units = np.zeros_like(evolved)
     units[live] = evolved[live] / norms[live, None]
-    projections = {}
-    for h, u, ok in zip(histories, units, live):
-        projections[h] = (np.outer(u, u.conj()) if ok
-                          else np.zeros((model.dim, model.dim), dtype=complex))
+    projections = {h: np.outer(u, u.conj()) for h, u in zip(histories, units)}  # 0 for a null branch
     # Perfect correlation: branch j lands entirely on its own record.
     correlation = np.abs(units.conj() @ evolved.T) ** 2
     for i, h in enumerate(histories):

@@ -189,11 +189,11 @@ def _collapse_levels(model: QuantumModel, cols: np.ndarray, pure: bool,
     the trailing evolution.  The d x r blocks of unit columns of every
     trajectory so far sit side by side, trajectory-major, so each family
     costs one segment product and one application per member
-    (:meth:`ProjectorFamily.apply`, two thin products for a certified
-    family's member), and every column is renormalized on its own.  Each segment is the product of the steps
-    reaching the family's time, multiplied out here from its first step (an
-    adjoint is stored contiguous) rather than taken from the grid, so the
-    oracle stays independent of the code it checks.  Forwards the steps run
+    (:meth:`ProjectorFamily.apply`, two thin products through its factor),
+    and every column is renormalized on its own.  Each segment is the product
+    of the steps reaching the family's time, multiplied out here from its
+    first step (an adjoint is stored contiguous) rather than taken from the
+    grid, so the oracle stays independent of the code it checks.  Forwards the steps run
     from the first grid time to the last; backwards their adjoints run from
     the last to the first and the families are met latest first.  The
     trajectories come back sorted by their time-ordered labels.  A set whose
@@ -440,19 +440,19 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _cut(dim: int, n_members: int, rng: np.random.Generator) -> list[range]:
-    """``n_members`` consecutive runs of range(dim), cut at distinct random points."""
-    cuts = sorted(rng.choice(np.arange(1, dim), size=n_members - 1, replace=False).tolist())
+def _cut(dim: int, parts: int, rng: np.random.Generator) -> list[range]:
+    """``parts`` consecutive runs of range(dim), cut at distinct random points."""
+    cuts = sorted(rng.choice(np.arange(1, dim), size=parts - 1, replace=False).tolist())
     bounds = [0] + cuts + [dim]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _random_family(dim: int, time_index: int, rng: np.random.Generator,
-                   n_members: int | None = None) -> ProjectorFamily:
+                   size: int | None = None) -> ProjectorFamily:
     basis = haar_unitary(dim, rng)
-    if n_members is None:
-        n_members = int(rng.integers(2, min(dim, 4) + 1))
-    blocks = {f"m{j}": list(run) for j, run in enumerate(_cut(dim, n_members, rng))}
+    if size is None:
+        size = int(rng.integers(2, min(dim, 4) + 1))
+    blocks = {f"m{j}": list(run) for j, run in enumerate(_cut(dim, size, rng))}
     return ProjectorFamily.from_basis(time_index, basis, blocks)
 
 

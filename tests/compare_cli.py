@@ -19,13 +19,18 @@ Each differing command gets one label.  With equal exit codes and stderr,
 it is "row order only" when its JSON outputs are equal once the rows of
 every list of objects are sorted, and "float values only" when they are
 equal once every float is masked (rows in the same order); anything else,
-and both kinds at once, is "other".
+and both kinds at once, is "other".  Beside the label each line prints the
+largest absolute difference between the two outputs' floats, with the rows
+of every list of objects sorted as for "row order only", and where it lies
+(``stdout.result.forwards.pair_table[].ratio``), or ``-`` when the outputs
+do not match up float for float.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -70,6 +75,36 @@ def _floats_masked(obj):
     if isinstance(obj, list):
         return [_floats_masked(v) for v in obj]
     return "<float>" if isinstance(obj, float) else obj
+
+
+def _float_gap(a, b, where: str = "") -> tuple[float, str]:
+    """Largest |x - y| over the floats x, y at the same place of ``a`` and ``b``, and that place.
+
+    A place is the path of keys, with ``[]`` for a list's items; ValueError
+    when ``a`` and ``b`` differ in anything but their floats.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        return (0.0 if a == b or (math.isnan(a) and math.isnan(b)) else abs(a - b)), where
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_float_gap(a[k], b[k], f"{where}.{k}") for k in a), default=(0.0, where))
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_float_gap(x, y, f"{where}[]") for x, y in zip(a, b)), default=(0.0, where))
+    if type(a) is type(b) and a == b:
+        return 0.0, where
+    raise ValueError("the outputs do not match up float for float")
+
+
+def largest_difference(old: tuple, new: tuple) -> tuple[float, str] | None:
+    """The largest float difference between two outcomes' JSON outputs, rows sorted, and its place.
+
+    The place starts with ``stdout`` or ``out``; None when the outputs do
+    not match up float for float or are not JSON.
+    """
+    try:
+        a, b = ([_sorted_rows(json.loads(text)) if text else text for text in o[2:]] for o in (old, new))
+        return max(_float_gap(x, y, part) for x, y, part in zip(a, b, ("stdout", "out")))
+    except ValueError:
+        return None
 
 
 def label(old: tuple, new: tuple) -> str:
@@ -197,7 +232,9 @@ def main(argv=None) -> int:
         if diff:
             kind = label(old, new)
             labels[kind] += 1
-            print(f"DIFFERS [{kind}] ({', '.join(diff)}): decohist {shlex.join(command)}")
+            gap = largest_difference(old, new)
+            print(f"DIFFERS [{kind}] ({', '.join(diff)}; largest float difference "
+                  f"{'-' if gap is None else f'{gap[0]:.2e} at {gap[1]}'}): decohist {shlex.join(command)}")
     differing = sum(labels.values())
     kinds = ", ".join(f"{n} {kind}" for kind, n in sorted(labels.items()))
     print(f"{len(commands)} commands, {len(commands) - differing} identical, {differing} differing"

@@ -11,8 +11,8 @@ and against that copy, one request of the named ``perfbench/workloads.py``
 workload (``large-dim`` by default; a CLI workload runs its commands through
 ``decohist.cli.main``), or with ``--family`` builds one projector family of
 MEMBERS Haar block projectors at dimension DIM.  For the family it also prints the bytes
-of array data that the family keeps after construction, from tracemalloc (dense copies
-of the members, or a certified family's factors).  It prints, per call site, the number of
+of array data that the family keeps after construction, from tracemalloc (its members'
+factors).  It prints, per call site, the number of
 square products (both operands square matrices of one size, such as two
 d x d operators) and of all products, then the totals.  Inputs and model
 files go to the temporary directory; the script writes nothing under TREE.

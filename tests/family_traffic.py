@@ -1,17 +1,22 @@
-"""Which projector families of the benchmark's inputs the factor certificate decides.
+"""Which proof decides each projector family of the benchmark's inputs, and the data it keeps.
 
-    python tests/family_traffic.py [--seeds N ...]
+    python tests/family_traffic.py [TREE] [--seeds N ...]
 
-For each seed (1, 2, 3, 301 and 401 by default) the script builds, from the
-benchmark's own generator (``perfbench/inputs.py``), the families that the
+TREE is a checkout with ``src/decohist`` (default: this script's own); the
+inputs come from the benchmark generator in this script's own checkout
+(``perfbench/inputs.py``), so TREE needs only ``src/``.  For each seed (1,
+2, 3, 301 and 401 by default) the script builds the families that the
 ``large-dim`` and ``cli-records`` workloads validate: the two 4-member
 families of ``large-dim``; the two-member families of the ``reg6`` and
 ``reg4`` register models, read from the model files the CLI reads; and the
 records family that ``records`` builds on ``reg4``.  It prints one row per
-input and seed: how many families, their sizes, how many are certified, and
-the largest bound of the factor certificate among them (``-`` when no family
-is offered to it: fewer than 4 members, or a completeness defect above the
-tolerance).  Model files go to a temporary directory.
+input and seed: how many families, their sizes, the proof that decided them
+(``certificate`` when the factor certificate proved every one, ``dense rule``
+when it proved none, ``mixed`` otherwise), how many are certified, the
+largest bound of the factor certificate among them (``-`` when no family is
+offered to it: fewer than 4 members, or a completeness defect above the
+tolerance), and the KiB of family data they keep (:func:`scale_probe.family_bytes`).
+Model files go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -24,16 +29,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
-from decohist import model  # noqa: E402
-from decohist.modelfile import load_model  # noqa: E402
-from decohist.records import construct_records  # noqa: E402
+from scale_probe import family_bytes  # noqa: E402
 
 
-def _trace_families() -> list[tuple[int, bool, float | None]]:
-    """Record (members, certified, the certificate's largest bound or None) of every family built."""
+def _trace_families(model) -> list[tuple]:
+    """Record (family, certified, the certificate's largest bound or None) of every family built."""
     built, offered = [], []
     init, factor_bounds = model.ProjectorFamily.__init__, model._factor_bounds
 
@@ -45,7 +48,7 @@ def _trace_families() -> list[tuple[int, bool, float | None]]:
     def traced(self, *args, **kwargs):
         offered.clear()
         init(self, *args, **kwargs)
-        built.append((len(self), self.certified, offered[0] if offered else None))
+        built.append((self, self.certified, offered[0] if offered else None))
 
     model._factor_bounds = bounded
     model.ProjectorFamily.__init__ = traced
@@ -54,18 +57,29 @@ def _trace_families() -> list[tuple[int, bool, float | None]]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", type=Path, nargs="?", default=ROOT)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 301, 401])
     args = parser.parse_args()
-    built = _trace_families()
-    print(f"{'input':<14} {'seed':>5} {'families':>8} {'members':>8} {'certified':>9} {'worst bound':>12}")
+    sys.path.insert(0, str(args.tree.resolve() / "src"))
+    from decohist import model
+    from decohist.modelfile import load_model
+    from decohist.records import construct_records
+
+    built = _trace_families(model)
+    print(f"family traffic of {args.tree.resolve()}")
+    print(f"{'input':<14} {'seed':>5} {'families':>8} {'members':>8} {'proof':<11} {'certified':>9}"
+          f" {'worst bound':>12} {'data_KiB':>9}")
 
     def row(name: str, seed: int, build):
         """Print the row of the families that ``build()`` validates, and return what it returns."""
         built.clear()
         result = build()
         bounds = [b for _, _, b in built if b is not None]
-        print(f"{name:<14} {seed:>5} {len(built):>8} {','.join(sorted({str(n) for n, _, _ in built})):>8}"
-              f" {sum(c for _, c, _ in built):>9} {f'{max(bounds):.1e}' if bounds else '-':>12}")
+        certified = sum(c for _, c, _ in built)
+        proof = "certificate" if certified == len(built) else "dense rule" if not certified else "mixed"
+        print(f"{name:<14} {seed:>5} {len(built):>8} {','.join(sorted({str(len(f)) for f, _, _ in built})):>8}"
+              f" {proof:<11} {certified:>9} {f'{max(bounds):.1e}' if bounds else '-':>12}"
+              f" {family_bytes(f for f, _, _ in built) / 2**10:9.1f}")
         return result
 
     with tempfile.TemporaryDirectory() as tmp:

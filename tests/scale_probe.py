@@ -8,8 +8,10 @@ process with TREE's ``src`` first on ``PYTHONPATH``.  The process builds the
 model, then times ``_rows`` (the walk), ``_gram`` and ``_measure`` (the Gram
 again plus the pair arrays, so the pair-array time is ``_measure`` minus
 ``_gram``), each once, on the forwards weak check.  It prints one line per
-row: the model build time, the three stage times, the tracemalloc peak of
-the three stages (numpy's arrays included) and the process's peak RSS.
+row: the model build time, the family data the model holds (the ``nbytes``
+of its families' factors and of any dense copies of members), the three
+stage times, the tracemalloc peak of the three stages (numpy's arrays
+included) and the process's peak RSS.
 ``--rows`` picks rows by number; the default runs them all, and the last
 needs about 2 GB.  The script writes nothing, and it compares nothing: the
 numbers are one run on whatever host runs it.
@@ -29,7 +31,19 @@ from pathlib import Path
 # (dim, families, pure) per row of the state table; every family has 2 members
 ROWS = {1: (16, 10, True), 2: (256, 12, True), 3: (64, 12, False), 4: (1024, 12, True)}
 HEADER = (f"{'row':>3}  {'dim':>4} {'fam':>3} {'state':<5} {'m':>5} {'pairs':>9}  "
-          f"{'build_s':>7} {'walk_s':>7} {'gram_s':>7} {'pairs_s':>7}  {'peak_MiB':>8} {'rss_MiB':>8}")
+          f"{'build_s':>7} {'fam_MiB':>8} {'walk_s':>7} {'gram_s':>7} {'pairs_s':>7}  "
+          f"{'peak_MiB':>8} {'rss_MiB':>8}")
+
+
+def family_bytes(families) -> int:
+    """Bytes of family data: the factors and the dense member copies that ``families`` hold.
+
+    Read from the private arrays of either layout (``_factors``, and the
+    ``_members`` of a tree that kept dense copies), so any TREE can be probed.
+    """
+    held = (a for f in families
+            for a in (*(getattr(f, "_factors", None) or ()), *getattr(f, "_members", ())))
+    return sum(a.nbytes for a in held if a is not None)
 
 
 def probe(row: int) -> str:
@@ -41,6 +55,7 @@ def probe(row: int) -> str:
     start = time.perf_counter()
     model = random_model(1, dim, families, 2, pure)
     build = time.perf_counter() - start
+    held = family_bytes(model.families)
     tracemalloc.start()
     start = time.perf_counter()
     rows = _rows(model)
@@ -56,7 +71,8 @@ def probe(row: int) -> str:
     tracemalloc.stop()
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return (f"{row:>3}  {dim:>4} {families:>3} {'pure' if pure else 'mixed':<5} {len(rows):>5} "
-            f"{arrays.i.size:>9}  {build:7.3f} {walk:7.3f} {gram_s:7.3f} {measure_s - gram_s:7.3f}  "
+            f"{arrays.i.size:>9}  {build:7.3f} {held / 2**20:8.2f} {walk:7.3f} {gram_s:7.3f} "
+            f"{measure_s - gram_s:7.3f}  "
             f"{peak / 2**20:8.1f} {rss:8.1f}")
 
 

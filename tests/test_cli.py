@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compare_cli import label, read_commands
+from compare_cli import label, largest_difference, read_commands
 from decohist import cli, scenarios
 from decohist.cli import build_parser, main
 from decohist.modelfile import dump_model, load_model, model_from_dict, model_to_dict
 from decohist.exceptions import ModelFileError
 from decohist.histories import RATIO_TIE, TolerancePolicy, check_decoherence
-from decohist.model import QuantumModel, StateOperator, TimeGrid
+from decohist.model import ATOL_MODEL, QuantumModel, StateOperator, TimeGrid
 from decohist.scenarios import (
     _random_family,
     haar_unitary,
@@ -357,8 +357,9 @@ def test_dump_and_load_return_identical_arrays(tmp_path):
     assert np.array_equal(loaded_final, rho_final)
     for ua, ub in zip(loaded.grid.step_unitaries, model.grid.step_unitaries):
         assert np.array_equal(ua, ub)
+    # a loaded family keeps the factors of the dumped members, which it reads back to the tolerance
     for fa, fb in zip(loaded.families, model.families):
-        assert all(np.array_equal(pa, pb) for pa, pb in zip(fa.projectors, fb.projectors))
+        assert all(np.abs(pa - pb).max() <= ATOL_MODEL for pa, pb in zip(fa.projectors, fb.projectors))
 
 
 @pytest.mark.parametrize("index, value, where", [
@@ -508,6 +509,22 @@ def test_compare_cli_labels_row_moves_and_float_changes():
     assert label(moved, nudged) == "other"  # both at once
     assert label(base, (1, *base[1:])) == "other"
     assert label(base, (0, "warning", *base[2:])) == "other"
+
+
+def test_compare_cli_prints_the_largest_float_difference():
+    rows = [{"left": ["a"], "re": 0.5, "ratio": 1.0}, {"left": ["b"], "re": -0.25, "ratio": 2.0}]
+    old = (0, "", json.dumps({"table": rows, "probabilities": [0.5, 0.5], "n": 2}), None)
+    # rows moved and nudged: matched by the sort of "row order only", not by position
+    new = (0, "", json.dumps({"table": [dict(rows[1], re=-0.25 + 3e-16), dict(rows[0], ratio=1.0 + 1e-15)],
+                              "probabilities": [0.5, 0.5 - 2e-16], "n": 2}), None)
+    assert largest_difference(old, new) == ((1.0 + 1e-15) - 1.0, "stdout.table[].ratio")  # row "a"
+    assert largest_difference(old, old)[0] == 0.0
+    written = (0, "", "", json.dumps({"p": [0.25, float("nan")]}))
+    assert largest_difference(written, (0, "", "", json.dumps({"p": [0.5, float("nan")]}))) == (0.25, "out.p[]")
+    # no float-for-float match: another shape, another int, text that is not JSON
+    assert largest_difference(old, (0, "", json.dumps({"table": rows[:1]}), None)) is None
+    assert largest_difference(old, (0, "", old[2].replace('"n": 2', '"n": 3'), None)) is None
+    assert largest_difference((0, "", "usage", None), (0, "", "usage:", None)) is None
 
 
 def test_parse_error_exit_64(tmp_path, capsys):

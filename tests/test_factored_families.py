@@ -1,19 +1,24 @@
-"""Certified projector families held as their factors.
+"""Projector families held as their factors.
 
-A family of at least 4 members whose factor certificate proves every check
-keeps one factor Q_a per member, not a dense copy of each member.  The walk
-and the collapse oracle apply a member as Q_a (Q_a^dagger x).  Hypothesis
-draws models with such families, pure and mixed, and compares the reports
-and the collapse table with the chain-matrix reference evaluator and the
-per-trajectory oracle run on the caller's dense matrices.  The other tests
-measure what a certified family holds, check that the benchmark's
-``large-dim`` request sequence never builds a member, that time reversal and
-a model dump, which read every member, leave none kept, and that uncertified
-families keep their inputs bit for bit.
+Every validated family keeps one factor Q_a per member, about d^2 numbers in
+all, and no dense copy of a member: the certificate's factors for a family of
+at least 4 members that it proves, the basis columns for a family built
+``from_basis``, and otherwise a factor found once the dense rule has passed.
+The walk and the collapse oracle apply a member as Q_a (Q_a^dagger x).
+Hypothesis draws models with such families, pure and mixed, and compares the
+reports, the forwards, backwards and two-state functionals and the collapse
+table with the chain-matrix reference evaluator and the per-trajectory oracle
+run on the caller's dense matrices; and draws 2- and 3-member families, whose
+members must apply and read back as the caller's matrices.  The other tests
+measure what a family holds, check that the benchmark's ``large-dim``
+request sequence keeps no member, that time reversal and a model dump, which
+read every member, leave none kept, and that a family ``from_basis`` keeps
+its basis columns bit for bit.
 """
 
 import copy
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -28,12 +33,16 @@ from decohist.histories import (
     TolerancePolicy,
     check_decoherence,
     check_two_state_decoherence,
+    _coerce_final_operator,
+    _gram,
+    _rows,
     coarse_grain_check,
     time_reversed_history_set,
 )
-from decohist.model import ATOL_MODEL, ProjectorFamily, QuantumModel, StateOperator, TimeGrid
+from decohist.model import ATOL_MODEL, WARN_FACTOR, ProjectorFamily, QuantumModel, StateOperator, TimeGrid
 from decohist.modelfile import model_to_dict
 from decohist.scenarios import collapse_probability_table, haar_unitary
+from test_family_bounds import _equal_pivot_columns
 
 ATOL = 1e-12
 
@@ -78,6 +87,11 @@ def _model(dim, member_counts, rank, rng):
         families.append(ProjectorFamily(t, [(f"m{j}", p) for j, p in enumerate(matrices)]))
     grid = TimeGrid(np.arange(len(steps) + 1, dtype=float), steps)
     return QuantumModel(_state(dim, rank, rng), grid, families), inputs
+
+
+def _numbers(family):
+    """How many numbers the family keeps: those of its factors, d^2 when the ranks sum to d."""
+    return sum(q.size for q in family._factors)
 
 
 def _dense_twin(model, inputs):
@@ -125,7 +139,85 @@ def test_certified_families_match_the_dense_references(case):
         reference = dict(oracle.mixed_collapse_table(twin))
     assert table.keys() == reference.keys()
     assert max(abs(table[h] - reference[h]) for h in table) <= ATOL
-    assert all(p is None for f in model.families for p in f._members)
+    assert all(_numbers(f) == dim * dim for f in model.families)
+
+
+@st.composite
+def small_cases(draw):
+    """(dim, members per family, state rank, seed), with d <= 16 and 2 to 4 members."""
+    counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    dim = draw(st.integers(max(counts), 16))
+    rank = draw(st.sampled_from([1, 2, dim]))
+    return dim, counts, rank, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(small_cases())
+@example((16, [2, 3, 4], 2, 1))
+@example((5, [2, 2], 5, 7))
+def test_every_family_matches_the_dense_functionals(case):
+    # every forwards, backwards and two-state entry against the chain matrices
+    # of the caller's arrays, whichever factor each family keeps
+    dim, counts, rank, seed = case
+    rng = np.random.default_rng(seed)
+    model, inputs = _model(dim, counts, rank, rng)
+    assert all(f.certified == (len(f) >= 4) for f in model.families)
+    twin = _dense_twin(model, inputs)
+    rho_f = _state(dim, 2, rng).rho
+    got = {"forwards": _gram(_rows(model)), "backwards": _gram(_rows(model, True)),
+           "two_state": _gram(_rows(model, False, model.initial_state,
+                                     _coerce_final_operator(rho_f, dim)[1]))}
+    for direction, d in got.items():
+        expected = ref.functional_matrix(twin, direction, rho_f=rho_f)
+        assert np.max(np.abs(d - expected)) <= ATOL
+
+
+def _assert_factors_apply_the_inputs(family, matrices, limit):
+    """Each member applies as the caller's matrix, and Q_a Q_a^dagger is within ``limit`` of it."""
+    x = np.random.default_rng(0).standard_normal((family.dim, 6)).view(complex)
+    scale = ATOL * np.linalg.norm(x)
+    for a, p in enumerate(matrices):
+        assert np.abs(family.apply(a, x) - p @ x).max() <= scale
+        assert np.abs(family.apply(a, x.T, rows=True) - x.T @ p.T).max() <= scale
+        q = family._factors[a]
+        assert np.abs(q @ q.conj().T - p).max() <= limit
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.integers(2, 16), st.integers(2, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_dense_rule_factors_apply_the_input_members(dim, n, from_basis, seed):
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, dim), min(n, dim) - 1, replace=False))
+    edges = np.concatenate([[0], cuts, [dim]])
+    basis = haar_unitary(dim, rng)
+    blocks = {f"m{j}": list(range(lo, hi)) for j, (lo, hi) in enumerate(zip(edges, edges[1:]))}
+    matrices = [basis[:, idx] @ basis[:, idx].conj().T for idx in blocks.values()]
+    family = (ProjectorFamily.from_basis(1, basis, blocks) if from_basis
+              else ProjectorFamily(1, zip(blocks, matrices)))
+    assert not family.certified
+    _assert_factors_apply_the_inputs(family, matrices, ATOL_MODEL)
+
+
+def _leak():
+    # a leak of 5 ATOL_MODEL between two members: the certificate cannot prove
+    # that pair, and its checks warn
+    eye = np.eye(8, dtype=complex)
+    theta = 5.0 * ATOL_MODEL
+    turned = np.cos(theta) * eye[:, 0] + np.sin(theta) * eye[:, 1]
+    return [np.outer(turned, turned.conj()), eye[:, 1:2] @ eye[:, 1:2].T,
+            eye[:, 2:4] @ eye[:, 2:4].T, eye[:, 4:] @ eye[:, 4:].T]
+
+
+@pytest.mark.parametrize("matrices, warned", [
+    ([p for _, p in _equal_pivot_columns()], False),
+    (_leak(), True),
+], ids=["equal-pivot-columns", "leak-5"])
+def test_edge_families_apply_the_input_members(matrices, warned):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        family = ProjectorFamily(1, zip("abcd", matrices))
+    assert bool(caught) == warned and not family.certified
+    _assert_factors_apply_the_inputs(family, matrices, (WARN_FACTOR if warned else 1.0) * ATOL_MODEL)
 
 
 def test_certified_family_holds_its_factors():
@@ -159,7 +251,7 @@ def test_reversal_and_dump_keep_no_member():
     model_to_dict(model)
     model_to_dict(reversed_model)
     for family in model.families + reversed_model.families:
-        assert not family.certified or all(p is None for p in family._members)
+        assert family.certified and _numbers(family) == dim * dim
     member = model.families[0].member("m1")
     assert np.array_equal(member, model.families[0].projectors[1])
     kept = weakref.ref(member)
@@ -180,25 +272,26 @@ def test_large_dim_requests_never_build_a_member():
     coarse_grain_check(model, CoarseGraining((merged, singles)))
     collapse_probability_table(model)
     assert all(f.certified for f in model.families)
-    assert all(p is None for f in model.families for p in f._members)
+    assert all(_numbers(f) == 256 * 256 for f in model.families)
 
 
 def test_small_family_keeps_its_inputs_bit_for_bit():
-    members = _blocks(16, [5, 11], np.random.default_rng(3))
-    family = ProjectorFamily(1, zip("ab", members))
+    # a family from_basis keeps its blocks of basis columns, copied and read-only,
+    # and forms no factor: its members are the products it validated
+    basis = haar_unitary(16, np.random.default_rng(3))
+    blocks = {"a": [0, 3, 7, 9, 12], "b": [1, 2, 4, 5, 6, 8, 10, 11, 13, 14, 15]}
+    family = ProjectorFamily.from_basis(1, basis, blocks)
     assert not family.certified
-    for p, q in zip(members, family.projectors):
-        assert np.array_equal(p, q) and not np.shares_memory(p, q) and not q.flags.writeable
+    for a, idx in enumerate(blocks.values()):
+        cols, q = basis[:, idx], family._factors[a]
+        assert np.array_equal(cols, q) and not np.shares_memory(basis, q) and not q.flags.writeable
+        assert np.array_equal(family.member(a), cols @ cols.conj().T)
 
 
 def test_family_left_to_a_product_keeps_its_inputs_bit_for_bit():
-    # a leak of 5 ATOL_MODEL between two members: the certificate cannot prove
-    # that pair, its checks warn, and the family stays dense
-    eye = np.eye(8, dtype=complex)
-    theta = 5.0 * ATOL_MODEL
-    turned = np.cos(theta) * eye[:, 0] + np.sin(theta) * eye[:, 1]
-    members = [np.outer(turned, turned.conj()), eye[:, 1:2] @ eye[:, 1:2].T,
-               eye[:, 2:4] @ eye[:, 2:4].T, eye[:, 4:] @ eye[:, 4:].T]
+    # the dense rule decides the leak's family, and its members, each of exact
+    # rank, are read back from their static-pivot factors bit for bit
+    members = _leak()
     with pytest.warns(UserWarning, match="exceeds"):  # orthogonality and completeness
         family = ProjectorFamily(1, zip("abcd", members))
     assert not family.certified
