@@ -28,47 +28,49 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
-def _factor_columns(p: np.ndarray, r: int, work: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _factor_columns(p: np.ndarray, r: int, work: np.ndarray, q=None) -> tuple[np.ndarray, float] | None:
     """Q = P[:, idx] L^{-dagger}, L L^dagger = P[idx, idx], and ||Q Q^dagger - P||_F, formed in ``work``.
 
     idx holds P's r largest diagonal entries, and Q is built 16 pivots b at
     a time: each step appends Y L_b^{-dagger} for the residual columns
     Y = P[:, b] - Q Q[b]^dagger and the Cholesky factor L_b of Y[b]'s
     Hermitian part.  None if a block is not positive definite or Q not finite.
+    A given ``q`` is not factored again: only its residual is formed.
     """
-    # pivots by Python's stable sort: no other validation step runs numpy's
-    # sort kernels, whose code would add about 0.1 MiB of resident pages
-    diag = p.diagonal().real.tolist()
-    idx = np.array(sorted(range(p.shape[0]), key=diag.__getitem__, reverse=True)[:r], dtype=np.intp)
-    q = np.empty((p.shape[0], idx.size), dtype=complex)
-    for k in range(0, idx.size, 16):
-        b = idx[k:k + 16]
-        y = p[:, b]
-        if k:
-            y -= q[:, :k] @ q[b, :k].conj().T
-        h = y[b]
-        try:
-            low = np.linalg.cholesky((h + h.conj().T) / 2.0)
-        except np.linalg.LinAlgError:
-            return None
-        block = q[:, k:k + b.size]
-        np.matmul(y, np.linalg.inv(low).conj().T, out=block)
-        if not np.isfinite(block).all():
-            return None
+    if q is None:
+        # pivots by Python's stable sort: no other validation step runs numpy's
+        # sort kernels, whose code would add about 0.1 MiB of resident pages
+        diag = p.diagonal().real.tolist()
+        idx = np.array(sorted(range(p.shape[0]), key=diag.__getitem__, reverse=True)[:r], dtype=np.intp)
+        q = np.empty((p.shape[0], idx.size), dtype=complex)
+        for k in range(0, idx.size, 16):
+            b = idx[k:k + 16]
+            y = p[:, b]
+            if k:
+                y -= q[:, :k] @ q[b, :k].conj().T
+            h = y[b]
+            try:
+                low = np.linalg.cholesky((h + h.conj().T) / 2.0)
+            except np.linalg.LinAlgError:
+                return None
+            block = q[:, k:k + b.size]
+            np.matmul(y, np.linalg.inv(low).conj().T, out=block)
+            if not np.isfinite(block).all():
+                return None
     np.matmul(q, q.conj().T, out=work)
     work -= p
     return q, float(np.linalg.norm(work))
 
 
-def _factor_bounds(projectors, c_norm: float, work: np.ndarray) -> tuple[list[np.ndarray], float] | None:
+def _factor_bounds(projectors, c_norm: float, work: np.ndarray, given) -> tuple[list, float] | None:
     """The factors Q_a of a family and the largest of its bounds on the dense checks, or None.
 
     The bound covers every max |P_a P_b| (a != b), max |P_a^2 - P_a| and
     max |P_a - P_a^dagger|, each as the dense check computes it, so when it
     is at most the tolerance every check would pass silently; ``c_norm`` is
-    the computed ||C||_F, C = sum_b P_b - I.  Member a is factored through
-    its r_a = round(tr P_a) largest diagonal entries (:func:`_factor_columns`);
-    the proof uses the computed Q_a (d x r_a) as it is.  E_a = Q_a Q_a^dagger - P_a,
+    the computed ||C||_F, C = sum_b P_b - I.  Q_a (d x r_a) is ``given[a]``, or when that
+    is None, the factor of member a through its r_a = round(tr P_a) largest diagonal
+    entries (:func:`_factor_columns`); the proof uses Q_a as it is.  E_a = Q_a Q_a^dagger - P_a,
     formed in ``work``, has ||E_a||_F <= e_a: its computed norm (1 + 4u) plus
     sqrt(2) gamma_{r_a+2} ||Q_a||_F^2 for the product's rounding.  When the
     ranks sum to d, Q = [Q_1 ... Q_n] is square, so
@@ -88,12 +90,12 @@ def _factor_bounds(projectors, c_norm: float, work: np.ndarray) -> tuple[list[np
     the ranks do not sum to d, a factor fails, or eps is not finite.
     """
     n, d = len(projectors), projectors[0].shape[0]
-    ranks = [round(float(np.trace(p).real)) for p in projectors]
+    ranks = [round(float(np.trace(p).real)) if q is None else q.shape[1] for p, q in zip(projectors, given)]
     if sum(ranks) != d or min(ranks) < 0:
         return None
     rho, e, q_frob, factors = np.zeros(n), np.zeros(n), np.zeros(n), []
-    for a, (p, r) in enumerate(zip(projectors, ranks)):
-        factor = _factor_columns(p, r, work)
+    for a, (p, r, q) in enumerate(zip(projectors, ranks, given)):
+        factor = _factor_columns(p, r, work, q)
         if factor is None:
             return None
         q, residual = factor

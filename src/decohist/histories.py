@@ -584,12 +584,14 @@ class CoarseGraining:
     def coarse_model(self, model: QuantumModel) -> QuantumModel:
         """The model with each family's blocks merged into single projectors.
 
-        A merged member is the plain sum of its fine members, and every
-        family is validated in full by the public constructor.
+        A merged member is the sum of its fine members: its factor is their
+        factors side by side, and every family is validated in full
+        (:meth:`ProjectorFamily._from_factors`).
         """
         return model._derive([
-            ProjectorFamily(fam.time_index, [(label, sum(fam.member(str(m)) for m in block))
-                                             for label, block in mapping.items()])
+            ProjectorFamily._from_factors(fam.time_index, {
+                label: np.concatenate([fam._factors[fam._index(str(m))] for m in block], axis=1)
+                for label, block in mapping.items()})
             for fam, mapping in zip(model.families, self.blocks)
         ])
 
@@ -755,8 +757,9 @@ def time_reversed_history_set(model: QuantumModel) -> TimeReversedSet:
 
     Every family time t_k must have -t_k on the grid to ``TIME_ATOL`` (and
     strictly inside it); the reversed family at -t_k carries the conjugated
-    projectors B P^* B^dagger under the original labels.  Applying the
-    operation twice returns the original set.
+    projectors B P^* B^dagger under the original labels, built from the
+    reversed factors B Q_a^* (:meth:`ProjectorFamily._from_factors`).  Applying
+    the operation twice returns the original set.
     """
     times = model.grid.times
     b = model.conjugation_basis
@@ -774,15 +777,11 @@ def time_reversed_history_set(model: QuantumModel) -> TimeReversedSet:
             raise ModelValidationError(
                 f"reflected family time {target!r} is not strictly inside the grid"
             )
-        members = [
-            (label, _reverse_in_basis(p, b))
-            for label, p in zip(fam.labels, fam.projectors)
-        ]
-        placed.append((j, k, ProjectorFamily(j, members)))
+        factors = {label: b @ q.conj() for label, q in zip(fam.labels, fam._factors)}
+        placed.append((j, k, ProjectorFamily._from_factors(j, factors)))
     placed.sort(key=lambda item: item[0])
-    reversed_model = model._derive([fam for _, _, fam in placed])
-    family_map = tuple((new_idx, orig_idx) for new_idx, (_, orig_idx, _) in enumerate(placed))
-    return TimeReversedSet(reversed_model, family_map)
+    return TimeReversedSet(model._derive([fam for _, _, fam in placed]),
+                           tuple((new_idx, orig_idx) for new_idx, (_, orig_idx, _) in enumerate(placed)))
 
 
 @dataclass

@@ -425,19 +425,20 @@ class ProjectorFamily:
 
     Validation reads the caller's matrices without copying them.  A family
     keeps only a read-only factor Q_a per member (d x r_a, about d^2 numbers
-    in all): the certificate's, with ||Q_a Q_a^dagger - P_a||_F <= e_a; the
-    basis columns of :meth:`from_basis`, whose products are the members it
-    validated; or else :func:`_member_factors`.  :meth:`apply` applies a
-    member as Q_a (Q_a^dagger x), and ``projectors`` and :meth:`member` build
-    Q_a Q_a^dagger on each read and keep none, so they and a dump and reload
-    agree with the input to the tolerance (bit for bit from a basis).
+    in all): the known Q_a of :meth:`_from_factors`, whichever proof decides;
+    else the certificate's, with ||Q_a Q_a^dagger - P_a||_F <= e_a, or
+    :func:`_member_factors`.  :meth:`apply` applies a member as Q_a (Q_a^dagger x),
+    and ``projectors`` and :meth:`member` build Q_a Q_a^dagger on each read and
+    keep none, so they and a dump and reload agree with the input to the
+    tolerance (bit for bit from known factors).
     """
 
     def __init__(self, time_index: int, members):
         self._validate(time_index, members, None)
 
     def _validate(self, time_index: int, members, columns) -> None:
-        """Validate and keep the factors of ``members``; warnings name who called the constructor."""
+        """Validate ``members`` and keep the given factors ``columns``, or else factors of them."""
+        level = 4 if columns is None else 5  # warnings name who called __init__, or _from_factors' caller
         members = list(members)
         if not members:
             raise ModelValidationError("projector family needs at least one member")
@@ -451,33 +452,31 @@ class ProjectorFamily:
         dim = projectors[0].shape[0]
         n_square = next((a for a, p in enumerate(projectors) if p.shape != (dim, dim)), len(projectors))
         if n_square == len(projectors):
-            herm, idem, orth, complete, factors = self._bound_defects(projectors)
+            herm, idem, orth, complete, factors = self._bound_defects(projectors, columns)
         else:
             herm = [_hermiticity_defect(p) for p in projectors[:n_square]]
             idem = [math.inf] * n_square
         for a, (label, p) in enumerate(zip(labels, projectors)):
             if a == n_square:
                 raise ModelValidationError(f"projector {label!r} has shape {p.shape}, expected {(dim, dim)}")
-            _check(herm[a], f"projector {label!r} Hermiticity", 4)
+            _check(herm[a], f"projector {label!r} Hermiticity", level)
             if not idem[a] <= ATOL_MODEL:
-                _check(linalg.defect(p @ p - p, ATOL_MODEL), f"projector {label!r} idempotence", 4)
+                _check(linalg.defect(p @ p - p, ATOL_MODEL), f"projector {label!r} idempotence", level)
         for (a, b), defect in orth.items():
-            _check(defect, f"orthogonality of projectors {labels[a]!r}, {labels[b]!r}", 4)
-        _check(complete, "family completeness (sum of projectors vs identity)", 4)
+            _check(defect, f"orthogonality of projectors {labels[a]!r}, {labels[b]!r}", level)
+        _check(complete, "family completeness (sum of projectors vs identity)", level)
         self.time_index = int(time_index)
         self.labels = tuple(labels)
         # whether the factor certificate proved every check
         self.certified = factors is not None
-        if factors is None:
-            factors = _member_factors(projectors) if columns is None else columns
-        self._factors = tuple(_freeze(q) for q in factors)
+        self._factors = tuple(map(_freeze, columns or factors or _member_factors(projectors)))
 
     @staticmethod
-    def _bound_defects(projectors):
+    def _bound_defects(projectors, columns):
         """Hermiticity defects, idempotence bounds, orthogonality defects, completeness defect, factors.
 
         A family of at least 4 members whose completeness defect is at most
-        ``ATOL_MODEL`` is offered to :func:`decohist.bounds._factor_bounds`.
+        ``ATOL_MODEL`` is offered to :func:`decohist.bounds._factor_bounds` with ``columns``.
         When its largest bound is at most ``ATOL_MODEL`` too, that bound stands
         for every Hermiticity and idempotence defect, no pair is listed, and the
         factors come back.  Otherwise the factors are None and the dense rule
@@ -499,7 +498,7 @@ class ProjectorFamily:
         c[np.diag_indices(d)] -= 1.0
         complete = linalg.max_abs(c)
         if n >= _CERTIFIED_FAMILY and complete <= ATOL_MODEL:  # offered to the certificate
-            cert = _factor_bounds(projectors, float(np.linalg.norm(c)), c)
+            cert = _factor_bounds(projectors, float(np.linalg.norm(c)), c, columns or [None] * n)
             if cert is not None and cert[1] <= ATOL_MODEL:
                 return [cert[1]] * n, [cert[1]] * n, {}, complete, cert[0]
             del cert  # the dense rule uses none of its bounds
@@ -537,17 +536,22 @@ class ProjectorFamily:
         """Family of projectors onto column spans of a unitary ``basis``.
 
         ``blocks`` maps labels to lists of column indices; together they
-        must name every column exactly once.  A member is validated as
-        B_a B_a^dagger for its columns B_a, and B_a is the factor kept.
+        must name every column exactly once.  The columns B_a of each block
+        are the member's factor (:meth:`_from_factors`), kept bit for bit.
         """
         b = linalg.as_matrix(basis, "basis")
         blocks = {label: list(idx) for label, idx in dict(blocks).items()}
-        columns = [b[:, idx] for idx in blocks.values()]
         seen = sorted(k for idx in blocks.values() for k in idx)  # repeats kept
         if seen != list(range(b.shape[1])):
             raise ModelValidationError(f"blocks do not partition basis columns: {seen}")
+        return cls._from_factors(time_index, {label: b[:, idx] for label, idx in blocks.items()})
+
+    @classmethod
+    def _from_factors(cls, time_index: int, factors) -> "ProjectorFamily":
+        """Members fl(Q_a Q_a^dagger), validated as any family's, keeping ``factors`` (label -> new Q_a)."""
         family = cls.__new__(cls)
-        family._validate(time_index, [(label, q @ q.conj().T) for label, q in zip(blocks, columns)], columns)
+        family._validate(time_index, [(label, q @ q.conj().T) for label, q in factors.items()],
+                         list(factors.values()))
         return family
 
     @property

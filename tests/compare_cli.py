@@ -17,13 +17,17 @@ differing command and a summary, and exits 1 if any command differs.
 
 Each differing command gets one label.  With equal exit codes and stderr,
 it is "row order only" when its JSON outputs are equal once the rows of
-every list of objects are sorted, and "float values only" when they are
-equal once every float is masked (rows in the same order); anything else,
-and both kinds at once, is "other".  Beside the label each line prints the
-largest absolute difference between the two outputs' floats, with the rows
-of every list of objects sorted as for "row order only", and where it lies
-(``stdout.result.forwards.pair_table[].ratio``), or ``-`` when the outputs
-do not match up float for float.
+every list of objects are sorted, "float values only" when they are equal
+once every float is masked (rows in the same order), and "row order and
+float values" when they are equal once floats are masked and rows sorted;
+anything else is "other".  Beside the label each line prints the largest
+absolute difference between the two outputs' floats, with the rows of every
+list of objects sorted as for "row order only", and where it lies
+(``stdout.result.forwards.pair_table[].measure``), or ``-`` when the outputs
+do not match up float for float.  That difference leaves out ``ratio``
+fields: a ratio is a measure over its threshold, both compared on their
+own, and dividing by a small threshold magnifies last-digit noise.  Ratios
+still count toward the label.
 """
 
 from __future__ import annotations
@@ -59,12 +63,18 @@ def canonical(text: str) -> str:
 
 
 def _sorted_rows(obj):
-    """``obj`` with every list of objects sorted by the rows' JSON text."""
+    """``obj`` with every list of objects sorted by the rows' JSON text, first with floats masked.
+
+    Rows are ordered by what is not a float before their floats, so float
+    noise does not pair a row of one output with another row of the other.
+    """
     if isinstance(obj, dict):
         return {k: _sorted_rows(v) for k, v in obj.items()}
     if isinstance(obj, list):
         items = [_sorted_rows(v) for v in obj]
-        return sorted(items, key=json.dumps) if all(isinstance(v, dict) for v in items) else items
+        if not all(isinstance(v, dict) for v in items):
+            return items
+        return sorted(items, key=lambda v: (json.dumps(_floats_masked(v)), json.dumps(v)))
     return obj
 
 
@@ -80,13 +90,15 @@ def _floats_masked(obj):
 def _float_gap(a, b, where: str = "") -> tuple[float, str]:
     """Largest |x - y| over the floats x, y at the same place of ``a`` and ``b``, and that place.
 
-    A place is the path of keys, with ``[]`` for a list's items; ValueError
-    when ``a`` and ``b`` differ in anything but their floats.
+    A place is the path of keys, with ``[]`` for a list's items; the floats
+    under a ``ratio`` key are matched up but left out of the maximum.
+    ValueError when ``a`` and ``b`` differ in anything but their floats.
     """
     if isinstance(a, float) and isinstance(b, float):
         return (0.0 if a == b or (math.isnan(a) and math.isnan(b)) else abs(a - b)), where
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return max((_float_gap(a[k], b[k], f"{where}.{k}") for k in a), default=(0.0, where))
+        gaps = {k: _float_gap(a[k], b[k], f"{where}.{k}") for k in a}
+        return max((gap for k, gap in gaps.items() if k != "ratio"), default=(0.0, where))
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return max((_float_gap(x, y, f"{where}[]") for x, y in zip(a, b)), default=(0.0, where))
     if type(a) is type(b) and a == b:
@@ -117,8 +129,11 @@ def label(old: tuple, new: tuple) -> str:
         return "other"
     if _sorted_rows(a) == _sorted_rows(b):
         return "row order only"
-    if _floats_masked(a) == _floats_masked(b):
+    masked = [_floats_masked(x) for x in (a, b)]
+    if masked[0] == masked[1]:
         return "float values only"
+    if _sorted_rows(masked[0]) == _sorted_rows(masked[1]):
+        return "row order and float values"
     return "other"
 
 

@@ -506,7 +506,8 @@ def test_compare_cli_labels_row_moves_and_float_changes():
     assert label(base, moved) == "row order only"
     assert label(base, nudged) == "float values only"
     assert label((0, "", "", json.dumps({"table": rows})), written) == "row order only"
-    assert label(moved, nudged) == "other"  # both at once
+    assert label(moved, nudged) == "row order and float values"  # both at once
+    assert label(base, (0, "", json.dumps({"table": rows[:1]}), None)) == "other"
     assert label(base, (1, *base[1:])) == "other"
     assert label(base, (0, "warning", *base[2:])) == "other"
 
@@ -517,13 +518,15 @@ def test_compare_cli_prints_the_largest_float_difference():
     # rows moved and nudged: matched by the sort of "row order only", not by position
     new = (0, "", json.dumps({"table": [dict(rows[1], re=-0.25 + 3e-16), dict(rows[0], ratio=1.0 + 1e-15)],
                               "probabilities": [0.5, 0.5 - 2e-16], "n": 2}), None)
-    assert largest_difference(old, new) == ((1.0 + 1e-15) - 1.0, "stdout.table[].ratio")  # row "a"
+    # row "a"'s ratio moved most, but ratios are left out: row "b"'s re is the largest
+    assert largest_difference(old, new) == ((-0.25 + 3e-16) - -0.25, "stdout.table[].re")
     assert largest_difference(old, old)[0] == 0.0
     written = (0, "", "", json.dumps({"p": [0.25, float("nan")]}))
     assert largest_difference(written, (0, "", "", json.dumps({"p": [0.5, float("nan")]}))) == (0.25, "out.p[]")
     # no float-for-float match: another shape, another int, text that is not JSON
     assert largest_difference(old, (0, "", json.dumps({"table": rows[:1]}), None)) is None
     assert largest_difference(old, (0, "", old[2].replace('"n": 2', '"n": 3'), None)) is None
+    assert largest_difference(old, (0, "", old[2].replace('"ratio": 2.0', '"ratio": null'), None)) is None
     assert largest_difference((0, "", "usage", None), (0, "", "usage:", None)) is None
 
 

@@ -2,8 +2,9 @@
 
 Every validated family keeps one factor Q_a per member, about d^2 numbers in
 all, and no dense copy of a member: the certificate's factors for a family of
-at least 4 members that it proves, the basis columns for a family built
-``from_basis``, and otherwise a factor found once the dense rule has passed.
+at least 4 members that it proves; the known factors, whichever proof decides,
+for a family built from them (``from_basis``, time reversal, coarse graining);
+and otherwise a factor found once the dense rule has passed.
 The walk and the collapse oracle apply a member as Q_a (Q_a^dagger x).
 Hypothesis draws models with such families, pure and mixed, and compares the
 reports, the forwards, backwards and two-state functionals and the collapse
@@ -11,9 +12,11 @@ table with the chain-matrix reference evaluator and the per-trajectory oracle
 run on the caller's dense matrices; and draws 2- and 3-member families, whose
 members must apply and read back as the caller's matrices.  The other tests
 measure what a family holds, check that the benchmark's ``large-dim``
-request sequence keeps no member, that time reversal and a model dump, which
-read every member, leave none kept, and that a family ``from_basis`` keeps
-its basis columns bit for bit.
+request sequence keeps no member, that time reversal and coarse graining
+build their families from the source's factors (B Q_a^*, and the fine factors
+side by side) without reading a member or factoring one, that a model dump,
+which reads every member, leaves none kept, and that a family ``from_basis``
+keeps its basis columns bit for bit, whichever proof decides.
 """
 
 import copy
@@ -28,6 +31,8 @@ import reference_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decohist import bounds
+from decohist import model as model_module
 from decohist.histories import (
     CoarseGraining,
     TolerancePolicy,
@@ -238,19 +243,50 @@ def test_certified_family_holds_its_factors():
     assert np.array_equal(family.member("m2"), family.projectors[2])
 
 
-def test_reversal_and_dump_keep_no_member():
-    # both read every member of the source model's families
+def test_reversal_and_dump_keep_no_member(monkeypatch):
+    # reversal and coarse graining build their families from the source's
+    # factors, B Q_a^* and the fine factors side by side: they read no member
+    # and factor nothing, and every family they build is certified and holds
+    # d^2 numbers.  A dump reads every member, and keeps none.
     rng = np.random.default_rng(3)
     dim = 16
     grid = TimeGrid(np.arange(-2.0, 3.0), [haar_unitary(dim, rng) for _ in range(4)])
-    families = [ProjectorFamily(t, [(f"m{j}", p) for j, p in enumerate(_blocks(dim, [4] * 4, rng))])
+    families = [ProjectorFamily(t, [(f"m{j}", p) for j, p in enumerate(_blocks(dim, [2] * 8, rng))])
                 for t in (1, 3)]
-    model = QuantumModel(_state(dim, 1, rng), grid, families)
+    u = haar_unitary(dim, rng)
+    model = QuantumModel(_state(dim, 1, rng), grid, families, u @ u.T)  # a symmetric unitary basis
     assert all(f.certified for f in model.families)
-    reversed_model = time_reversed_history_set(model).model
+    calls = {"member": 0, "factored": 0}
+    read_member, factor_columns = ProjectorFamily.member, bounds._factor_columns
+
+    def counting_member(self, label_or_index):
+        calls["member"] += 1
+        return read_member(self, label_or_index)
+
+    def counting_factor_columns(p, r, work, *given):
+        calls["factored"] += not given or given[0] is None
+        return factor_columns(p, r, work, *given)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProjectorFamily, "member", counting_member)
+        patch.setattr(bounds, "_factor_columns", counting_factor_columns)
+        patch.setattr(model_module, "_factor_columns", counting_factor_columns)
+        reversed_set = time_reversed_history_set(model)
+        pairs = {f"p{j}": (f"m{2 * j}", f"m{2 * j + 1}") for j in range(4)}
+        coarse = CoarseGraining((pairs, pairs)).coarse_model(model)
+    assert calls == {"member": 0, "factored": 0}
+    for new, old in reversed_set.family_map:
+        family, source = reversed_set.model.families[new], model.families[old]
+        assert family.labels == source.labels
+        assert all(np.array_equal(q, model.conjugation_basis @ p.conj())
+                   for q, p in zip(family._factors, source._factors))
+    for family, source in zip(coarse.families, model.families):
+        assert all(np.array_equal(q, np.hstack(source._factors[2 * j:2 * j + 2]))
+                   for j, q in enumerate(family._factors))
+    reversed_model = reversed_set.model
     model_to_dict(model)
     model_to_dict(reversed_model)
-    for family in model.families + reversed_model.families:
+    for family in model.families + reversed_model.families + coarse.families:
         assert family.certified and _numbers(family) == dim * dim
     member = model.families[0].member("m1")
     assert np.array_equal(member, model.families[0].projectors[1])
@@ -275,13 +311,17 @@ def test_large_dim_requests_never_build_a_member():
     assert all(_numbers(f) == 256 * 256 for f in model.families)
 
 
-def test_small_family_keeps_its_inputs_bit_for_bit():
+@pytest.mark.parametrize("dim, blocks, certified", [
+    (16, {"a": [0, 3, 7, 9, 12], "b": [1, 2, 4, 5, 6, 8, 10, 11, 13, 14, 15]}, False),
+    (64, {f"m{j}": list(range(j, 64, 4)) for j in range(4)}, True),
+], ids=["dense-rule", "certified"])
+def test_small_family_keeps_its_inputs_bit_for_bit(dim, blocks, certified):
     # a family from_basis keeps its blocks of basis columns, copied and read-only,
-    # and forms no factor: its members are the products it validated
-    basis = haar_unitary(16, np.random.default_rng(3))
-    blocks = {"a": [0, 3, 7, 9, 12], "b": [1, 2, 4, 5, 6, 8, 10, 11, 13, 14, 15]}
+    # whichever proof decides, and forms no factor: its members are the products
+    # it validated
+    basis = haar_unitary(dim, np.random.default_rng(3))
     family = ProjectorFamily.from_basis(1, basis, blocks)
-    assert not family.certified
+    assert family.certified == certified
     for a, idx in enumerate(blocks.values()):
         cols, q = basis[:, idx], family._factors[a]
         assert np.array_equal(cols, q) and not np.shares_memory(basis, q) and not q.flags.writeable

@@ -395,13 +395,13 @@ def test_coarse_model_reads_int_members_as_labels():
 def test_merged_blocks_are_validated_in_full(monkeypatch):
     m = spin_model(0.6)
     built = []
-    init = ProjectorFamily.__init__
+    validate = ProjectorFamily._validate
 
-    def counting_init(self, time_index, members):
+    def counting_validate(self, time_index, members, columns):
         built.append(time_index)
-        init(self, time_index, members)
+        validate(self, time_index, members, columns)
 
-    monkeypatch.setattr(ProjectorFamily, "__init__", counting_init)
+    monkeypatch.setattr(ProjectorFamily, "_validate", counting_validate)
     graining = CoarseGraining((
         {"x+": ("x+",), "x-": ("x-",)},
         {"z": ("z+", "z-")},
@@ -411,7 +411,7 @@ def test_merged_blocks_are_validated_in_full(monkeypatch):
     coarse_grain_check(m, graining, "backwards")
     coarse_grain_check(m, CoarseGraining.singletons(m), "forwards")
     assert built == []
-    # the coarse model builds every family through the constructor
+    # the coarse model validates every family it builds
     graining.coarse_model(m)
     assert built == [f.time_index for f in m.families]
 
