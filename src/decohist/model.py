@@ -76,9 +76,6 @@ _FACTOR_RANK = 32  # pivots after which an eigendecomposition decides instead
 # operators of rank 1 to d (d = 2 to 256, traces up to 1e12) the most negative
 # eigenvalue was -1.45 units.
 _EIGH_SLACK = 10.0
-# Fewest members for which the factor certificate replaces the pair products;
-# with 2 or 3 members the k(k-1)/2 products cost less than k factors.
-_CERTIFIED_FAMILY = 4
 
 
 def _cholesky_rows(h: np.ndarray) -> np.ndarray | None:
@@ -384,21 +381,19 @@ def _hermiticity_defect(p: np.ndarray) -> float:
     return linalg.max_abs(h)
 
 
-def _member_factors(projectors) -> list[np.ndarray]:
-    """Q_a with Q_a Q_a^dagger ~ P_a for each member that the dense rule passed.
+def _member_factors(projectors, pivots) -> list[np.ndarray]:
+    """Q_a with Q_a Q_a^dagger ~ P_a for each member of a family that passed.
 
-    The static-pivot factor of rank round(tr P_a) (:func:`decohist.bounds._factor_columns`)
+    The member's (Q_a, residual) from :meth:`ProjectorFamily._bound_defects`
     when ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, else the spectral columns
     v sqrt(lambda), lambda > ``SPECTRAL_CUTOFF``, of (P_a + P_a^dagger) / 2.
     """
-    work, factors = np.empty_like(projectors[0]), []
-    for p in projectors:
-        pivot = _factor_columns(p, round(float(np.trace(p).real)), work)
-        if pivot is not None and pivot[1] <= ATOL_MODEL:
-            factors.append(pivot[0])
-        else:  # as for equal pivot columns
+    factors = []
+    for p, (q, residual) in zip(projectors, pivots):
+        if not residual <= ATOL_MODEL:  # as for equal pivot columns
             w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
-            factors.append(v[:, w > SPECTRAL_CUTOFF] * np.sqrt(w[w > SPECTRAL_CUTOFF]))
+            q = v[:, w > SPECTRAL_CUTOFF] * np.sqrt(w[w > SPECTRAL_CUTOFF])
+        factors.append(q)
     return factors
 
 
@@ -409,9 +404,10 @@ class ProjectorFamily:
     orthogonal, and the family must be exhaustive; all within ``ATOL_MODEL``
     elementwise (near-violations inside 10x the tolerance only warn).
 
-    A family of at least 4 members whose completeness defect is within the
-    tolerance is offered to the factor certificate: one factor Q_a per
-    member, P_a ~ Q_a Q_a^dagger, and since Q = [Q_1 ... Q_n] is square,
+    Each member is factored once, P_a ~ Q_a Q_a^dagger: a known Q_a of
+    :meth:`_from_factors` as it is, else the static-pivot factor.  A family
+    whose completeness defect is within the tolerance is offered, whatever
+    its size, to the factor certificate: since Q = [Q_1 ... Q_n] is square,
     ||Q^dagger Q - I||_2 = ||Q Q^dagger - I||_2 bounds every cross block
     Q_a^dagger Q_b without a pair product (see
     :func:`decohist.bounds._factor_bounds`).  The certificate is all or
@@ -425,12 +421,13 @@ class ProjectorFamily:
 
     Validation reads the caller's matrices without copying them.  A family
     keeps only a read-only factor Q_a per member (d x r_a, about d^2 numbers
-    in all): the known Q_a of :meth:`_from_factors`, whichever proof decides;
-    else the certificate's, with ||Q_a Q_a^dagger - P_a||_F <= e_a, or
-    :func:`_member_factors`.  :meth:`apply` applies a member as Q_a (Q_a^dagger x),
-    and ``projectors`` and :meth:`member` build Q_a Q_a^dagger on each read and
-    keep none, so they and a dump and reload agree with the input to the
-    tolerance (bit for bit from known factors).
+    in all), whichever proof decides: the one it was validated with when
+    ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, as every known or certified
+    factor is, else the spectral columns (:func:`_member_factors`).
+    :meth:`apply` applies a member as Q_a (Q_a^dagger x), and ``projectors``
+    and :meth:`member` build Q_a Q_a^dagger on each read and keep none, so
+    they and a dump and reload agree with the input to the tolerance (bit for
+    bit from known factors).
     """
 
     def __init__(self, time_index: int, members):
@@ -452,7 +449,7 @@ class ProjectorFamily:
         dim = projectors[0].shape[0]
         n_square = next((a for a, p in enumerate(projectors) if p.shape != (dim, dim)), len(projectors))
         if n_square == len(projectors):
-            herm, idem, orth, complete, factors = self._bound_defects(projectors, columns)
+            herm, idem, orth, complete, pivots, certified = self._bound_defects(projectors, columns)
         else:
             herm = [_hermiticity_defect(p) for p in projectors[:n_square]]
             idem = [math.inf] * n_square
@@ -467,19 +464,21 @@ class ProjectorFamily:
         _check(complete, "family completeness (sum of projectors vs identity)", level)
         self.time_index = int(time_index)
         self.labels = tuple(labels)
-        # whether the factor certificate proved every check
-        self.certified = factors is not None
-        self._factors = tuple(map(_freeze, columns or factors or _member_factors(projectors)))
+        self.certified = certified  # whether the factor certificate proved every check
+        self._factors = tuple(map(_freeze, _member_factors(projectors, pivots)))
 
     @staticmethod
     def _bound_defects(projectors, columns):
-        """Hermiticity defects, idempotence bounds, orthogonality defects, completeness defect, factors.
+        """Hermiticity defects, idempotence bounds, pair defects, completeness, (Q_a, residual)s, certified.
 
-        A family of at least 4 members whose completeness defect is at most
-        ``ATOL_MODEL`` is offered to :func:`decohist.bounds._factor_bounds` with ``columns``.
-        When its largest bound is at most ``ATOL_MODEL`` too, that bound stands
-        for every Hermiticity and idempotence defect, no pair is listed, and the
-        factors come back.  Otherwise the factors are None and the dense rule
+        Each member is factored once: a given Q_a of ``columns`` with residual 0
+        and no product, since its member is fl(Q_a Q_a^dagger) itself, else the
+        static-pivot factor and residual of :func:`decohist.bounds._factor_columns`
+        (no columns and inf if it fails).  A family, of any size, whose completeness
+        defect is at most ``ATOL_MODEL`` is offered to
+        :func:`decohist.bounds._factor_bounds` with those pairs.  When its bound
+        is at most ``ATOL_MODEL`` too, it stands for every Hermiticity and
+        idempotence defect and no pair is listed.  Otherwise the dense rule
         forms every Hermiticity defect and pair product, and bounds each
         member's idempotence defect: with C = sum_b P_b - I, the exact identity
         P_a^2 - P_a = P_a C - sum_{b != a} P_a P_b bounds it by the pair
@@ -496,13 +495,13 @@ class ProjectorFamily:
         for p in projectors[1:]:
             c += p
         c[np.diag_indices(d)] -= 1.0
-        complete = linalg.max_abs(c)
-        if n >= _CERTIFIED_FAMILY and complete <= ATOL_MODEL:  # offered to the certificate
-            cert = _factor_bounds(projectors, float(np.linalg.norm(c)), c, columns or [None] * n)
-            if cert is not None and cert[1] <= ATOL_MODEL:
-                return [cert[1]] * n, [cert[1]] * n, {}, complete, cert[0]
-            del cert  # the dense rule uses none of its bounds
+        complete, c_norm = linalg.max_abs(c), math.sqrt(np.vdot(c, c).real)
+        pivots = ([(q, 0.0) for q in columns] if columns else  # C's array is their work space
+                  [_factor_columns(p, c) or (p[:, :0], math.inf) for p in projectors])
         del c
+        bound = _factor_bounds(pivots, c_norm) if complete <= ATOL_MODEL else math.inf
+        if bound <= ATOL_MODEL:
+            return [bound] * n, [bound] * n, {}, complete, pivots, True
         herm = [_hermiticity_defect(p) for p in projectors]
         squares = (np.square(p.real) + np.square(p.imag) for p in projectors)  # one at a time
         rows, cols = np.sqrt([(s.sum(axis=1).max(initial=0.0), s.sum(axis=0).max(initial=0.0))
@@ -521,7 +520,7 @@ class ProjectorFamily:
         # its n-term sum, at most sqrt(2) gamma_n (sum_b |P_b| + I) elementwise.
         c_cols = math.sqrt(d) * complete + math.sqrt(2.0) * _gamma(n) * (cols.sum() + 1.0)
         idem = _BOUND_SLACK * (rows * c_cols + others + g * rows * cols)
-        return herm, idem, orth, complete, None
+        return herm, idem, orth, complete, pivots, False
 
     def _index(self, label_or_index) -> int:
         if isinstance(label_or_index, (int, np.integer)):

@@ -12,16 +12,19 @@ families of ``large-dim``; the two-member families of the ``reg6`` and
 records family that ``records`` builds on ``reg4``.  It prints one row per
 input and seed: how many families, their sizes, the proof that decided them
 (``certificate`` when the factor certificate proved every one, ``dense rule``
-when it proved none, ``mixed`` otherwise), how many are certified, the
-largest bound of the factor certificate among them (``-`` when no family is
-offered to it: fewer than 4 members, or a completeness defect above the
-tolerance), and the KiB of family data they keep (:func:`scale_probe.family_bytes`).
-Model files go to a temporary directory.
+when it proved none, ``mixed`` otherwise), how many are certified, how many
+were offered to the certificate, the largest bound it gave among them (``-``
+when none was offered, ``inf`` when it gave none), and the KiB of family data
+they keep (:func:`scale_probe.family_bytes`).  The proof comes from each
+family's ``certified`` and the offer from the calls of the certificate, so
+TREE may be any checkout whose ``_factor_bounds`` returns the bound, alone
+or after the factors.  Model files go to a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -36,13 +39,13 @@ from scale_probe import family_bytes  # noqa: E402
 
 
 def _trace_families(model) -> list[tuple]:
-    """Record (family, certified, the certificate's largest bound or None) of every family built."""
+    """Record (family, certified, the certificate's largest bound or None if not offered) of each family."""
     built, offered = [], []
     init, factor_bounds = model.ProjectorFamily.__init__, model._factor_bounds
 
     def bounded(*args):
-        cert = factor_bounds(*args)
-        offered.append(None if cert is None else cert[1])
+        cert = factor_bounds(*args)  # the bound, (factors, bound), or None for no bound
+        offered.append(math.inf if cert is None else cert[1] if isinstance(cert, tuple) else cert)
         return cert
 
     def traced(self, *args, **kwargs):
@@ -68,7 +71,7 @@ def main() -> None:
     built = _trace_families(model)
     print(f"family traffic of {args.tree.resolve()}")
     print(f"{'input':<14} {'seed':>5} {'families':>8} {'members':>8} {'proof':<11} {'certified':>9}"
-          f" {'worst bound':>12} {'data_KiB':>9}")
+          f" {'offered':>7} {'worst bound':>12} {'data_KiB':>9}")
 
     def row(name: str, seed: int, build):
         """Print the row of the families that ``build()`` validates, and return what it returns."""
@@ -78,7 +81,7 @@ def main() -> None:
         certified = sum(c for _, c, _ in built)
         proof = "certificate" if certified == len(built) else "dense rule" if not certified else "mixed"
         print(f"{name:<14} {seed:>5} {len(built):>8} {','.join(sorted({str(len(f)) for f, _, _ in built})):>8}"
-              f" {proof:<11} {certified:>9} {f'{max(bounds):.1e}' if bounds else '-':>12}"
+              f" {proof:<11} {certified:>9} {len(bounds):>7} {f'{max(bounds):.1e}' if bounds else '-':>12}"
               f" {family_bytes(f for f, _, _ in built) / 2**10:9.1f}")
         return result
 

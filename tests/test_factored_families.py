@@ -1,22 +1,26 @@
 """Projector families held as their factors.
 
 Every validated family keeps one factor Q_a per member, about d^2 numbers in
-all, and no dense copy of a member: the certificate's factors for a family of
-at least 4 members that it proves; the known factors, whichever proof decides,
-for a family built from them (``from_basis``, time reversal, coarse graining);
-and otherwise a factor found once the dense rule has passed.
-The walk and the collapse oracle apply a member as Q_a (Q_a^dagger x).
+all, and no dense copy of a member, whichever proof decides: the known
+factors of a family built from them (``from_basis``, time reversal, coarse
+graining), or else the static-pivot factors that validation forms once per
+member (the spectral columns where a pivot factor is not within the
+tolerance).  Every complete family, whatever its size, is offered to the
+certificate.  The walk and the collapse oracle apply a member as Q_a (Q_a^dagger x).
 Hypothesis draws models with such families, pure and mixed, and compares the
 reports, the forwards, backwards and two-state functionals and the collapse
 table with the chain-matrix reference evaluator and the per-trajectory oracle
-run on the caller's dense matrices; and draws 2- and 3-member families, whose
-members must apply and read back as the caller's matrices.  The other tests
-measure what a family holds, check that the benchmark's ``large-dim``
-request sequence keeps no member, that time reversal and coarse graining
-build their families from the source's factors (B Q_a^*, and the fine factors
-side by side) without reading a member or factoring one, that a model dump,
-which reads every member, leaves none kept, and that a family ``from_basis``
-keeps its basis columns bit for bit, whichever proof decides.
+run on the caller's dense matrices; and draws 2- and 3-member families that
+the certificate cannot prove, whose members must apply and read back as the
+caller's matrices.  The other tests measure what a family holds, check that
+the benchmark's ``large-dim`` request sequence keeps no member, that each
+member is factored once and a family from known factors not at all, that
+time reversal and coarse graining build their families from the source's
+factors (B Q_a^*, and the fine factors side by side) without reading a
+member, that a model dump, which reads every member, leaves none kept, that
+a family ``from_basis`` keeps its basis columns bit for bit, whichever proof
+decides, and, in extended precision, that a member built from known factors
+lies within the certificate's rounding term of Q_a Q_a^dagger.
 """
 
 import copy
@@ -47,7 +51,7 @@ from decohist.histories import (
 from decohist.model import ATOL_MODEL, WARN_FACTOR, ProjectorFamily, QuantumModel, StateOperator, TimeGrid
 from decohist.modelfile import model_to_dict
 from decohist.scenarios import collapse_probability_table, haar_unitary
-from test_family_bounds import _equal_pivot_columns
+from test_family_bounds import _equal_pivot_columns, _orthogonality_leak
 
 ATOL = 1e-12
 
@@ -166,7 +170,9 @@ def test_every_family_matches_the_dense_functionals(case):
     dim, counts, rank, seed = case
     rng = np.random.default_rng(seed)
     model, inputs = _model(dim, counts, rank, rng)
-    assert all(f.certified == (len(f) >= 4) for f in model.families)
+    # every family is complete, so each is offered to the certificate, which
+    # proves Haar blocks of any count
+    assert all(f.certified for f in model.families)
     twin = _dense_twin(model, inputs)
     rho_f = _state(dim, 2, rng).rho
     got = {"forwards": _gram(_rows(model)), "backwards": _gram(_rows(model, True)),
@@ -188,13 +194,25 @@ def _assert_factors_apply_the_inputs(family, matrices, limit):
         assert np.abs(q @ q.conj().T - p).max() <= limit
 
 
+def _stretched(basis):
+    """``basis`` times 1 + delta, with (1 + delta)^2 - 1 = 0.9 ``ATOL_MODEL``.
+
+    Its block projectors pass every dense check silently: C = sum_a P_a - I
+    and each P_a^2 - P_a are 0.9 ``ATOL_MODEL`` times I and P_a.  But the
+    certificate reads ||C||_F = 0.9 ``ATOL_MODEL`` sqrt(d), and some member
+    of n has a diagonal entry of at least 1/n, so at d >= 12 and n <= 3 it
+    cannot prove them.
+    """
+    return basis * np.sqrt(1.0 + 0.9 * ATOL_MODEL)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(st.integers(2, 16), st.integers(2, 3), st.booleans(), st.integers(0, 2**32 - 1))
+@given(st.integers(12, 16), st.integers(2, 3), st.booleans(), st.integers(0, 2**32 - 1))
 def test_dense_rule_factors_apply_the_input_members(dim, n, from_basis, seed):
     rng = np.random.default_rng(seed)
     cuts = np.sort(rng.choice(np.arange(1, dim), min(n, dim) - 1, replace=False))
     edges = np.concatenate([[0], cuts, [dim]])
-    basis = haar_unitary(dim, rng)
+    basis = _stretched(haar_unitary(dim, rng))
     blocks = {f"m{j}": list(range(lo, hi)) for j, (lo, hi) in enumerate(zip(edges, edges[1:]))}
     matrices = [basis[:, idx] @ basis[:, idx].conj().T for idx in blocks.values()]
     family = (ProjectorFamily.from_basis(1, basis, blocks) if from_basis
@@ -263,9 +281,9 @@ def test_reversal_and_dump_keep_no_member(monkeypatch):
         calls["member"] += 1
         return read_member(self, label_or_index)
 
-    def counting_factor_columns(p, r, work, *given):
-        calls["factored"] += not given or given[0] is None
-        return factor_columns(p, r, work, *given)
+    def counting_factor_columns(*args):
+        calls["factored"] += 1
+        return factor_columns(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(ProjectorFamily, "member", counting_member)
@@ -311,15 +329,22 @@ def test_large_dim_requests_never_build_a_member():
     assert all(_numbers(f) == 256 * 256 for f in model.families)
 
 
-@pytest.mark.parametrize("dim, blocks, certified", [
-    (16, {"a": [0, 3, 7, 9, 12], "b": [1, 2, 4, 5, 6, 8, 10, 11, 13, 14, 15]}, False),
-    (64, {f"m{j}": list(range(j, 64, 4)) for j in range(4)}, True),
-], ids=["dense-rule", "certified"])
-def test_small_family_keeps_its_inputs_bit_for_bit(dim, blocks, certified):
+_TWO_BLOCKS = {"a": [0, 3, 7, 9, 12], "b": [1, 2, 4, 5, 6, 8, 10, 11, 13, 14, 15]}
+
+
+@pytest.mark.parametrize("dim, blocks, stretch, certified", [
+    (16, _TWO_BLOCKS, True, False),
+    (16, _TWO_BLOCKS, False, True),
+    (64, {f"m{j}": list(range(j, 64, 4)) for j in range(4)}, False, True),
+], ids=["dense-rule", "two-members", "certified"])
+def test_small_family_keeps_its_inputs_bit_for_bit(dim, blocks, stretch, certified):
     # a family from_basis keeps its blocks of basis columns, copied and read-only,
     # whichever proof decides, and forms no factor: its members are the products
-    # it validated
+    # it validated.  A complete family is offered to the certificate whatever its
+    # size; a stretched basis leaves it to the dense rule.
     basis = haar_unitary(dim, np.random.default_rng(3))
+    if stretch:
+        basis = _stretched(basis)
     family = ProjectorFamily.from_basis(1, basis, blocks)
     assert family.certified == certified
     for a, idx in enumerate(blocks.values()):
@@ -336,3 +361,77 @@ def test_family_left_to_a_product_keeps_its_inputs_bit_for_bit():
         family = ProjectorFamily(1, zip("abcd", members))
     assert not family.certified
     assert all(np.array_equal(p, q) for p, q in zip(members, family.projectors))
+
+
+def test_each_member_is_factored_once(monkeypatch):
+    # every member gets its static-pivot factor and residual once, whichever
+    # proof decides: the leak's family is not offered to the certificate (its
+    # completeness defect is 5 ATOL_MODEL), the rotation's is offered and not
+    # proven, and the dense rule keeps the factors already formed.  Families
+    # built from known factors (from_basis, time reversal, coarse graining)
+    # call no factorization, which is where a residual product is formed.
+    calls = []
+    factor_columns = bounds._factor_columns
+
+    def counting_factor_columns(p, *args):
+        calls.append(p.shape)
+        return factor_columns(p, *args)
+
+    monkeypatch.setattr(bounds, "_factor_columns", counting_factor_columns)
+    monkeypatch.setattr(model_module, "_factor_columns", counting_factor_columns)
+    for members in (list(zip("abcd", _leak())), _orthogonality_leak(0.9)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            family = ProjectorFamily(1, members)
+        assert not family.certified and len(calls) == len(members)
+    rng = np.random.default_rng(4)
+    dim = 16
+    calls.clear()
+    families = [ProjectorFamily.from_basis(t, haar_unitary(dim, rng), {f"m{j}": [2 * j, 2 * j + 1]
+                                                                      for j in range(8)})
+                for t in (1, 3)]
+    grid = TimeGrid(np.arange(-2.0, 3.0), [haar_unitary(dim, rng) for _ in range(4)])
+    model = QuantumModel(_state(dim, 1, rng), grid, families)
+    reversed_set = time_reversed_history_set(model)
+    pairs = {f"p{j}": (f"m{2 * j}", f"m{2 * j + 1}") for j in range(4)}
+    coarse = CoarseGraining((pairs, pairs)).coarse_model(model)
+    assert calls == []
+    assert all(f.certified for f in model.families + reversed_set.model.families + coarse.families)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_known_factor_members_lie_within_the_rounding_term(dim, seed):
+    # A member built from a known factor is fl(Q_a Q_a^dagger) itself, so the
+    # certificate takes its residual as 0 and lets sqrt(2) gamma_{r+2} ||Q_a||_F^2
+    # stand for ||Q_a Q_a^dagger - P_a||_F.  Checked against Q_a Q_a^dagger formed
+    # in np.clongdouble, where the float64 data are exact, for the factors of
+    # from_basis, time reversal and coarse graining; the extended product's own
+    # rounding (unit roundoff 2^-64) is added to the true error.
+    assert np.finfo(np.longdouble).nmant >= 63
+    rng = np.random.default_rng(seed)
+    n = min(dim, 4)
+    cuts = np.sort(rng.choice(np.arange(1, dim), n - 1, replace=False))
+    edges = np.concatenate([[0], cuts, [dim]])
+    order = rng.permutation(dim).tolist()
+    blocks = {f"m{j}": order[lo:hi] for j, (lo, hi) in enumerate(zip(edges, edges[1:]))}
+    grid = TimeGrid(np.arange(-2.0, 3.0), [np.eye(dim)] * 4)
+    u = haar_unitary(dim, rng)
+    model = QuantumModel(_state(dim, 1, rng), grid,
+                         [ProjectorFamily.from_basis(t, haar_unitary(dim, rng), blocks) for t in (1, 3)],
+                         u @ u.T)
+    merged = {"front": tuple(blocks)[:n // 2 or 1], "back": tuple(blocks)[n // 2 or 1:]}
+    families = (model.families + time_reversed_history_set(model).model.families
+                + CoarseGraining((merged, merged)).coarse_model(model).families)
+    u_ext = float(np.finfo(np.longdouble).eps) / 2
+    for family in families:
+        for q in family._factors:
+            r = q.shape[1]
+            member = (q @ q.conj().T).astype(np.clongdouble)  # as _from_factors forms it
+            q_ext = q.astype(np.clongdouble)
+            error = q_ext @ q_ext.conj().T - member
+            q_frob = float(np.sum(q_ext.real ** 2 + q_ext.imag ** 2))
+            true = float(np.sqrt(np.sum(error.real ** 2 + error.imag ** 2)))
+            true += np.sqrt(2.0) * (r + 2) * u_ext / (1 - (r + 2) * u_ext) * q_frob
+            assert true <= np.sqrt(2.0) * bounds._gamma(r + 2) * q_frob

@@ -178,10 +178,12 @@ def test_rank_one_families_form_no_pair_product(max_abs_calls):
     assert len(max_abs_calls) == 0 + 0 + 1
 
 
-def test_two_member_families_keep_their_product(max_abs_calls):
+def test_two_member_families_form_no_pair_product(max_abs_calls):
+    # a complete family is offered to the certificate whatever its size
     u = _haar(8, np.random.default_rng(6))
-    ProjectorFamily(1, [("lo", u[:, :3] @ u[:, :3].conj().T), ("hi", u[:, 3:] @ u[:, 3:].conj().T)])
-    assert len(max_abs_calls) == 2 + 1 + 1
+    family = ProjectorFamily(1, [("lo", u[:, :3] @ u[:, :3].conj().T), ("hi", u[:, 3:] @ u[:, 3:].conj().T)])
+    # the completeness defect only: no Hermiticity, pair or idempotence product
+    assert len(max_abs_calls) == 0 + 0 + 1 and family.certified
 
 
 def _zero_member() -> list[tuple[str, np.ndarray]]:
@@ -265,12 +267,13 @@ def test_family_traffic_reports_the_proof_and_data_of_each_input():
                            "--seeds", "1"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = {line[:14].strip(): line[14:].split() for line in proc.stdout.splitlines()[2:]}
-    # input: (families, members, proof, certified, dim); every family keeps d^2 complex numbers
-    expected = {"large-dim": ("2", "4", "certificate", "2", 256), "reg6": ("6", "2", "dense", "0", 64),
-                "reg4": ("4", "2", "dense", "0", 16), "reg4 records": ("1", "16", "certificate", "1", 16)}
+    # input: (families, members, proof, dim); every family is complete, so each is
+    # offered to the certificate and proven by it, and keeps d^2 complex numbers
+    expected = {"large-dim": ("2", "4", "certificate", 256), "reg6": ("6", "2", "certificate", 64),
+                "reg4": ("4", "2", "certificate", 16), "reg4 records": ("1", "16", "certificate", 16)}
     assert rows.keys() == expected.keys()
-    for name, (families, members, proof, certified, dim) in expected.items():
+    for name, (families, members, proof, dim) in expected.items():
         seed, n, sizes, kind, *rest = rows[name]
         assert (seed, n, sizes, kind) == ("1", families, members, proof)
-        assert rest[-3] == certified
+        assert rest[-4] == rest[-3] == families  # certified, offered
         assert float(rest[-1]) == int(families) * dim * dim * 16 / 2**10
