@@ -458,7 +458,7 @@ def _coerce_final_operator(rho_f, dim: int) -> tuple[np.ndarray, np.ndarray | No
     """Validate a final operator (Hermitian PSD, any trace); return it, read where it lies, and F.
 
     F, with rho_f = F F^dagger, is None for the identity (whose rows are the branch table), a
-    :class:`StateOperator`'s ``columns``, the certified factor, or else the spectral columns.
+    :class:`StateOperator`'s ``columns``, the certified factor at any rank, or else eigh's columns.
     Hermiticity allows max |m - m^dagger| up to ATOL_MODEL or, if larger, the rounding of a
     computed outer product fl(v v^dagger), 2 sqrt(2) gamma_2 |v_i||v_j| <= 2 sqrt(2) gamma_2
     max_i |m_ii|, so an operator of large trace is not rejected for its rounding.

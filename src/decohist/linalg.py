@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .exceptions import ModelValidationError
+
 __all__ = ["exp_generator", "herm_eig", "kron", "trace"]
 
 # Elementwise tolerance admitted on |A - A^dagger| for "Hermitian" inputs.
@@ -21,6 +23,9 @@ ATOL_UNITARY = 1e-10
 _MODULUS_BOUND = math.sqrt(2.0) * (1.0 + 4.0 * np.finfo(float).eps)
 _RESIDUAL_BLOCK = 2**14  # entries of a residual formed at a time
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+# Largest |Re z| and |Im z| of an input entry: a product of two is at most 1e200,
+# so no sum of such products overflows and validation raises no numpy warning.
+LARGEST_ENTRY = 1e100
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -36,8 +41,7 @@ def read_matrix(a, name: str = "matrix") -> np.ndarray:
 def _finite_matrix(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not _all_finite(m):
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_entries(m, name)
     return m
 
 
@@ -46,8 +50,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     v = np.array(a, dtype=complex).reshape(-1)
     if v.size == 0:
         raise ValueError(f"{name} is empty")
-    if not _all_finite(v):
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_entries(v, name)
     return v
 
 
@@ -61,16 +64,18 @@ def _float_view(a: np.ndarray) -> np.ndarray | None:
     return a.view(np.float64)
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite.
+def _check_entries(a: np.ndarray, name: str) -> None:
+    """Raise ModelValidationError unless every real and imaginary part of ``a`` is within +-``LARGEST_ENTRY``.
 
-    From the max and min of the float view where there is one: a NaN
-    propagates to both, and an infinity is one of them.  No temporary.
+    From the max and min of the float view, or else of the real and imaginary
+    parts, with no temporary: a NaN propagates to both and fails either comparison.
     """
     v = _float_view(a)
-    if v is None:
-        return bool(np.all(np.isfinite(a)))
-    return math.isfinite(v.max()) and math.isfinite(v.min())
+    if not all(-LARGEST_ENTRY <= part.min(initial=0.0) and part.max(initial=0.0) <= LARGEST_ENTRY
+               for part in ((a.real, a.imag) if v is None else (v,))):
+        what = ("non-finite entries" if not np.isfinite(a).all()
+                else f"a real or imaginary part beyond {LARGEST_ENTRY:.0e}")
+        raise ModelValidationError(f"{name} contains {what}")
 
 
 def max_abs(a) -> float:

@@ -71,32 +71,33 @@ def _check(defect: float, what: str, stacklevel: int = 3) -> None:
 
 
 SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
-_FACTOR_RANK = 32  # pivots after which an eigendecomposition decides instead
 # Allowance for eigh's eigenvalue error, in units of d u max|lambda|: on random PSD
 # operators of rank 1 to d (d = 2 to 256, traces up to 1e12) the most negative
 # eigenvalue was -1.45 units.
 _EIGH_SLACK = 10.0
 
 
-def _cholesky_rows(h: np.ndarray) -> np.ndarray | None:
+def _cholesky_rows(h: np.ndarray) -> np.ndarray:
     """Rows c_k^T of a factor h ~ sum_k c_k c_k^dagger, one per pivot above the cutoff.
 
-    A pivoted Cholesky factorization of the Hermitian ``h``: the largest
-    residual diagonal is the next pivot, until it is at most
-    ``SPECTRAL_CUTOFF``, so there are as many rows as h has numerical rank.
-    Pivot k costs O(k d).  When h has more than ``_FACTOR_RANK`` pivots the
-    result is None, and the caller decides by eigenvalues.
+    A pivoted Cholesky factorization of the Hermitian ``h`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, section 10.3): the largest residual diagonal is the next pivot
+    until it is at most ``SPECTRAL_CUTOFF``, so numerical rank r, at any rank, takes r pivots
+    and O(r^2 d).  Each pivot's update is one matrix-vector product, which OpenBLAS splits
+    between threads by rows, so the rows are the same at any BLAS thread count.  The row
+    buffer doubles as pivots need it, O(r d) copying in all; below full rank a copy of its r
+    rows is returned, so the buffer is not kept.
     """
     d = h.shape[0]
-    rows = np.empty((min(d, _FACTOR_RANK), d), dtype=complex)
+    rows = np.empty((min(d, 1), d), dtype=complex)
     diag = h.diagonal().real.copy()  # the residual diagonal
     for k in range(d):
         q = int(np.argmax(diag))
         pivot = diag[q]
         if not pivot > SPECTRAL_CUTOFF:
-            return rows[:k]
-        if k == _FACTOR_RANK:
-            return None
+            return rows[:k].copy()
+        if k == len(rows):
+            rows = np.concatenate((rows, np.empty((min(k, d - k), d), dtype=complex)))
         col = h[q].conj() - rows[:k].T @ rows[:k, q].conj()
         col *= 1.0 / math.sqrt(pivot)
         rows[k] = col
@@ -108,7 +109,7 @@ def _cholesky_rows(h: np.ndarray) -> np.ndarray | None:
 def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     """Columns C with h = C C^dagger and a proof that h is PSD, or None.
 
-    C comes from :func:`_cholesky_rows`.  For the remainder
+    C comes from :func:`_cholesky_rows`, at any rank.  For the remainder
     S = h - C C^dagger, formed a block of rows at a time so that no second
     d x d array is held beside h, Weyl's inequality gives
     lambda_min(h) >= -||S||_F.
@@ -119,14 +120,12 @@ def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     min(||C||_F, sqrt(||C||_1 ||C||_inf)).  When ||S||_F plus that allowance
     is at most ATOL_MODEL / 2, h is PSD to within half the eigenvalue rule's
     tolerance.  The other half covers the eigensolver's own error, taken as
-    d u ||h||_2 <= d u ||C||_F^2; when that estimate does not fit, as for a
-    final operator of large trace, the eigensolver could reject a PSD
-    matrix, so the result is None and the caller decides by eigenvalues, as
-    it does whenever the factor or its certificate fails.
+    d u ||h||_2 <= d u ||C||_F^2.  Only two failures give None, for the caller
+    to decide by eigenvalues: the certificate exceeds its half (negative
+    eigenvalues inside the tolerance), or that estimate does not fit (a final
+    operator of large trace, which the eigensolver could reject though PSD).
     """
     c = _cholesky_rows(h)
-    if c is None:
-        return None
     c_norm = float(np.linalg.norm(c))
     if h.shape[0] * _UNIT_ROUNDOFF * c_norm ** 2 > ATOL_MODEL / 2:
         return None
@@ -180,17 +179,16 @@ def as_state_vector(psi) -> np.ndarray:
 class StateOperator:
     """Density operator: Hermitian, unit trace, positive semidefinite.
 
-    ``purity()`` gives Tr(rho^2), and ``is_pure()`` tests it against 1 to
-    within ``ATOL_MODEL``.  ``columns`` is a read-only factor C with
-    rho = C C^dagger and one column per unit of numerical rank: a pivoted
-    Cholesky factor whose residual certifies positivity, or, when the rank
-    exceeds 32 or the certificate fails, the spectral columns of
-    ``eigen_columns()``.  A state built :meth:`from_vector` stores the
-    vector as ``vector`` (None otherwise), and its one column is that vector
-    itself, the same read-only numbers.  ``eigenvalues`` (ascending),
-    ``eigenvectors`` (columns) and ``eigen_columns()`` come from one ``eigh``
-    of (rho + rho^dagger) / 2, run at construction when the factor fails and
-    otherwise when one of them is first read, and kept read-only.
+    ``purity()`` gives Tr(rho^2), and ``is_pure()`` tests it against 1 to within ``ATOL_MODEL``.
+    ``columns`` is a read-only factor C with rho = C C^dagger and one column per unit of
+    numerical rank r: the pivoted Cholesky factor (:func:`_cholesky_rows`, O(r^2 d) at any rank,
+    the same at any BLAS thread count) when its residual certifies positivity
+    (:func:`_psd_columns`), else the spectral columns of ``eigen_columns()``.  A state built
+    :meth:`from_vector` stores the vector as ``vector`` (None otherwise), and its one column is
+    that vector itself, the same read-only numbers.  ``eigenvalues`` (ascending),
+    ``eigenvectors`` (columns) and ``eigen_columns()`` come from one ``eigh`` of
+    (rho + rho^dagger) / 2, run at construction when the certificate fails and otherwise when
+    one of them is first read, and kept read-only.
     """
 
     def __init__(self, rho):
@@ -385,16 +383,12 @@ def _member_factors(projectors, pivots) -> list[np.ndarray]:
     """Q_a with Q_a Q_a^dagger ~ P_a for each member of a family that passed.
 
     The member's (Q_a, residual) from :meth:`ProjectorFamily._bound_defects`
-    when ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, else the spectral columns
-    v sqrt(lambda), lambda > ``SPECTRAL_CUTOFF``, of (P_a + P_a^dagger) / 2.
+    when ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, else the pivoted
+    Cholesky factor of (P_a + P_a^dagger) / 2 (:func:`_cholesky_rows`, one
+    column per pivot above ``SPECTRAL_CUTOFF``), the loop that factors states.
     """
-    factors = []
-    for p, (q, residual) in zip(projectors, pivots):
-        if not residual <= ATOL_MODEL:  # as for equal pivot columns
-            w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
-            q = v[:, w > SPECTRAL_CUTOFF] * np.sqrt(w[w > SPECTRAL_CUTOFF])
-        factors.append(q)
-    return factors
+    return [q if residual <= ATOL_MODEL else _cholesky_rows((p + p.conj().T) / 2.0).T
+            for p, (q, residual) in zip(projectors, pivots)]
 
 
 class ProjectorFamily:

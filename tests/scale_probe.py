@@ -5,13 +5,15 @@
 TREE is a checkout with ``src/decohist`` (default: this script's own).  Each
 row is ``random_model(1, dim, families, 2, pure)`` and runs in a fresh
 process with TREE's ``src`` first on ``PYTHONPATH``.  The process builds the
-model, then times ``_rows`` (the walk), ``_gram`` and ``_measure`` (the Gram
-again plus the pair arrays, so the pair-array time is ``_measure`` minus
-``_gram``), each once, on the forwards weak check.  It prints one line per
-row: the model build time, the family data the model holds (the ``nbytes``
-of its families' factors and of any dense copies of members), the three
-stage times, the tracemalloc peak of the three stages (numpy's arrays
-included) and the process's peak RSS.
+model, then validates its state, grid and families again from the arrays
+already drawn (:func:`revalidate`), then times ``_rows`` (the walk), ``_gram``
+and ``_measure`` (the Gram again plus the pair arrays, so the pair-array time
+is ``_measure`` minus ``_gram``), each once, on the forwards weak check.  It
+prints one line per row: the model build time (Haar draws included), the
+validation time, the family data the model holds (the ``nbytes`` of its
+families' factors and of any dense copies of members), the three stage times,
+the tracemalloc peak of the three stages (numpy's arrays included) and the
+process's peak RSS.
 ``--rows`` picks rows by number; the default runs them all, and the last
 needs about 2 GB.  The script writes nothing, and it compares nothing: the
 numbers are one run on whatever host runs it.
@@ -28,10 +30,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 # (dim, families, pure) per row of the state table; every family has 2 members
 ROWS = {1: (16, 10, True), 2: (256, 12, True), 3: (64, 12, False), 4: (1024, 12, True)}
 HEADER = (f"{'row':>3}  {'dim':>4} {'fam':>3} {'state':<5} {'m':>5} {'pairs':>9}  "
-          f"{'build_s':>7} {'fam_MiB':>8} {'walk_s':>7} {'gram_s':>7} {'pairs_s':>7}  "
+          f"{'build_s':>7} {'valid_s':>7} {'fam_MiB':>8} {'walk_s':>7} {'gram_s':>7} {'pairs_s':>7}  "
           f"{'peak_MiB':>8} {'rss_MiB':>8}")
 
 
@@ -46,6 +50,25 @@ def family_bytes(families) -> int:
     return sum(a.nbytes for a in held if a is not None)
 
 
+def revalidate(model) -> None:
+    """Build the model's state, grid and families again from its arrays, by the same constructors.
+
+    A state from a vector is built :meth:`from_vector`, any other from its
+    matrix; each family :meth:`from_basis`, with its factors side by side as
+    the basis and one block of consecutive columns per member.  No Haar draw.
+    """
+    from decohist.model import ProjectorFamily, StateOperator, TimeGrid
+
+    state = model.initial_state
+    StateOperator.from_vector(state.vector) if state.vector is not None else StateOperator(state.rho)
+    TimeGrid(model.grid.times, model.grid.step_unitaries)
+    for family in model.families:
+        ends = np.cumsum([q.shape[1] for q in family._factors])
+        blocks = {label: range(end - q.shape[1], end)
+                  for label, q, end in zip(family.labels, family._factors, ends)}
+        ProjectorFamily.from_basis(family.time_index, np.hstack(family._factors), blocks)
+
+
 def probe(row: int) -> str:
     """One row, in this process, as one line of the table."""
     from decohist.histories import TolerancePolicy, _gram, _measure, _rows
@@ -55,6 +78,9 @@ def probe(row: int) -> str:
     start = time.perf_counter()
     model = random_model(1, dim, families, 2, pure)
     build = time.perf_counter() - start
+    start = time.perf_counter()
+    revalidate(model)
+    valid = time.perf_counter() - start
     held = family_bytes(model.families)
     tracemalloc.start()
     start = time.perf_counter()
@@ -71,7 +97,7 @@ def probe(row: int) -> str:
     tracemalloc.stop()
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return (f"{row:>3}  {dim:>4} {families:>3} {'pure' if pure else 'mixed':<5} {len(rows):>5} "
-            f"{arrays.i.size:>9}  {build:7.3f} {held / 2**20:8.2f} {walk:7.3f} {gram_s:7.3f} "
+            f"{arrays.i.size:>9}  {build:7.3f} {valid:7.3f} {held / 2**20:8.2f} {walk:7.3f} {gram_s:7.3f} "
             f"{measure_s - gram_s:7.3f}  "
             f"{peak / 2**20:8.1f} {rss:8.1f}")
 

@@ -8,12 +8,14 @@ computed value rounds up; transposed, strided, empty and overflowed arrays
 take the exact path.  The verdict of ``model._check`` (silent, warning or
 error, with its message) must be the one that ``max_abs`` gives.  The
 finiteness tests read the float view of contiguous arrays and must keep
-their error texts, and ``hermitian_part`` must give the parent formula's
+their error texts; an input entry beyond ``linalg.LARGEST_ENTRY`` is
+rejected before any numpy warning, and ``hermitian_part`` must give the parent formula's
 Hermitian part and eigenpairs bit for bit.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -24,8 +26,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decohist import linalg
+from decohist.cli import main
 from decohist.exceptions import ModelValidationError
-from decohist.histories import check_two_state_decoherence
+from decohist.histories import _coerce_final_operator, check_two_state_decoherence
+from decohist.modelfile import _to_pairs, dump_model
 from decohist.model import ATOL_MODEL, WARN_FACTOR, ProjectorFamily, StateOperator, TimeGrid, _check
 from decohist.scenarios import random_model
 
@@ -137,6 +141,66 @@ def test_defect_of_exact_zeros_and_subnormals():
 def test_finiteness_errors_keep_their_text(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+HUGE = 1e308
+_HUGE_FAMILY = [[[1, HUGE], [HUGE, 0]], [[0, -HUGE], [-HUGE, 1]]]
+_HUGE_DIAGONAL_FAMILY = [np.diag([HUGE, 0.0]), np.diag([1.0 - HUGE, 1.0])]
+
+
+def _family(members):
+    return ProjectorFamily(1, [(f"m{j}", p) for j, p in enumerate(members)])
+
+
+# (build, model-file key and value or None, CLI command): each is rejected or accepted, never warned about
+@pytest.mark.parametrize("build, key, value, command", [
+    (lambda: StateOperator([[1, HUGE], [HUGE, 0]]), "initial_state", [[1, HUGE], [HUGE, 0]], "check"),
+    (lambda: StateOperator(np.diag([HUGE, 1.0 - HUGE])), "initial_state", np.diag([HUGE, 1.0 - HUGE]),
+     "check"),
+    (lambda: TimeGrid([0.0, 1.0], [[[HUGE, 0], [0, 1]]]), "steps", [[[HUGE, 0], [0, 1]]] * 2, "check"),
+    (lambda: StateOperator.from_vector([HUGE, HUGE]), "initial_state", [HUGE, HUGE], "check"),
+    (lambda: _family(_HUGE_FAMILY), "families", _HUGE_FAMILY, "check"),
+    (lambda: _family(_HUGE_DIAGONAL_FAMILY), "families", _HUGE_DIAGONAL_FAMILY, "check"),
+    (lambda: ProjectorFamily.from_basis(1, [[HUGE, 0], [0, 1]], {"a": [0], "b": [1]}), None, None, None),
+    (lambda: _coerce_final_operator(HUGE * np.eye(2), 2), "rho_final", HUGE * np.eye(2), "page"),
+    (lambda: _coerce_final_operator(np.array([[1, HUGE], [HUGE, 1]]), 2), "rho_final",
+     [[1, HUGE], [HUGE, 1]], "page"),
+    (lambda: _coerce_final_operator(1e100 * np.eye(2), 2), None, None, None),
+    (lambda: StateOperator([[1, 1e100], [1e100, 0]]), "initial_state", [[1, 1e100], [1e100, 0]], "check"),
+], ids=["state", "state-diagonal", "step", "vector", "family", "family-diagonal", "basis",
+        "final-identity", "final-indefinite", "final-at-bound", "state-at-bound"])
+def test_huge_entries_raise_no_numpy_warning(build, key, value, command, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            build()
+        except ModelValidationError:
+            pass
+        if key is None:
+            return
+        dump_model(random_model(1, 2, 1, 2), tmp_path / "model.json")
+        data = json.loads((tmp_path / "model.json").read_text())
+        if key == "steps":
+            data[key] = [{"unitary": _to_pairs(u)} for u in value]
+        elif key == "families":
+            data[key][0]["projectors"] = [{"label": f"m{j}", "matrix": _to_pairs(p)}
+                                          for j, p in enumerate(value)]
+        else:
+            data[key] = _to_pairs(value)
+        (tmp_path / "model.json").write_text(json.dumps(data))
+        code = main([command, *(["--forwards"] if command == "check" else []),
+                     "--model", str(tmp_path / "model.json")])
+    err = capsys.readouterr().err
+    assert code == 65 and len(err.splitlines()) == 1 and err.startswith("invariant violation: "), err
+
+
+def test_indefinite_operators_near_the_float_maximum_are_rejected():
+    """Eigenvalues +-1e308, whose Hermitian part overflows: rejected before any factor or eigh."""
+    with pytest.raises(ModelValidationError, match=r"^state operator contains a real or imaginary part beyond 1e\+100$"):
+        StateOperator([[1, HUGE], [HUGE, 0]])
+    model = random_model(3, 2, 1, 2)
+    with pytest.raises(ModelValidationError, match=r"^final operator contains a real or imaginary part beyond 1e\+100$"):
+        check_two_state_decoherence(model.initial_state, [[1, HUGE], [HUGE, 1]], model)
 
 
 def test_transposed_final_operator_view_is_read_as_it_lies():

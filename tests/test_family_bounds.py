@@ -241,7 +241,7 @@ def test_certificate_edge_cases_match_the_dense_rule(members, calls, certified, 
     assert family.certified == certified
     # every family keeps factors, read back within the tolerance of its inputs
     # (ten times it for a family whose checks warned); the equal pivot columns
-    # leave the static-pivot factor to the member's spectral columns
+    # leave the static-pivot factor to the member's pivoted Cholesky factor
     limit = (WARN_FACTOR if got[1] else 1.0) * ATOL_MODEL
     assert all(np.abs(q - p).max() <= limit for (_, p), q in zip(members, family.projectors))
 

@@ -621,7 +621,7 @@ def test_scale_probe_times_the_smallest_row():
     # dim 16, ten 2-member families on a pure state: 1,024 histories
     assert (row["row"], row["dim"], row["fam"], row["state"], row["m"], row["pairs"]) == (
         "1", "16", "10", "pure", "1024", "523776")
-    assert all(float(row[k]) >= 0.0 for k in ("build_s", "walk_s", "gram_s", "pairs_s"))
+    assert all(float(row[k]) >= 0.0 for k in ("build_s", "valid_s", "walk_s", "gram_s", "pairs_s"))
     # each family keeps its factors, 16^2 complex numbers, 4 KiB
     assert float(row["fam_MiB"]) == round(10 * 16 * 16 * 16 / 2**20, 2)
     # the Gram alone is 1024^2 complex numbers, 16 MiB

@@ -5,11 +5,17 @@ it can prove it.  Hypothesis draws Hermitian matrices with a chosen rank and
 smallest eigenvalue, including ones just inside and just outside the
 tolerance; the accept/reject verdict and message of ``StateOperator`` and of
 the final-operator check must equal the eigenvalue rule's, and a returned
-factor must reproduce its matrix.  Larger explicit cases reach the rank at
-which the factor gives way to eigenvalues, and a final operator of large
-trace the bound on the eigensolver's error; the functionals of such states
-are checked against the reference evaluator.
+factor must reproduce its matrix.  Larger explicit cases certify ranks up
+to 72, and a final operator of large trace reaches the bound on the
+eigensolver's error; the functionals of such states are checked against the
+reference evaluator.  The certified factor is the same at one and at two
+BLAS threads.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +25,7 @@ from hypothesis import strategies as st
 
 from decohist.exceptions import ModelValidationError
 from decohist.histories import _coerce_final_operator, _gram, _rows
-from decohist.model import _FACTOR_RANK, ATOL_MODEL, QuantumModel, StateOperator, _psd_columns
+from decohist.model import ATOL_MODEL, QuantumModel, StateOperator, _psd_columns
 from decohist.scenarios import haar_unitary, random_model
 
 SHIFTS = (-1e-3, -2e-10, -0.4e-10, 0.0, 1e-9, 1e-3)
@@ -91,6 +97,11 @@ def operators(draw):
 @example((6, 3, -2e-10, 1))
 @example((6, 6, -0.4e-10, 2))
 @example((1, 1, 0.0, 3))
+@example((40, 33, 0.0, 6))
+@example((48, 47, -2e-10, 7))
+@example((64, 64, -0.4e-10, 8))
+@example((72, 70, 1e-9, 9))
+@example((72, 72, 0.0, 10))
 def test_states_match_the_eigenvalue_rule(case):
     dim, rank, shift, seed = case
     rank = max(rank, 1)  # a state has unit trace
@@ -104,6 +115,10 @@ def test_states_match_the_eigenvalue_rule(case):
 @given(operators(), st.sampled_from((0.25, 3.0, 40.0)))
 @example((5, 0, 0.0, 4), 3.0)
 @example((4, 2, -2e-10, 5), 40.0)
+@example((40, 35, -2e-10, 11), 3.0)
+@example((64, 50, 0.0, 12), 40.0)
+@example((72, 72, -0.4e-10, 13), 0.25)
+@example((72, 71, 1e-3, 14), 3.0)
 def test_final_operators_match_the_eigenvalue_rule(case, scale):
     dim, rank, shift, seed = case
     h = _hermitian(dim, rank, shift, scale if rank else 0.0, seed)
@@ -117,23 +132,33 @@ def test_final_operators_match_the_eigenvalue_rule(case, scale):
 def test_scaled_identities_are_accepted(dim, scale):
     h = scale * np.eye(dim, dtype=complex)
     _coerce_final_operator(h, dim)
-    # at 1e6 the rounding allowance alone exceeds the budget, and eigh decides
-    certified = scale <= 10 and (dim <= _FACTOR_RANK or scale == 0)
+    # certified at any dim; at 1e6 the rounding allowance alone exceeds the budget, and eigh decides
+    certified = scale <= 10
     _check_factor(h, None if not certified else dim if scale else 0)
     assert (_psd_columns(h) is None) == (not certified)
 
 
 @pytest.mark.parametrize("dim,rank", [(40, 31), (40, 32), (40, 33), (48, 47), (48, 48),
-                                      (70, 64)])
-def test_ranks_above_the_limit_are_decided_by_eigenvalues(dim, rank):
+                                      (70, 64), (70, 70)])
+def test_ranks_above_the_limit_are_decided_by_eigenvalues(dim, rank, monkeypatch):
+    """No rank limit: PSD operators of rank 31 to 70 are certified, with no eigh.
+
+    Shifted by -2e-10, the same operators fail the certificate and are
+    decided by eigenvalues, with the eigenvalue rule's verdict and message.
+    """
     h = _hermitian(dim, rank, 0.0, 1.0, 100 + rank)
-    _check_factor(h, rank if rank <= _FACTOR_RANK else None)
-    assert (_psd_columns(h) is None) == (rank > _FACTOR_RANK)
+    _check_factor(h, rank)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
     state = StateOperator(h)
+    assert calls == [] and _coerce_final_operator(h, dim)[1].shape == (dim, rank)
+    monkeypatch.undo()
     assert state.columns.shape == (dim, rank)
     assert np.max(np.abs(state.columns @ state.columns.conj().T - h)) <= 1e-12
     bad = _hermitian(dim, rank, -2e-10, 1.0, 100 + rank)
     message = _state_verdict_by_eigenvalues(bad)
+    assert _psd_columns(bad) is None
     assert message is not None and _verdict(lambda: StateOperator(bad)) == message
     assert _verdict(lambda: _coerce_final_operator(bad, dim)) == _final_verdict_by_eigenvalues(bad)
 
@@ -232,3 +257,37 @@ def test_spectrum_is_lazy_and_read_only():
             a[0] = 0.0
     with pytest.raises(AttributeError):
         state.eigenvalues = w
+
+
+_FACTOR_SCRIPT = """
+import sys
+import numpy as np
+from decohist.histories import _coerce_final_operator
+from decohist.model import StateOperator
+rho, rho_f = np.load(sys.argv[1] + "/rho.npy"), np.load(sys.argv[1] + "/rho_f.npy")
+np.save(sys.argv[2], StateOperator(rho).columns)
+np.save(sys.argv[3], _coerce_final_operator(rho_f, rho_f.shape[0])[1])
+"""
+
+
+def test_factors_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    """A full-rank state and final operator at d = 256, factored under 1 and under 2 threads.
+
+    Both are certified, so neither runs eigh, whose eigenvectors differ
+    between thread counts at this size.  Evolved states and walks are not
+    covered.
+    """
+    np.save(tmp_path / "rho.npy", _hermitian(256, 256, 0.0, 1.0, 11))
+    np.save(tmp_path / "rho_f.npy", _hermitian(256, 256, 0.0, 3.0, 12))
+    src = Path(__file__).resolve().parents[1] / "src"
+    factors = []
+    for threads in ("1", "2"):
+        outs = [tmp_path / f"{name}{threads}.npy" for name in ("columns", "factor")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _FACTOR_SCRIPT, str(tmp_path), *map(str, outs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        factors.append([np.load(out) for out in outs])
+    for one, two in zip(*factors):
+        assert one.shape == (256, 256) and one.tobytes() == two.tobytes()
