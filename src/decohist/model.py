@@ -80,24 +80,20 @@ _EIGH_SLACK = 10.0
 def _cholesky_rows(h: np.ndarray) -> np.ndarray:
     """Rows c_k^T of a factor h ~ sum_k c_k c_k^dagger, one per pivot above the cutoff.
 
-    A pivoted Cholesky factorization of the Hermitian ``h`` (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, section 10.3): the largest residual diagonal is the next pivot
-    until it is at most ``SPECTRAL_CUTOFF``, so numerical rank r, at any rank, takes r pivots
-    and O(r^2 d).  Each pivot's update is one matrix-vector product, which OpenBLAS splits
-    between threads by rows, so the rows are the same at any BLAS thread count.  The row
-    buffer doubles as pivots need it, O(r d) copying in all; below full rank a copy of its r
-    rows is returned, so the buffer is not kept.
+    Pivoted Cholesky of the Hermitian ``h`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 10.3): the largest residual diagonal is the next pivot until it is
+    at most ``SPECTRAL_CUTOFF``, so rank r takes r pivots at any r, O(r^2 d).  Each pivot is one
+    matrix-vector product, which OpenBLAS splits between threads by rows, so the rows are the
+    same at any BLAS thread count.  Below full rank they are copied out of the d x d buffer.
     """
     d = h.shape[0]
-    rows = np.empty((min(d, 1), d), dtype=complex)
+    rows = np.empty((d, d), dtype=complex)
     diag = h.diagonal().real.copy()  # the residual diagonal
     for k in range(d):
         q = int(np.argmax(diag))
         pivot = diag[q]
         if not pivot > SPECTRAL_CUTOFF:
             return rows[:k].copy()
-        if k == len(rows):
-            rows = np.concatenate((rows, np.empty((min(k, d - k), d), dtype=complex)))
         col = h[q].conj() - rows[:k].T @ rows[:k, q].conj()
         col *= 1.0 / math.sqrt(pivot)
         rows[k] = col
@@ -109,26 +105,24 @@ def _cholesky_rows(h: np.ndarray) -> np.ndarray:
 def _psd_columns(h: np.ndarray) -> np.ndarray | None:
     """Columns C with h = C C^dagger and a proof that h is PSD, or None.
 
-    C comes from :func:`_cholesky_rows`, at any rank.  For the remainder
-    S = h - C C^dagger, formed a block of rows at a time so that no second
-    d x d array is held beside h, Weyl's inequality gives
-    lambda_min(h) >= -||S||_F.
-    Forming S in floating point errs by at most
+    C comes from :func:`_cholesky_rows`, at any rank.  For the remainder S = h - C C^dagger,
+    formed a block of rows at a time so that no second d x d array is held beside h, Weyl's
+    inequality gives lambda_min(h) >= -||S||_F.  Forming S in floating point errs by at most
     sqrt(2) gamma_{r+2} || |C| |C|^T ||_F + u ||S||_F for r columns and unit
     roundoff u (Higham, *Accuracy and Stability of Numerical Algorithms*,
     sections 3.6 and 10.3), and || |C| |C|^T ||_F is at most ||C||_F times
     min(||C||_F, sqrt(||C||_1 ||C||_inf)).  When ||S||_F plus that allowance
     is at most ATOL_MODEL / 2, h is PSD to within half the eigenvalue rule's
     tolerance.  The other half covers the eigensolver's own error, taken as
-    d u ||h||_2 <= d u ||C||_F^2.  Only two failures give None, for the caller
-    to decide by eigenvalues: the certificate exceeds its half (negative
-    eigenvalues inside the tolerance), or that estimate does not fit (a final
-    operator of large trace, which the eigensolver could reject though PSD).
+    d u tr h (||h||_2 <= tr h + d ATOL_MODEL / 2 for such an h).  None, for the
+    caller to decide by eigenvalues, means that estimate exceeds its half (a
+    large trace, read before any pivot) or the certificate does (negative
+    eigenvalues inside the tolerance).
     """
+    if h.shape[0] * _UNIT_ROUNDOFF * float(h.diagonal().real.sum()) > ATOL_MODEL / 2:
+        return None
     c = _cholesky_rows(h)
     c_norm = float(np.linalg.norm(c))
-    if h.shape[0] * _UNIT_ROUNDOFF * c_norm ** 2 > ATOL_MODEL / 2:
-        return None
     s_sq, block, c_conj = 0.0, max(1, linalg._RESIDUAL_BLOCK // h.shape[0]), c.conj()
     for i in range(0, h.shape[0], block):
         s = c.T[i:i + block] @ c_conj  # -S, one block of rows
@@ -180,15 +174,13 @@ class StateOperator:
     """Density operator: Hermitian, unit trace, positive semidefinite.
 
     ``purity()`` gives Tr(rho^2), and ``is_pure()`` tests it against 1 to within ``ATOL_MODEL``.
-    ``columns`` is a read-only factor C with rho = C C^dagger and one column per unit of
-    numerical rank r: the pivoted Cholesky factor (:func:`_cholesky_rows`, O(r^2 d) at any rank,
-    the same at any BLAS thread count) when its residual certifies positivity
-    (:func:`_psd_columns`), else the spectral columns of ``eigen_columns()``.  A state built
-    :meth:`from_vector` stores the vector as ``vector`` (None otherwise), and its one column is
-    that vector itself, the same read-only numbers.  ``eigenvalues`` (ascending),
-    ``eigenvectors`` (columns) and ``eigen_columns()`` come from one ``eigh`` of
-    (rho + rho^dagger) / 2, run at construction when the certificate fails and otherwise when
-    one of them is first read, and kept read-only.
+    ``columns`` is a read-only factor C with rho = C C^dagger, one column per unit of numerical
+    rank r: the pivoted Cholesky factor (:func:`_cholesky_rows`, O(r^2 d) at any rank, the same
+    at any BLAS thread count) when its residual certifies positivity (:func:`_psd_columns`),
+    else ``eigen_columns()``.  A state built :meth:`from_vector` stores the vector as ``vector``
+    (None otherwise) and its one column is that vector itself.  ``eigenvalues`` (ascending),
+    ``eigenvectors`` and ``eigen_columns()`` come from one ``eigh`` of (rho + rho^dagger) / 2,
+    run at construction when the certificate fails, else on first read, and kept read-only.
     """
 
     def __init__(self, rho):
@@ -383,12 +375,19 @@ def _member_factors(projectors, pivots) -> list[np.ndarray]:
     """Q_a with Q_a Q_a^dagger ~ P_a for each member of a family that passed.
 
     The member's (Q_a, residual) from :meth:`ProjectorFamily._bound_defects`
-    when ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, else the pivoted
-    Cholesky factor of (P_a + P_a^dagger) / 2 (:func:`_cholesky_rows`, one
-    column per pivot above ``SPECTRAL_CUTOFF``), the loop that factors states.
+    when ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, else the one :func:`_psd_columns`
+    certifies for h = (P_a + P_a^dagger) / 2, else h's spectral columns v sqrt(lambda),
+    lambda > ``SPECTRAL_CUTOFF``: an uncertified pivoted factor need not be near P_a.
     """
-    return [q if residual <= ATOL_MODEL else _cholesky_rows((p + p.conj().T) / 2.0).T
-            for p, (q, residual) in zip(projectors, pivots)]
+    factors = []
+    for p, (q, residual) in zip(projectors, pivots):
+        if not residual <= ATOL_MODEL:  # as for equal pivot columns
+            h = (p + p.conj().T) / 2.0
+            if (q := _psd_columns(h)) is None:
+                w, v = linalg.herm_eig(h)
+                q = v[:, w > SPECTRAL_CUTOFF] * np.sqrt(w[w > SPECTRAL_CUTOFF])
+        factors.append(q)
+    return factors
 
 
 class ProjectorFamily:
@@ -417,7 +416,7 @@ class ProjectorFamily:
     keeps only a read-only factor Q_a per member (d x r_a, about d^2 numbers
     in all), whichever proof decides: the one it was validated with when
     ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, as every known or certified
-    factor is, else the spectral columns (:func:`_member_factors`).
+    factor is, else a certified or spectral one (:func:`_member_factors`).
     :meth:`apply` applies a member as Q_a (Q_a^dagger x), and ``projectors``
     and :meth:`member` build Q_a Q_a^dagger on each read and keep none, so
     they and a dump and reload agree with the input to the tolerance (bit for

@@ -205,6 +205,18 @@ def _equal_pivot_columns() -> list[tuple[str, np.ndarray]]:
     return members
 
 
+def _perturbed_equal_pivot_columns() -> list[tuple[str, np.ndarray]]:
+    # The projector onto span{(e1 + e2)/sqrt(2), (e3 + e4)/sqrt(2)} plus indefinite
+    # noise on its null space (eigenvalues about +-5e-11, diagonal 1e-13), and its
+    # complement: the member's static-pivot factor fails, and its pivoted Cholesky
+    # factor takes a 1e-13 pivot whose column is about 1e-4, which no residual certifies.
+    s = 1 / np.sqrt(2)
+    v = np.array([[s, s, 0, 0], [0, 0, s, s]], dtype=complex).T
+    n = np.array([[s, -s, 0, 0], [0, 0, s, -s]], dtype=complex).T
+    p = v @ v.conj().T + n @ np.array([[1e-13, 5e-11], [5e-11, 1e-13]]) @ n.conj().T
+    return [("m0", p), ("m1", np.eye(4) - p)]
+
+
 def _short_ranks() -> list[tuple[str, np.ndarray]]:
     # Four members whose ranks sum to 5 of 6: completeness fails.
     eye = np.eye(6, dtype=complex)
@@ -224,10 +236,11 @@ def _orthogonality_leak(scale: float) -> list[tuple[str, np.ndarray]]:
 @pytest.mark.parametrize("members, calls, certified", [
     (_zero_member(), 0 + 0 + 0 + 1, True),
     (_equal_pivot_columns(), 4 + 0 + 6 + 1, False),
+    (_perturbed_equal_pivot_columns(), 2 + 1 + 1 + 1, False),
     (_short_ranks(), 4 + 4 + 6 + 1, None),
     (_orthogonality_leak(0.9), 5 + 5 + 10 + 1, False),
     (_orthogonality_leak(1.1), 5 + 5 + 10 + 1, False),
-], ids=["zero-member", "equal-pivot-columns", "short-ranks", "leak-0.9", "leak-1.1"])
+], ids=["zero-member", "equal-pivot-columns", "perturbed-equal-pivot-columns", "short-ranks", "leak-0.9", "leak-1.1"])
 def test_certificate_edge_cases_match_the_dense_rule(members, calls, certified, max_abs_calls):
     got = _outcome(lambda: ProjectorFamily(1, members))
     assert got == _outcome(lambda: dense_family_check(members))
@@ -241,7 +254,8 @@ def test_certificate_edge_cases_match_the_dense_rule(members, calls, certified, 
     assert family.certified == certified
     # every family keeps factors, read back within the tolerance of its inputs
     # (ten times it for a family whose checks warned); the equal pivot columns
-    # leave the static-pivot factor to the member's pivoted Cholesky factor
+    # leave the static-pivot factor to the member's certified pivoted Cholesky
+    # factor, and the perturbed ones to its spectral columns
     limit = (WARN_FACTOR if got[1] else 1.0) * ATOL_MODEL
     assert all(np.abs(q - p).max() <= limit for (_, p), q in zip(members, family.projectors))
 

@@ -23,6 +23,7 @@ import reference_evaluator as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decohist import model as model_module
 from decohist.exceptions import ModelValidationError
 from decohist.histories import _coerce_final_operator, _gram, _rows
 from decohist.model import ATOL_MODEL, QuantumModel, StateOperator, _psd_columns
@@ -178,6 +179,7 @@ def test_identity_final_operator_needs_no_factor(dim, monkeypatch):
 def test_large_trace_rank_one_final_operators(dim, trace, monkeypatch):
     """Beyond d u tr(h) <= ATOL_MODEL / 2, one eigh decides and gives the factor's columns.
 
+    The trace is read before any pivot, so such an operator is not factored.
     The eigenvalue floor grows with the operator, so these PSD operators are
     accepted at every trace.
     """
@@ -187,12 +189,13 @@ def test_large_trace_rank_one_final_operators(dim, trace, monkeypatch):
     h = (h + h.conj().T) / 2.0
     decided_by_eigenvalues = dim * np.finfo(float).eps / 2 * trace > ATOL_MODEL / 2
     assert (_psd_columns(h) is None) == decided_by_eigenvalues
-    calls = []
-    eigh = np.linalg.eigh
+    calls, factored = [], []
+    eigh, cholesky_rows = np.linalg.eigh, model_module._cholesky_rows
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    monkeypatch.setattr(model_module, "_cholesky_rows", lambda a: factored.append(1) or cholesky_rows(a))
     assert _final_verdict_by_eigenvalues(h) is None
     m, factor = _coerce_final_operator(h, dim)
-    assert len(calls) == decided_by_eigenvalues
+    assert len(calls) == decided_by_eigenvalues and len(factored) == (not decided_by_eigenvalues)
     assert m is h and np.max(np.abs(factor @ factor.conj().T - h)) <= 1e-12 * trace
 
 
