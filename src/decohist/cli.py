@@ -11,7 +11,8 @@ last digits of floats).
 Exit codes: 0 decoherent / check passed, 1 not decoherent / check failed,
 2 marginal, 64 model-file parse errors, bad scenario parameters and
 out-of-range options (among them negative or non-finite tolerances), 65
-model invariant violations, 70 unexpected errors.
+model invariant violations and history sets whose work or printed pair
+tables exceed the memory budget, 70 unexpected errors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import cmath
 import gc
 import json
+import math
 import sys
 import time
 
@@ -35,12 +37,13 @@ from .exceptions import (
 from .histories import (
     DecoherenceReport,
     TolerancePolicy,
+    _check_memory,
     _coerce_final_operator,
     both_conditions_theorem_check,
     check_decoherence,
     page_symmetric_cosmology_check,
 )
-from .model import ProjectorFamily, QuantumModel, TimeGrid, _dynamics_symmetry_defect, _eigen_floor
+from .model import ProjectorFamily, QuantumModel, TimeGrid, _dynamics_symmetry_defect, _rank_and_vector
 from .modelfile import _to_pairs, load_model, model_to_dict
 
 EXIT_DECOHERENT = 0
@@ -55,6 +58,10 @@ _SCENARIO_KEYS = {"spin": ("a", "alpha", "b", "beta"), "spin-post": (),
                   "spin-symmetric": ("a", "alpha"), "recoherence": ("a", "alpha"),
                   "random": ("seed", "dim", "n", "pure")}
 SCENARIO_NAMES = tuple(_SCENARIO_KEYS)
+# Peak bytes per printed pair-table row: its dict, its floats and about twice its JSON text.
+# `check` of `--scenario random dim=16` with 23,220 to 419,256 rows (seeds 1 to 3, n = 5 to 7,
+# one table or two) peaked 1.07-1.19 KB a row above a run with no rows; the rest is for longer labels.
+_ROW_BYTES = 1536
 
 
 class _CliError(Exception):
@@ -161,6 +168,11 @@ def _sorted_table(table: dict) -> list[dict]:
     ]
 
 
+def _charge_pair_tables(model: QuantumModel, tables: int) -> None:
+    """Refuse ``tables`` printed pair tables of the model's histories over the memory budget."""
+    _check_memory(math.prod(map(len, model.families)), 0, tables * _ROW_BYTES, "the printed pair tables")
+
+
 def _pair_table(rep: DecoherenceReport) -> list[dict]:
     """The report's pairs worst first, read from its pair arrays in one pass."""
     a = rep._arrays
@@ -195,6 +207,7 @@ def _classification_exit(classification: str) -> int:
 
 
 def _cmd_check(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
+    _charge_pair_tables(model, 2 if args.both else 1)
     if args.both:
         rep = both_conditions_theorem_check(model, tol)
         body = {
@@ -228,11 +241,12 @@ def _cmd_probs(args, model: QuantumModel, rho_final: np.ndarray | None, tol: Tol
 
 
 def _rank_one_vector(model: QuantumModel, rho_final: np.ndarray, command: str) -> np.ndarray:
-    """The state vector of a valid rank-one rho_final; anything else exits 65."""
-    w, v = np.linalg.eigh(_coerce_final_operator(rho_final, model.dim)[0])
-    if np.sum(w > _eigen_floor(w)) != 1:
+    """The state vector of a valid rank-one rho_final, read from its factor; anything else exits 65."""
+    factor = _coerce_final_operator(rho_final, model.dim)[1]  # None for the identity, of rank d
+    rank, v = (model.dim, np.ones(1)) if factor is None else _rank_and_vector(factor)
+    if rank != 1:
         raise _CliError(f"{command} needs rho_final of rank one", EXIT_INVARIANT)
-    return v[:, -1]
+    return v
 
 
 def _cmd_abl(args, model: QuantumModel, rho_final: np.ndarray | None, tol: TolerancePolicy):
@@ -329,6 +343,8 @@ def _cmd_page(args, model: QuantumModel, rho_final: np.ndarray | None, tol: Tole
     if rho_final is None:
         rho_final = np.eye(model.dim, dtype=complex)
     rep = page_symmetric_cosmology_check(model.initial_state, rho_final, model, tol)
+    if rep.applicable:  # else no table is printed, and the preconditions ran no walk
+        _charge_pair_tables(model, 2)
     body = {
         "preconditions": {
             name: {"ok": ok, "defect": defect}

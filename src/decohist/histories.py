@@ -207,15 +207,14 @@ class DecoherenceReport:
         return float(self._arrays.measure.max(initial=0.0))
 
 
-def _check_memory(m: int, row: int, pair_work: bool = True) -> None:
-    """Refuse m histories of ``row`` entries each (and their pairs if ``pair_work``) over budget."""
+def _check_memory(m: int, row: int, pair_bytes: int = PAIR_BYTES, what: str = "pair work") -> None:
+    """Refuse m histories of ``row`` entries each and their pairs at ``pair_bytes`` each over budget."""
     pairs = m * (m - 1) // 2
-    estimate = TABLE_BYTES * m * row + (PAIR_BYTES * pairs if pair_work else 0)
+    estimate = TABLE_BYTES * m * row + pair_bytes * pairs
     if estimate > MEMORY_BUDGET:
         raise ModelValidationError(
             f"{m} histories ({pairs} pairs) need an estimated {estimate / 2**30:.3g} GiB "
-            f"for {'pair work' if pair_work else 'the branch table'}, "
-            f"above the memory budget of {MEMORY_BUDGET / 2**30:.3g} GiB")
+            f"for {what}, above the memory budget of {MEMORY_BUDGET / 2**30:.3g} GiB")
 
 
 def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
@@ -228,7 +227,7 @@ def _walk(model: QuantumModel, cols: np.ndarray, backwards: bool = False):
     families latest first, from W(t_n) C through the adjoint segments.  A set
     whose branch table is over the memory budget is refused before level 0.
     """
-    _check_memory(math.prod(map(len, model.families)), cols.size, pair_work=False)
+    _check_memory(math.prod(map(len, model.families)), cols.size, 0, "the branch table")
     order = range(model.n_families)
     nodes, prev = cols.T[None], 0
     yield nodes

@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import ModelValidationError
 
-__all__ = ["exp_generator", "herm_eig", "kron", "trace"]
+__all__ = ["exp_generator", "herm_eig", "kron"]
 
 # Elementwise tolerance admitted on |A - A^dagger| for "Hermitian" inputs.
 ATOL_HERMITIAN = 1e-12
@@ -115,14 +115,6 @@ def defect(a: np.ndarray, tol: float) -> float:
         if bound <= tol and (m >= _SMALLEST_NORMAL or m == 0.0):
             return bound
     return max_abs(a)
-
-
-def trace(a: np.ndarray) -> complex:
-    """Trace of a square matrix."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -161,6 +161,19 @@ def _eigh(h: np.ndarray,
     return _freeze(w), _freeze(v), _freeze(v[:, keep] * np.sqrt(w[keep]))
 
 
+def _rank_and_vector(f: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """Rank and unit leading eigenvector of F F^dagger (d x d) from one :func:`_eigh` of F^dagger F (r x r).
+
+    They share their nonzero eigenvalues: the rank counts those above the :func:`_eigen_floor` of
+    the r and d - r zeros, and F y / ||F y|| is the vector for y that of F^dagger F.  No d x d eigh.
+    """
+    if not f.shape[1]:  # rank 0, no vector
+        return 0, None
+    w, y, _ = _eigh(f.conj().T @ f)
+    v = f @ y[:, -1]
+    return int(np.sum(w > _eigen_floor(np.pad(w, (f.shape[0] - w.size, 0))))), v / np.linalg.norm(v)
+
+
 def as_state_vector(psi) -> np.ndarray:
     """Validate a unit-norm complex vector and return a read-only copy."""
     v = linalg.as_vector(psi, "state vector")
@@ -239,14 +252,14 @@ class StateOperator:
         return self._spectrum[1]
 
     def state_vector(self) -> np.ndarray:
-        """A unit vector representing a pure state (exact if one was stored)."""
+        """A unit vector representing a pure state: the stored one, else the leading one of ``columns``."""
         if self.vector is not None:
             return self.vector
         if not self.is_pure():
             raise ModelValidationError(
                 f"state with purity {self.purity():.6f} has no state vector"
             )
-        return self.eigenvectors[:, -1]
+        return _rank_and_vector(self.columns)[1]
 
     @property
     def dim(self) -> int:

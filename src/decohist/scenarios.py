@@ -204,7 +204,7 @@ def _collapse_levels(model: QuantumModel, cols: np.ndarray, pure: bool,
     families = model.families[::-1] if backwards else model.families
     last = model.grid.n_times - 1
     d, r = cols.shape
-    _check_memory(math.prod(map(len, families)), d * r, pair_work=False)
+    _check_memory(math.prod(map(len, families)), d * r, 0, "the branch table")
     weights = np.ones(1) if pure else np.sum(cols.real ** 2 + cols.imag ** 2, axis=0)
     blocks = (cols if pure else cols / np.sqrt(weights))[:, None]  # (d, trajectories, r)
     probs = np.ones((1, r))

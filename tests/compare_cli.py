@@ -1,12 +1,15 @@
 """Run the CLI command list against two source trees and compare the output.
 
     python tests/compare_cli.py OLD_TREE NEW_TREE [--commands FILE] [--workdir DIR]
+                                [--threads OLD,NEW]
 
 Each tree is a checkout with ``src/decohist``.  Every command of the list
 (``tests/cli_commands.txt`` by default) runs as ``python -m decohist.cli``
-with that tree's ``src`` first on ``PYTHONPATH``, one BLAS thread, and its
-own working directory holding the fixture files, so the two runs see the
-same relative paths.  A command differs when its exit code, its stderr, its
+with that tree's ``src`` first on ``PYTHONPATH``, its BLAS thread count
+(``--threads``, one for each tree by default), and its own working directory
+holding the fixture files, so the two runs see the same relative paths.
+``python tests/compare_cli.py . . --threads 1,2`` compares one tree at one
+and at two threads.  A command differs when its exit code, its stderr, its
 stdout or a file it wrote with ``--out`` differ.  Stdout and ``--out`` files
 are compared by content, not layout: text that parses as JSON loses its
 top-level ``timing_s`` and is compared as ``json.dumps(obj, indent=2)``, and
@@ -142,9 +145,9 @@ def read_commands(path: Path) -> list[list[str]]:
     return [shlex.split(line) for line in lines if line.strip() and not line.lstrip().startswith("#")]
 
 
-def run(tree: Path, argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def run(tree: Path, argv: list[str], cwd: Path, threads: str = "1") -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     return subprocess.run([sys.executable, "-m", "decohist.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=600)
 
@@ -211,8 +214,8 @@ def write_fixtures(tree: Path, where: Path) -> None:
         inputs.write_model_file(inputs.register_model(n, rng), where / f"{key}.json")
 
 
-def outcome(tree: Path, argv: list[str], cwd: Path) -> tuple:
-    proc = run(tree, argv, cwd)
+def outcome(tree: Path, argv: list[str], cwd: Path, threads: str) -> tuple:
+    proc = run(tree, argv, cwd, threads)
     written = None
     if "--out" in argv:
         out = cwd / argv[argv.index("--out") + 1]
@@ -228,7 +231,12 @@ def main(argv=None) -> int:
     parser.add_argument("--commands", type=Path, default=HERE / "cli_commands.txt")
     parser.add_argument("--workdir", type=Path, default=None,
                         help="directory for fixtures and outputs (a temporary one by default)")
+    parser.add_argument("--threads", default="1,1", metavar="OLD,NEW",
+                        help="BLAS thread counts of the old and the new tree's runs (default 1,1)")
     args = parser.parse_args(argv)
+    threads = args.threads.split(",")
+    if len(threads) != 2 or not all(t.isdigit() and int(t) > 0 for t in threads):
+        parser.error(f"--threads {args.threads!r}: expected two positive counts, OLD,NEW")
     commands = read_commands(args.commands)
     root = Path(tempfile.mkdtemp(prefix="compare-cli-")) if args.workdir is None else args.workdir
     fixtures = root / "fixtures"
@@ -241,8 +249,8 @@ def main(argv=None) -> int:
     parts = ("exit code", "stderr", "stdout", "--out file")
     labels = Counter()
     for command in commands:
-        old = outcome(args.old.resolve(), command, dirs[0])
-        new = outcome(args.new.resolve(), command, dirs[1])
+        old = outcome(args.old.resolve(), command, dirs[0], threads[0])
+        new = outcome(args.new.resolve(), command, dirs[1], threads[1])
         diff = [name for name, a, b in zip(parts, old, new) if a != b]
         if diff:
             kind = label(old, new)

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import compare_cli
 from compare_cli import label, largest_difference, read_commands
-from decohist import cli, scenarios
+from decohist import cli, histories, scenarios
 from decohist.cli import build_parser, main
 from decohist.modelfile import dump_model, load_model, model_from_dict, model_to_dict
 from decohist.exceptions import ModelFileError
@@ -199,6 +200,38 @@ def test_large_trace_rank_one_rho_final(tmp_path, capsys, dim):
     path.write_text(json.dumps(model_to_dict(model, 1e6 * u[:, :2] @ u[:, :2].conj().T)))
     assert main(["abl", "--model", str(path)]) == 65
     assert "abl needs rho_final of rank one" in capsys.readouterr().err
+
+
+def test_abl_and_reverse_read_the_final_vector_from_its_factor(tmp_path, capsys, monkeypatch):
+    """A certified rank-one rho_final gives its vector with no eigh of a d x d operator.
+
+    Only the 1 x 1 Gram of its one column is diagonalised; the identity, which has no
+    factor, and the zero operator, whose factor has no column, are refused with none.
+    """
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
+    model = spin_model(0.6)
+    phi = haar_unitary(model.dim, np.random.default_rng(3))[:, 0]
+    path = tmp_path / "post.json"
+    path.write_text(json.dumps(model_to_dict(model, np.outer(phi, phi.conj()))))
+    code, report = run_cli(capsys, "abl", "--model", str(path))
+    assert code == 0
+    table = {tuple(e["history"]): e["probability"] for e in report["result"]["table"]}
+    expected = scenarios.abl_table(model.initial_state.vector, phi, model)
+    assert max(abs(table[h] - expected[h]) for h in expected) <= 1e-12
+    code, report = run_cli(capsys, "reverse", "--model", str(path))
+    assert code == 0
+    probabilities = {tuple(t["history"]): t["probability"] for t in report["result"]["trajectories"]}
+    oracle = {t.labels: t.probability for t in scenarios.reverse_collapse_chain(model, phi)}
+    assert max(abs(probabilities[h] - oracle[h]) for h in oracle) <= 1e-12
+    assert model.dim == 18 and set(shapes) == {(1, 1)}
+    for rho_final in (np.eye(model.dim), np.zeros((model.dim, model.dim))):
+        path.write_text(json.dumps(model_to_dict(model, rho_final)))
+        for command in ("abl", "reverse"):
+            assert main([command, "--model", str(path)]) == 65
+            assert f"{command} needs rho_final of rank one" in capsys.readouterr().err
+    assert set(shapes) == {(1, 1)}
 
 
 def test_reverse_command(capsys):
@@ -530,6 +563,31 @@ def test_compare_cli_prints_the_largest_float_difference():
     assert largest_difference((0, "", "usage", None), (0, "", "usage:", None)) is None
 
 
+def test_compare_cli_runs_each_tree_at_its_thread_count(tmp_path, monkeypatch, capsys):
+    """``--threads OLD,NEW`` sets the BLAS threads of each tree's runs; outputs are compared as ever."""
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        seen.append((env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"], env["MKL_NUM_THREADS"]))
+        out = json.dumps({"p": 0.5 + 1e-16 * (env["OPENBLAS_NUM_THREADS"] == "2"), "timing_s": 1.0})
+        return subprocess.CompletedProcess(argv, 0, out, "")
+
+    monkeypatch.setattr(compare_cli.subprocess, "run", fake_run)
+    monkeypatch.setattr(compare_cli, "write_fixtures", lambda tree, where: None)
+    commands = tmp_path / "commands.txt"
+    commands.write_text("check --scenario spin\n")
+    argv = [str(SRC.parent), str(SRC.parent), "--commands", str(commands), "--workdir", str(tmp_path)]
+    assert compare_cli.main(argv) == 0 and seen == [("1",) * 3] * 2
+    seen.clear()
+    assert compare_cli.main([*argv, "--threads", "1,2"]) == 1 and seen == [("1",) * 3, ("2",) * 3]
+    out = capsys.readouterr().out
+    assert "DIFFERS [float values only] (stdout; largest float difference 1.11e-16 at stdout.p)" in out
+    assert "1 commands, 0 identical, 1 differing (1 float values only)" in out
+    for bad in ("2", "1,0", "1,x"):
+        with pytest.raises(SystemExit):
+            compare_cli.main([*argv, "--threads", bad])
+
+
 def test_parse_error_exit_64(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -691,6 +749,42 @@ def test_scenario_parameter_outside_its_keys_exit_64(capsys, argv, fragment):
 def test_cli_error_exits(capsys, argv, code, fragment):
     assert main(argv) == code
     assert fragment in capsys.readouterr().err
+
+
+def test_printed_pair_tables_over_the_budget_exit_65_before_the_walk():
+    """``check --both`` of 1,728 histories (1,492,128 rows a table) is refused within seconds.
+
+    The core's own estimate admits it; printed, the two tables ran out of a 2 GiB address
+    space and exited 70 with ``MemoryError()`` after about 25 s.
+    """
+    import resource
+
+    limit = 2 * 2**30
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "decohist.cli", "check", "--both", "--scenario", "random", "seed=1",
+         "dim=16", "n=8"], capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 65 and proc.stdout == ""
+    assert proc.stderr == ("invariant violation: 1728 histories (1492128 pairs) need an estimated 4.27 GiB "
+                           "for the printed pair tables, above the memory budget of 2 GiB\n")
+
+
+def test_printed_pair_tables_are_charged_per_table(capsys, monkeypatch):
+    """``check`` charges one table or two, and ``page`` two only when it prints them.
+
+    spin-symmetric has 4 histories (6 pairs) and fits the core's estimate of 4,128 bytes;
+    page of the random scenario fails a precondition, so it walks and prints nothing.
+    """
+    monkeypatch.setattr(histories, "MEMORY_BUDGET", 10_000)
+    assert main(["check", "--forwards", "--scenario", "spin-symmetric"]) == 0
+    for argv in (["check", "--both"], ["page"]):
+        capsys.readouterr()
+        assert main([*argv, "--scenario", "spin-symmetric"]) == 65
+        assert "4 histories (6 pairs) need an estimated 1.72e-05 GiB for the printed pair tables" in (
+            capsys.readouterr().err)
+    code, report = run_cli(capsys, "page", "--scenario", "random")
+    assert code == 1 and report["result"]["original"] is None
 
 
 _DROP = object()

@@ -7,7 +7,6 @@ from decohist.linalg import (
     herm_eig,
     kron,
     max_abs,
-    trace,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -17,33 +16,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def _random_matrix(rng, n, m=None):
     m = n if m is None else m
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-
-
-def test_trace_identity_and_projector():
-    assert trace(np.eye(5)) == pytest.approx(5.0)
-    p = np.zeros((4, 4), dtype=complex)
-    p[0, 0] = p[2, 2] = 1.0  # rank 2
-    assert trace(p) == pytest.approx(2.0)
-
-
-def test_trace_cyclic_two_factors():
-    rng = np.random.default_rng(4)
-    a = _random_matrix(rng, 5)
-    b = _random_matrix(rng, 5)
-    assert abs(trace(a @ b) - trace(b @ a)) <= 1e-13 * max(1.0, abs(trace(a @ b)))
-
-
-def test_trace_cyclic_three_factors():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a, b, c = (_random_matrix(rng, 4) for _ in range(3))
-        scale = max(1.0, abs(trace(a @ b @ c)))
-        assert abs(trace(a @ b @ c) - trace(c @ a @ b)) <= 1e-12 * scale
-
-
-def test_trace_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        trace(np.ones((2, 3)))
 
 
 def test_kron_identities():

@@ -27,6 +27,7 @@ from decohist.model import (
     time_reverse_state,
     time_reverse_vector,
 )
+from decohist.records import construct_records
 from decohist.scenarios import (
     collapse_probability_table,
     haar_unitary,
@@ -153,6 +154,20 @@ def test_state_is_diagonalised_once(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 0} and factored == []
     assert pure.eigenvalues[-1] == pytest.approx(1.0)
     assert calls == {"eigh": 2, "eigvalsh": 0}
+    # A pure state built from a matrix reads its vector from its one column: an eigh of the
+    # 1 x 1 Gram may run, one of the d x d operator may not.
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
+    spin = spin_model(0.6)
+    psi = spin.initial_state.vector
+    pure = QuantumModel(StateOperator(np.outer(psi, psi.conj())), spin.grid, spin.families)
+    vector = pure.initial_state.state_vector()
+    assert abs(abs(np.vdot(psi, vector)) - 1.0) <= 1e-12
+    assert collapse_probability_table(pure) == pytest.approx(collapse_probability_table(spin), abs=1e-12)
+    assert construct_records(pure, vector).probabilities == pytest.approx(
+        construct_records(spin, psi).probabilities, abs=1e-12)
+    assert spin.dim == 18 and set(shapes) == {(1, 1)}
 
 
 # ---------------------------------------------------------------- grids

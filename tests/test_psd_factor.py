@@ -294,3 +294,38 @@ def test_factors_are_the_same_at_one_and_two_blas_threads(tmp_path):
         factors.append([np.load(out) for out in outs])
     for one, two in zip(*factors):
         assert one.shape == (256, 256) and one.tobytes() == two.tobytes()
+
+
+_VECTOR_SCRIPT = """
+import sys
+from types import SimpleNamespace
+import numpy as np
+from decohist.cli import _rank_one_vector
+from decohist.model import StateOperator
+rho = np.load(sys.argv[1])
+np.save(sys.argv[2], _rank_one_vector(SimpleNamespace(dim=rho.shape[0]), rho, "abl"))
+np.save(sys.argv[3], StateOperator(rho).state_vector())
+"""
+
+
+def test_vectors_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    """The vector of a rank-one rho_final and of a pure state built from a matrix, at d = 512.
+
+    Both are read from the certified factor through the 1 x 1 Gram of its column, not from
+    eigh of the d x d operator, whose eigenvectors differ between thread counts at this size.
+    """
+    psi = haar_unitary(512, np.random.default_rng(13))[:, 0]
+    np.save(tmp_path / "rho.npy", np.outer(psi, psi.conj()))
+    src = Path(__file__).resolve().parents[1] / "src"
+    vectors = []
+    for threads in ("1", "2"):
+        outs = [tmp_path / f"{name}{threads}.npy" for name in ("final", "state")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _VECTOR_SCRIPT, str(tmp_path / "rho.npy"),
+                               *map(str, outs)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        vectors.append([np.load(out) for out in outs])
+    for one, two in zip(*vectors):
+        assert one.shape == (512,) and one.tobytes() == two.tobytes()
+    assert abs(abs(np.vdot(psi, vectors[0][0])) - 1.0) <= 1e-12
