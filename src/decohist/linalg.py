@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import ModelValidationError
 
-__all__ = ["exp_generator", "herm_eig", "kron"]
+__all__ = ["exp_generator", "herm_eig"]
 
 # Elementwise tolerance admitted on |A - A^dagger| for "Hermitian" inputs.
 ATOL_HERMITIAN = 1e-12
@@ -115,11 +115,6 @@ def defect(a: np.ndarray, tol: float) -> float:
         if bound <= tol and (m >= _SMALLEST_NORMAL or m == 0.0):
             return bound
     return max_abs(a)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (a ⊗ b)[i*rb+k, j*cb+l] = a[i,j] b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def times_conj(a: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ def _check(defect: float, what: str, stacklevel: int = 3) -> None:
     raise ModelValidationError(f"{what}: defect {defect:.3e} exceeds {ATOL_MODEL:.1e}")
 
 
-SPECTRAL_CUTOFF = 1e-14  # eigenvalues (residual diagonals) at or below it are null
+SPECTRAL_CUTOFF = 1e-14  # the pivoted Cholesky's stop and the carried spectrum's cut, not eigh's
 # Allowance for eigh's eigenvalue error, in units of d u max|lambda|: on random PSD
 # operators of rank 1 to d (d = 2 to 256, traces up to 1e12) the most negative
 # eigenvalue was -1.45 units.
@@ -92,7 +92,7 @@ def _cholesky_rows(h: np.ndarray) -> np.ndarray:
     for k in range(d):
         q = int(np.argmax(diag))
         pivot = diag[q]
-        if not pivot > SPECTRAL_CUTOFF:
+        if not pivot > SPECTRAL_CUTOFF:  # the certificate bounds what is left
             return rows[:k].copy()
         col = h[q].conj() - rows[:k].T @ rows[:k, q].conj()
         col *= 1.0 / math.sqrt(pivot)
@@ -148,17 +148,22 @@ def _eigen_floor(w: np.ndarray) -> float:
     return max(ATOL_MODEL, _EIGH_SLACK * w.size * _UNIT_ROUNDOFF * max(-w[0], w[-1]))
 
 
+def _spectral_columns(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v_k sqrt(lambda_k) for the eigenvalues above :func:`_eigen_floor`, as the rank counts them."""
+    keep = w > _eigen_floor(w)
+    return v[:, keep] * np.sqrt(w[keep])
+
+
 def _eigh(h: np.ndarray,
           error: str = "state operator is not positive semidefinite (min eigenvalue {:.3e})"):
-    """Read-only eigenvalues (ascending), eigenvectors and ``eigen_columns`` of the Hermitian ``h``.
+    """Read-only eigenvalues (ascending), eigenvectors and :func:`_spectral_columns` of the Hermitian ``h``.
 
     A smallest eigenvalue below -:func:`_eigen_floor` raises ``error``, formatted with it.
     """
     w, v = np.linalg.eigh(h)
     if w[0] < -_eigen_floor(w):
         raise ModelValidationError(error.format(w[0]))
-    keep = w > SPECTRAL_CUTOFF
-    return _freeze(w), _freeze(v), _freeze(v[:, keep] * np.sqrt(w[keep]))
+    return _freeze(w), _freeze(v), _freeze(_spectral_columns(w, v))
 
 
 def _rank_and_vector(f: np.ndarray) -> tuple[int, np.ndarray | None]:
@@ -276,10 +281,10 @@ class StateOperator:
     def eigen_columns(self) -> np.ndarray:
         """Columns v_k sqrt(lambda_k) spanning the support of rho.
 
-        The density operator equals C @ C.conj().T for the returned C;
-        eigenvalues at or below ``SPECTRAL_CUTOFF`` are dropped as null
-        directions.  A validated state has unit trace, so at least one
-        column remains.
+        The density operator equals C @ C.conj().T to within d :func:`_eigen_floor`;
+        eigenvalues within the floor of zero, of either sign, are dropped as null
+        directions (:func:`_spectral_columns`), one column per unit of rank.  A
+        validated state has unit trace, so at least one column remains.
         """
         return self._spectrum[2]
 
@@ -389,16 +394,15 @@ def _member_factors(projectors, pivots) -> list[np.ndarray]:
 
     The member's (Q_a, residual) from :meth:`ProjectorFamily._bound_defects`
     when ||Q_a Q_a^dagger - P_a||_F <= ``ATOL_MODEL``, else the one :func:`_psd_columns`
-    certifies for h = (P_a + P_a^dagger) / 2, else h's spectral columns v sqrt(lambda),
-    lambda > ``SPECTRAL_CUTOFF``: an uncertified pivoted factor need not be near P_a.
+    certifies for h = (P_a + P_a^dagger) / 2, else h's :func:`_spectral_columns`, one per
+    eigenvalue above the floor: an uncertified pivoted factor need not be near P_a.
     """
     factors = []
     for p, (q, residual) in zip(projectors, pivots):
         if not residual <= ATOL_MODEL:  # as for equal pivot columns
             h = (p + p.conj().T) / 2.0
             if (q := _psd_columns(h)) is None:
-                w, v = linalg.herm_eig(h)
-                q = v[:, w > SPECTRAL_CUTOFF] * np.sqrt(w[w > SPECTRAL_CUTOFF])
+                q = _spectral_columns(*linalg.herm_eig(h))
         factors.append(q)
     return factors
 
@@ -708,14 +712,14 @@ def _states_at(model: QuantumModel, indices):
     """The states at grid ``indices``, each carried on from the last by :meth:`TimeGrid.carry`.
 
     A state built from a vector moves the vector (weight 1); any other, the eigenvectors V
-    of its eigenvalues lambda beyond ``SPECTRAL_CUTOFF`` in magnitude.  The new state,
-    validated like any other, is (W V) diag(lambda) (W V)^dagger: the negative eigenvalues
-    that validation let through, which ``columns`` leaves out, keep their share of the
-    trace.  At t_0 it is the initial state itself.
+    of its eigenvalues lambda beyond ``SPECTRAL_CUTOFF`` in magnitude, not beyond the floor
+    that ``columns`` keeps.  The new state, validated like any other, is
+    (W V) diag(lambda) (W V)^dagger: the negative and small eigenvalues that ``columns``
+    leaves out keep their share of the trace.  At t_0 it is the initial state itself.
     """
     state, at = model.initial_state, 0
     if state.vector is None:
-        keep = np.abs(state.eigenvalues) > SPECTRAL_CUTOFF
+        keep = np.abs(state.eigenvalues) > SPECTRAL_CUTOFF  # negatives keep their share of the trace
         rows, weights = state.eigenvectors[:, keep].T, state.eigenvalues[keep]
     else:
         rows, weights = state.vector[None], np.ones(1)

@@ -162,7 +162,8 @@ def write_fixtures(tree: Path, where: Path) -> None:
     The register models come from the benchmark generator in this script's
     own checkout (``perfbench/inputs.py``), so ``tree`` needs only ``src/``.
     """
-    for name, params in (("spin", ["a=0.6"]), ("spin-post", []), ("spin-symmetric", [])):
+    for name, params in (("spin", ["a=0.6"]), ("spin-post", []), ("spin-symmetric", []),
+                         ("random", ["seed=3", "dim=64", "n=2"])):
         proc = run(tree, ["scenario", "emit", name, *params, "--out", f"base-{name}.json"], where)
         if proc.returncode != 0:
             raise SystemExit(f"cannot emit the {name} fixture:\n{proc.stderr}")
@@ -189,6 +190,19 @@ def write_fixtures(tree: Path, where: Path) -> None:
     rho_i = np.outer(psi, psi.conj())
     for name, scale in (("spin-symmetric-final-state", 1.0), ("spin-symmetric-final-large", 1e6)):
         files[name] = dict(symmetric, rho_final=_pairs(scale * rho_i))
+    # Final operators of trace 1e6 past the certificate, so factored by eigenvalues: rank one
+    # on a d = 64 random model (for abl and reverse), and rank two, 1e6 (psi psi^dagger +
+    # w w^dagger) with w a real unit vector orthogonal to the real psi, on spin-symmetric; it
+    # is real, so time-symmetric, and commutes with rho_i, so page forms both two-state tables.
+    rng = np.random.default_rng(33)
+    base_random = json.loads((where / "base-random.json").read_text(encoding="utf-8"))
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    v /= np.linalg.norm(v)
+    files["random-d64-final-large"] = dict(base_random, rho_final=_pairs(1e6 * np.outer(v, v.conj())))
+    w = rng.standard_normal(psi.size)
+    w -= psi.real * (psi.real @ w)
+    w /= np.linalg.norm(w)
+    files["spin-symmetric-final-rank2"] = dict(symmetric, rho_final=_pairs(1e6 * (rho_i + np.outer(w, w))))
     for name, rho_f in finals.items():
         files[name] = dict(post, rho_final=_pairs(rho_f))
     files["mixed-rank2"] = dict(post, initial_state=_pairs([[0.6, 0.1], [0.1, 0.4]]),

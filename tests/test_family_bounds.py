@@ -255,9 +255,11 @@ def test_certificate_edge_cases_match_the_dense_rule(members, calls, certified, 
     # every family keeps factors, read back within the tolerance of its inputs
     # (ten times it for a family whose checks warned); the equal pivot columns
     # leave the static-pivot factor to the member's certified pivoted Cholesky
-    # factor, and the perturbed ones to its spectral columns
+    # factor, and the perturbed ones to its spectral columns, which leave out
+    # the eigenvalues within the floor: one column per unit of tr P_a
     limit = (WARN_FACTOR if got[1] else 1.0) * ATOL_MODEL
     assert all(np.abs(q - p).max() <= limit for (_, p), q in zip(members, family.projectors))
+    assert [q.shape[1] for q in family._factors] == [round(np.trace(p).real) for _, p in members]
 
 
 def test_count_products_reports_a_certified_family():

@@ -5,7 +5,6 @@ from decohist.linalg import (
     as_matrix,
     exp_generator,
     herm_eig,
-    kron,
     max_abs,
 )
 
@@ -16,29 +15,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def _random_matrix(rng, n, m=None):
     m = n if m is None else m
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-
-
-def test_kron_identities():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kron_shape_law():
-    rng = np.random.default_rng(6)
-    a = _random_matrix(rng, 2)
-    b = _random_matrix(rng, 3)
-    assert kron(a, b).shape == (6, 6)
-
-
-def test_kron_pauli_product():
-    lhs = kron(SIGMA_Z, np.eye(2)) @ kron(np.eye(2), SIGMA_X)
-    assert max_abs(lhs - kron(SIGMA_Z, SIGMA_X)) <= 1e-13
-
-
-def test_kron_mixed_product():
-    rng = np.random.default_rng(7)
-    a, c = _random_matrix(rng, 2), _random_matrix(rng, 2)
-    b, d = _random_matrix(rng, 3), _random_matrix(rng, 3)
-    assert max_abs(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d)) <= 1e-12
 
 
 def test_herm_eig_sigma_z():

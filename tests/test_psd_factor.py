@@ -9,7 +9,8 @@ factor must reproduce its matrix.  Larger explicit cases certify ranks up
 to 72, and a final operator of large trace reaches the bound on the
 eigensolver's error; the functionals of such states are checked against the
 reference evaluator.  The certified factor is the same at one and at two
-BLAS threads.
+BLAS threads.  A factor taken from eigenvalues keeps one column per unit of
+the rank that ``_rank_and_vector`` counts, at any BLAS thread count.
 """
 
 import os
@@ -20,13 +21,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_evaluator as ref
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from decohist import model as model_module
 from decohist.exceptions import ModelValidationError
-from decohist.histories import _coerce_final_operator, _gram, _rows
-from decohist.model import ATOL_MODEL, QuantumModel, StateOperator, _psd_columns
+from decohist.bounds import _gamma
+from decohist.histories import _coerce_final_operator, _gram, _rows, check_two_state_decoherence
+from decohist.model import (ATOL_MODEL, QuantumModel, StateOperator, _eigen_floor, _psd_columns,
+                            _rank_and_vector)
 from decohist.scenarios import haar_unitary, random_model
 
 SHIFTS = (-1e-3, -2e-10, -0.4e-10, 0.0, 1e-9, 1e-3)
@@ -329,3 +332,121 @@ def test_vectors_are_the_same_at_one_and_two_blas_threads(tmp_path):
     for one, two in zip(*vectors):
         assert one.shape == (512,) and one.tobytes() == two.tobytes()
     assert abs(abs(np.vdot(psi, vectors[0][0])) - 1.0) <= 1e-12
+
+
+_WIDTH_SCRIPT = """
+import numpy as np
+from decohist.histories import _coerce_final_operator
+from decohist.model import _rank_and_vector
+for dim in (64, 256, 512):
+    rng = np.random.default_rng(dim)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    factor = _coerce_final_operator(1e6 * np.outer(v, v.conj()), dim)[1]
+    rank, u = _rank_and_vector(factor)
+    print(dim, factor.shape[1], rank, abs(abs(np.vdot(v, u)) - 1.0))
+"""
+
+
+def test_eigenvalue_factors_keep_one_column_per_unit_of_rank_at_one_and_two_blas_threads():
+    """rho_f = 1e6 v v^dagger at d = 64, 256 and 512 is factored by eigenvalues into one column.
+
+    eigh's noise eigenvalues, near d u 1e6 and so above 1e-14 but within the rank floor,
+    give no column.  Widths, ranks and vectors are compared, not bytes: eigh's vector
+    itself differs between thread counts at d = 512.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _WIDTH_SCRIPT], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for line in proc.stdout.splitlines():
+            dim, width, rank, gap = line.split()
+            assert (width, rank) == ("1", "1") and float(gap) <= 1e-12, (threads, line)
+
+
+@st.composite
+def eigenvalue_path_operators(draw):
+    """(dim, eigenvalues, seed) of operators that the certificate refuses and the eigenvalue rule accepts.
+
+    Final operators of rank at most 6 and trace at least 1e4, whose rounding allowance
+    exceeds the certificate's budget, or unit-trace states with one eigenvalue in
+    [-9e-11, -6e-11] and a few in (1e-14, 1e-10].
+    """
+    dim = draw(st.integers(2, 64))
+    unit = st.floats(0.05, 1.0)
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(unit, min_size=1, max_size=min(6, dim))))
+        w *= 10.0 ** draw(st.floats(4.0, 9.0)) / w.sum()
+    else:
+        n_small = draw(st.integers(0, min(3, dim - 2)))
+        big = np.array(draw(st.lists(unit, min_size=1, max_size=dim - 1 - n_small)))
+        small = draw(st.lists(st.floats(1e-14, 1e-10, exclude_min=True), min_size=n_small,
+                              max_size=n_small))
+        w = np.concatenate([big * (1.0 - sum(small)) / big.sum(), small,
+                            [-draw(st.floats(6e-11, 9e-11))]])
+        w[0] += 1.0 - w.sum()
+    return dim, np.pad(w, (0, dim - w.size)), draw(st.integers(0, 2**32 - 1))
+
+
+def _factor(dim, w, seed):
+    """The factor of U diag(w) U^dagger, a state's ``columns`` at unit trace, else rho_f's."""
+    u = haar_unitary(dim, np.random.default_rng(seed))
+    h = (u * w) @ u.conj().T
+    h = (h + h.conj().T) / 2.0
+    if abs(np.trace(h).real - 1.0) <= ATOL_MODEL:
+        return h, StateOperator(h).columns
+    return h, _coerce_final_operator(h, dim)[1]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(eigenvalue_path_operators())
+def test_eigenvalue_factors_are_as_wide_as_their_rank(case):
+    """The factor of an operator decided by eigenvalues has its rank's width and reproduces it.
+
+    Eigenvalues within the floor, of either sign, give no column, so F F^dagger is within
+    d :func:`_eigen_floor` of the operator.  A final operator keeps its k columns.
+    """
+    dim, w, seed = case
+    h, factor = _factor(dim, w, seed)
+    assume(_psd_columns(h) is None)
+    assert factor.shape[1] == _rank_and_vector(factor)[0]
+    assert np.max(np.abs(factor @ factor.conj().T - h)) <= dim * _eigen_floor(np.linalg.eigvalsh(h))
+    if w.min() >= 0.0:  # a final operator, whose eigenvalues are all zero or above 1e4 / 120
+        assert factor.shape[1] == np.count_nonzero(w)
+
+
+def test_state_eigenvalues_within_the_floor_give_no_column():
+    """A unit-trace state with five eigenvalues in [0.1, 1] and four within 1e-10 of zero.
+
+    Its eigenvalue -8e-11 fails the certificate, so eigh factors it: 5 columns, not 8.
+    """
+    w = np.array([0.1, 0.3, 0.5, 0.7, 1.0] + [0.0] * 27)
+    w *= (1.0 - 3e-11 - 5e-12 - 2e-13 + 8e-11) / w.sum()
+    w[5:9] = -8e-11, 3e-11, 5e-12, 2e-13
+    h, factor = _factor(32, w, 32)
+    assert _psd_columns(h) is None
+    assert factor.shape == (32, 5) and _rank_and_vector(factor)[0] == 5
+
+
+def test_eigenvalue_factored_final_operator_matches_the_reference():
+    """Two-state values with rho_f = 1e6 v v^dagger at d = 256 equal the dense functional.
+
+    Each value is within its pair's rounding floor gamma_n sqrt(D_ii D_jj) of
+    ``reference_evaluator``'s Tr(rho_f L_i rho_i L_j^dagger), which reads rho_f whole.
+    """
+    model = random_model(seed=2, dim=256, n_families=4, members_per_family=2, pure=False)
+    rng = np.random.default_rng(256)
+    v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    rho_f = 1e6 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    factor = _coerce_final_operator(rho_f, 256)[1]
+    assert factor.shape == (256, 1)
+    d = _gram(_rows(model, False, model.initial_state, factor))
+    expected = ref.functional_matrix(model, "two_state", rho_i=model.initial_state, rho_f=rho_f)
+    root = np.sqrt(np.outer(d.diagonal().real, d.diagonal().real))
+    gamma = _gamma(model.initial_state.columns.shape[1] + 2 * (model.n_families + 1) * 256)
+    assert np.all(np.abs(d - expected) <= gamma * root)
+    report = check_two_state_decoherence(model.initial_state, rho_f, model)
+    assert report.classification == "not_decoherent"
